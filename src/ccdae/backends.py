@@ -504,6 +504,12 @@ class TableBackend:
 # remote backend
 
 
+def _malformed(endpoint: str, status: int, exc: Exception) -> RemoteBackendError:
+    """A reply that parses wrongly will parse wrongly again: not retryable."""
+    return RemoteBackendError(f"malformed reply: {exc!r}", endpoint=endpoint,
+                              status=status, retryable=False)
+
+
 class RemoteBackend:
     """HTTP client for a minimal two-endpoint log-prob server.
 
@@ -550,7 +556,10 @@ class RemoteBackend:
                 last = RemoteBackendError(str(exc), endpoint=url)
             else:
                 if 200 <= resp.status_code < 300:
-                    return resp.json()
+                    try:
+                        return resp.json()
+                    except ValueError as exc:
+                        raise _malformed(url, resp.status_code, exc) from exc
                 last = RemoteBackendError(
                     "server error",
                     endpoint=url,
@@ -575,7 +584,10 @@ class RemoteBackend:
         if prompt:
             payload["prompt"] = prompt
         doc = self._post("/v1/logprob", payload)
-        return LogProbResult.from_tokens(doc["per_token_logprobs"])
+        try:
+            return LogProbResult.from_tokens(doc["per_token_logprobs"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise _malformed(self.endpoint + "/v1/logprob", 200, exc) from exc
 
     def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
         return self.cond_logprob("", description, prompt="")
@@ -599,18 +611,18 @@ class RemoteBackend:
                 "seed": seed,
             },
         )
-        out = []
-        for s in doc["samples"]:
-            tokens = tuple(s.get("tokens") or s["text"].split() or [s["text"]])
-            out.append(
+        try:
+            return [
                 SampledDescription(
                     text=s["text"],
-                    tokens=tokens,
+                    tokens=tuple(s.get("tokens") or s["text"].split() or [s["text"]]),
                     per_token_logprobs=tuple(map(float, s["per_token_logprobs"])),
                     terminated=bool(s.get("terminated", True)),
                 )
-            )
-        return out
+                for s in doc["samples"]
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise _malformed(self.endpoint + "/v1/sample", 200, exc) from exc
 
     def ensemble_sample(self, context_a, context_b, count, max_tokens=20,
                         temperature=1.0, seed=0, prompt=None):

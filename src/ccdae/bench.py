@@ -13,6 +13,7 @@ import numpy as np
 from scipy import stats
 
 from . import baselines, pipeline
+from .backends import BackendError
 
 __all__ = [
     "PairRecord",
@@ -238,7 +239,7 @@ def run_similarity_bench(
     for rec in records:
         try:
             s = pair_score(rec.text_a, rec.text_b, backend, config, score, capacity)
-        except Exception as exc:  # noqa: BLE001 - flaky backends are expected
+        except (BackendError, ValueError) as exc:  # flaky backends, bad records
             failures.append({"id": rec.id, "error": str(exc)})
             continue
         per_record.append({"id": rec.id, "score": s, "human": rec.human_score})
@@ -288,7 +289,7 @@ def run_choice_bench(
                                capacity)
             s_neg = pair_score(rec.context, rec.negative, backend, config, score,
                                capacity)
-        except Exception as exc:  # noqa: BLE001
+        except (BackendError, ValueError) as exc:
             failures.append({"id": rec.id, "error": str(exc)})
             continue
         if s_pos > s_neg:

@@ -17,6 +17,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
@@ -34,6 +35,7 @@ __all__ = [
     "capacity_estimate",
     "cross_expected_loss",
     "trace_rate_curve",
+    "curve_from_traces",
     "distance_curve",
     "auc",
     "intersection_distance",
@@ -45,6 +47,9 @@ def default_lambda_grid() -> np.ndarray:
 
 
 _CAPACITY_CLAMP = 1e-9
+
+#: Logits per block of the lambda trace: 64 Ki float64s, 512 KiB.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class InvalidBatchError(ValueError):
@@ -273,48 +278,76 @@ def _check_target(batch: ScoredBatch, target: int) -> None:
         raise InvalidBatchError(f"sample index {target} out of range")
 
 
-def _logits(batch: ScoredBatch, lam: float, target: int) -> np.ndarray:
+class _Trace(NamedTuple):
+    """The Gibbs family of one sample along a lambda grid of length L."""
+
+    capacity: np.ndarray  # (L,), clamped to 0 near zero
+    expected: np.ndarray  # (rows, L): expected loss of every sample row
+    log_partition: np.ndarray  # (L,)
+    weights: np.ndarray | None  # (L, H), only when asked for
+
+
+def _gibbs_trace(
+    batch: ScoredBatch, grid: np.ndarray, target: int, keep_weights: bool = False
+) -> _Trace:
+    """Trace the Gibbs family of ``target`` over ``grid`` in blocks of lambdas.
+
+    weights = softmax(-lam*loss[target] + log p_code - log proposal
+    + log counts), stabilized inside logsumexp. A block holds at most
+    ``_BLOCK_ELEMENTS`` logits, so memory stays flat however wide the batch.
+    """
+    _check_target(batch, target)
     extra = np.array([h.log_pcode - h.log_proposal for h in batch.hypotheses])
-    return -lam * batch.loss[target] + extra
+    log_counts = np.log(batch.counts)
+    per_block = max(1, _BLOCK_ELEMENTS // batch.n_hypotheses)
+    expected = np.empty((batch.loss.shape[0], grid.size))
+    log_z = np.empty(grid.size)
+    weights = np.empty((grid.size, batch.n_hypotheses)) if keep_weights else None
+    for start in range(0, grid.size, per_block):
+        block = slice(start, start + per_block)
+        u = (-grid[block, None] * batch.loss[target] + extra) + log_counts
+        lse = logsumexp(u, axis=1, keepdims=True)
+        w = np.exp(u - lse)
+        w /= w.sum(axis=1, keepdims=True)
+        for s, row in enumerate(batch.loss):
+            # vecdot rounds as one dot per lambda does; a matmul would not.
+            expected[s, block] = np.vecdot(w, row)
+        log_z[block] = lse[:, 0] - math.log(batch.n_draws)
+        if keep_weights:
+            weights[block] = w
+    capacity = -grid * expected[target] - log_z
+    capacity[(-_CAPACITY_CLAMP <= capacity) & (capacity < 0.0)] = 0.0
+    return _Trace(capacity, expected, log_z, weights)
+
+
+def _gibbs_point(batch: ScoredBatch, lam: float, target: int) -> _Trace:
+    if lam < 0:
+        raise InvalidBatchError("lambda must be nonnegative")
+    return _gibbs_trace(batch, np.array([float(lam)]), target, keep_weights=True)
 
 
 def gibbs_weights(batch: ScoredBatch, lam: float, target: int) -> np.ndarray:
     """Self-normalized importance weights for the Gibbs family at ``lam``.
 
     weights_i = softmax(-lam*loss[target] + log p_code - log proposal)_i,
-    with draw multiplicities folded in as count weights. Stabilized with
-    max subtraction inside logsumexp.
+    with draw multiplicities folded in as count weights.
     """
-    if lam < 0:
-        raise InvalidBatchError("lambda must be nonnegative")
-    _check_target(batch, target)
-    u = _logits(batch, lam, target) + np.log(batch.counts)
-    w = np.exp(u - logsumexp(u))
-    return w / w.sum()
+    return _gibbs_point(batch, lam, target).weights[0]
 
 
 def log_partition_estimate(batch: ScoredBatch, lam: float, target: int) -> float:
     """log of the self-normalized partition estimate (1/N) sum exp(logit)."""
-    if lam < 0:
-        raise InvalidBatchError("lambda must be nonnegative")
-    _check_target(batch, target)
-    u = _logits(batch, lam, target) + np.log(batch.counts)
-    return float(logsumexp(u) - math.log(batch.n_draws))
+    return float(_gibbs_point(batch, lam, target).log_partition[0])
 
 
 def expected_loss(batch: ScoredBatch, lam: float, target: int) -> float:
     """beta(lam): importance-weighted expected reconstruction loss."""
-    w = gibbs_weights(batch, lam, target)
-    return float(w @ batch.loss[target])
+    return float(_gibbs_point(batch, lam, target).expected[target, 0])
 
 
 def capacity_estimate(batch: ScoredBatch, lam: float, target: int) -> float:
     """C(lam) = -lam*beta(lam) - log Z_hat, clamped to 0 near zero."""
-    beta = expected_loss(batch, lam, target)
-    c = -lam * beta - log_partition_estimate(batch, lam, target)
-    if -_CAPACITY_CLAMP <= c < 0.0:
-        c = 0.0
-    return c
+    return float(_gibbs_point(batch, lam, target).capacity[0])
 
 
 def cross_expected_loss(
@@ -322,8 +355,7 @@ def cross_expected_loss(
 ) -> float:
     """Expected loss on ``target`` under the Gibbs weights of ``source``."""
     _check_target(batch, target)
-    w = gibbs_weights(batch, lam, source)
-    return float(w @ batch.loss[target])
+    return float(_gibbs_point(batch, lam, source).expected[target, 0])
 
 
 def _validate_grid(lambda_grid) -> np.ndarray:
@@ -342,64 +374,35 @@ def trace_rate_curve(
 ) -> CapacityCurve:
     """Trace (lam, C, beta) along the lambda grid for one sample."""
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
-    points = []
-    for lam in grid:
-        w = gibbs_weights(batch, float(lam), target)
-        beta = float(w @ batch.loss[target])
-        logz = log_partition_estimate(batch, float(lam), target)
-        c = -float(lam) * beta - logz
-        if -_CAPACITY_CLAMP <= c < 0.0:
-            c = 0.0
-        points.append(
-            GibbsPoint(
-                lam=float(lam),
-                weights=w,
-                capacity=c,
-                expected_loss=beta,
-                log_partition=logz,
-            )
+    t = _gibbs_trace(batch, grid, target, keep_weights=True)
+    points = [
+        GibbsPoint(lam=float(lam), weights=w, capacity=float(c),
+                   expected_loss=float(b), log_partition=float(z))
+        for lam, w, c, b, z in zip(
+            grid, t.weights, t.capacity, t.expected[target], t.log_partition
         )
+    ]
     return CapacityCurve(points=points, sample_index=target)
 
 
-def _interp_by_capacity(cap: np.ndarray, val: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    # np.interp needs increasing x; estimator noise can break monotonicity.
-    order = np.argsort(cap, kind="stable")
-    return np.interp(grid, cap[order], val[order])
-
-
-def distance_curve(
-    batch: ScoredBatch,
-    lambda_grid=None,
+def curve_from_traces(
+    capacity,
+    beta,
+    cross,
+    lambda_grid: np.ndarray,
     capacity_grid_size: int = 100,
     c_max: float | None = None,
+    mode: str = "encoder_only",
 ) -> DistanceCurve:
-    """Trace both Gibbs families and interpolate the gap curves.
+    """Interpolate two traced rate curves onto a shared capacity grid.
 
-    Each constituent curve is parameterized by the capacity of the weight
-    distribution that produced it, then linearly interpolated onto a
-    shared grid of ``capacity_grid_size`` points spanning [0, c_max].
+    ``capacity[i]``, ``beta[i]`` and ``cross[i]`` hold, along the lambda
+    grid, the capacity of sample i's weights, their expected loss on
+    sample i, and their expected loss on the other sample. Each curve is
+    parameterized by its capacity and linearly interpolated onto
+    ``capacity_grid_size`` points spanning [0, c_max].
     """
-    if batch.loss.shape[0] < 2:
-        raise InvalidBatchError("distance_curve needs both sample rows scored")
-    grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
-
-    cap = [np.empty(grid.size), np.empty(grid.size)]
-    beta = [np.empty(grid.size), np.empty(grid.size)]
-    cross = [np.empty(grid.size), np.empty(grid.size)]  # cross[i]: weights of i on other
-    for i in (0, 1):
-        for k, lam in enumerate(grid):
-            w = gibbs_weights(batch, float(lam), i)
-            b = float(w @ batch.loss[i])
-            logz = log_partition_estimate(batch, float(lam), i)
-            c = -float(lam) * b - logz
-            if -_CAPACITY_CLAMP <= c < 0.0:
-                c = 0.0
-            cap[i][k] = c
-            beta[i][k] = b
-            cross[i][k] = float(w @ batch.loss[1 - i])
-
-    traced_max = min(cap[0].max(), cap[1].max())
+    traced_max = min(capacity[0].max(), capacity[1].max())
     if c_max is None:
         c_max = float(traced_max)
     elif c_max > traced_max * (1 + 1e-9) + 1e-12:
@@ -409,25 +412,42 @@ def distance_curve(
         )
     cgrid = np.linspace(0.0, c_max, capacity_grid_size)
 
+    def interp(i: int, val: np.ndarray) -> np.ndarray:
+        # np.interp needs increasing x; estimator noise can break monotonicity.
+        order = np.argsort(capacity[i], kind="stable")
+        return np.interp(cgrid, capacity[i][order], val[order])
+
     # delta_2_to_1: how much worse sample 2's descriptions reconstruct
     # sample 1, relative to sample 1's own optimal curve, at matched C.
-    d21 = _interp_by_capacity(cap[1], cross[1], cgrid) - _interp_by_capacity(
-        cap[0], beta[0], cgrid
-    )
-    d12 = _interp_by_capacity(cap[0], cross[0], cgrid) - _interp_by_capacity(
-        cap[1], beta[1], cgrid
-    )
+    d21 = interp(1, cross[1]) - interp(0, beta[0])
+    d12 = interp(0, cross[0]) - interp(1, beta[1])
     dist = 0.5 * (d21 + d12)
-    area = auc(cgrid, dist, c_max)
     return DistanceCurve(
         capacity_grid=cgrid,
         delta_2_to_1=d21,
         delta_1_to_2=d12,
         distance=dist,
-        auc=area,
+        auc=auc(cgrid, dist, c_max),
         c_max=float(c_max),
-        lambda_grid=grid,
-        mode=batch.mode,
+        lambda_grid=lambda_grid,
+        mode=mode,
+    )
+
+
+def distance_curve(
+    batch: ScoredBatch,
+    lambda_grid=None,
+    capacity_grid_size: int = 100,
+    c_max: float | None = None,
+) -> DistanceCurve:
+    """Trace both Gibbs families and interpolate the gap curves."""
+    if batch.loss.shape[0] < 2:
+        raise InvalidBatchError("distance_curve needs both sample rows scored")
+    grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
+    t0, t1 = (_gibbs_trace(batch, grid, i) for i in (0, 1))
+    return curve_from_traces(
+        (t0.capacity, t1.capacity), (t0.expected[0], t1.expected[1]),
+        (t0.expected[1], t1.expected[0]), grid, capacity_grid_size, c_max, batch.mode,
     )
 
 

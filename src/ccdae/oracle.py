@@ -2,7 +2,8 @@
 
 Ground truth for the importance-sampling estimators in :mod:`ccdae.core`:
 everything here enumerates the full table and normalizes explicitly, with
-no shared estimator code, so the two routes stay independent.
+no shared estimator code, so the two routes stay independent. Only the
+curve tail (c_max check, interpolation, AUC) is shared with the estimator.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DistanceCurve, Hypothesis, ScoredBatch, auc
+from .core import (DistanceCurve, Hypothesis, ScoredBatch, curve_from_traces,
+                   default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -286,50 +288,18 @@ def exact_distance_curve(
     c_max: float | None = None,
 ) -> DistanceCurve:
     """Exact counterpart of :func:`ccdae.core.distance_curve`."""
-    if lambda_grid is None:
-        lambda_grid = np.linspace(0.0, 100.0, 200)
-    grid = np.asarray(lambda_grid, dtype=float)
-    a, b = pair
-    cap = {a: [], b: []}
-    beta = {a: [], b: []}
-    cross = {a: [], b: []}
-    for lam in grid:
-        for i, j in ((a, b), (b, a)):
+    grid = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, float)
+    cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
+    for k, lam in enumerate(grid):
+        for s, (i, j) in enumerate((pair, pair[::-1])):
             q = exact_gibbs(table, i, float(lam))
             nz = q > 0
             kl = float(np.sum(q[nz] * (np.log(q[nz]) + table.code_lengths[nz])))
-            cap[i].append(max(kl, 0.0))
-            beta[i].append(float(q @ table.loss[i]))
-            cross[i].append(float(q @ table.loss[j]))
-    cap = {k: np.array(v) for k, v in cap.items()}
-    beta = {k: np.array(v) for k, v in beta.items()}
-    cross = {k: np.array(v) for k, v in cross.items()}
-
-    traced_max = min(cap[a].max(), cap[b].max())
-    if c_max is None:
-        c_max = float(traced_max)
-    elif c_max > traced_max * (1 + 1e-9) + 1e-12:
-        raise ValueError(
-            f"c_max={c_max:.6g} exceeds the traced capacity range ({traced_max:.6g})"
-        )
-    cgrid = np.linspace(0.0, c_max, capacity_grid_size)
-
-    def interp(x, y):
-        order = np.argsort(x, kind="stable")
-        return np.interp(cgrid, x[order], y[order])
-
-    d21 = interp(cap[b], cross[b]) - interp(cap[a], beta[a])
-    d12 = interp(cap[a], cross[a]) - interp(cap[b], beta[b])
-    dist = 0.5 * (d21 + d12)
-    return DistanceCurve(
-        capacity_grid=cgrid,
-        delta_2_to_1=d21,
-        delta_1_to_2=d12,
-        distance=dist,
-        auc=auc(cgrid, dist, c_max),
-        c_max=float(c_max),
-        lambda_grid=grid,
-        mode="generative",
+            cap[s, k] = max(kl, 0.0)
+            beta[s, k] = float(q @ table.loss[i])
+            cross[s, k] = float(q @ table.loss[j])
+    return curve_from_traces(
+        cap, beta, cross, grid, capacity_grid_size, c_max, mode="generative"
     )
 
 

@@ -229,8 +229,6 @@ def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceRep
     """Full conceptual-distance comparison of two items."""
     config = config or CompareConfig()
     batch = build_batch(x1, x2, backend, config)
-    if batch.n_hypotheses < 2:
-        raise InvalidBatchError("fewer than 2 hypotheses survived scoring")
     curve = distance_curve(
         batch,
         lambda_grid=config.grid(),

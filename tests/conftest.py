@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -76,3 +77,25 @@ def make_encoder_batch(logp1, logp2):
         counts=np.exp(logpi),
         log_conditionals=np.vstack([logp1, logp2]),
     )
+
+
+class StubResponse:
+    status_code = 200
+
+    def __init__(self, text):
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class StubSession:
+    """A ``requests`` session that answers every POST with one 200 reply body."""
+
+    def __init__(self, text):
+        self.text = text
+        self.posts = 0
+
+    def post(self, url, json=None, timeout=None):  # noqa: A002
+        self.posts += 1
+        return StubResponse(self.text)

@@ -6,6 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
+from conftest import StubSession
 
 from ccdae import backends
 from ccdae.backends import (
@@ -285,3 +286,29 @@ def test_remote_connection_error():
                        timeout=0.5)
     with pytest.raises(RemoteBackendError):
         be.cond_logprob("ctx", "ok")
+
+
+# ---------------------------------------------------------------------------
+# remote backend against malformed 200 replies
+
+
+@pytest.mark.parametrize("call, body", [
+    ("logprob", "not json"),
+    ("logprob", "[]"),
+    ("logprob", '{"total": -0.2}'),
+    ("logprob", '{"per_token_logprobs": ["x"]}'),
+    ("sample", "not json"),
+    ("sample", '{"total": -0.2}'),
+    ("sample", '{"samples": [{"text": "a b"}]}'),
+    ("sample", '{"samples": [{"per_token_logprobs": [-0.1]}]}'),
+])
+def test_remote_malformed_reply_is_typed_and_not_retried(call, body):
+    stub = StubSession(body)
+    be = RemoteBackend("http://stub", backoff=0.0, session=stub)
+    with pytest.raises(RemoteBackendError) as exc:
+        if call == "logprob":
+            be.cond_logprob("ctx", "two words")
+        else:
+            be.sample_descriptions("ctx", 2)
+    assert not exc.value.retryable
+    assert stub.posts == 1

@@ -143,6 +143,20 @@ def test_similarity_bench_failure_budget(ngram_backend, quick_config):
                                    score="cond_lik")
 
 
+def test_bench_loops_let_program_errors_through(ngram_backend, quick_config,
+                                               monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("bug in core")
+
+    monkeypatch.setattr(pipeline, "distance_curve", broken)
+    pairs = [PairRecord(id="0", text_a="rain", text_b="iron", human_score=1.0)]
+    with pytest.raises(ZeroDivisionError):
+        bench.run_similarity_bench(pairs, ngram_backend, quick_config)
+    choices = [ChoiceRecord(id="0", context="rain", positive="dust", negative="iron")]
+    with pytest.raises(ZeroDivisionError):
+        bench.run_choice_bench(choices, ngram_backend, quick_config)
+
+
 def test_choice_bench_positive_equals_context(ngram_backend, quick_config):
     records = [
         ChoiceRecord(id="0", context="rain", positive="rain", negative="iron"),

@@ -3,6 +3,8 @@ import math
 import os
 
 import pytest
+import requests
+from conftest import StubSession
 
 from ccdae import backends, cli
 
@@ -64,6 +66,14 @@ def test_endpoint_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("CCDAE_ENDPOINT", "http://127.0.0.1:1")
     code, _, _ = run(capsys, "--backend", "remote", "compare", "a", "b")
     assert code == 1
+
+
+def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(requests, "Session", lambda: StubSession('{"ok": true}'))
+    code, _, err = run(capsys, "--backend", "remote", "--endpoint", "http://stub",
+                       "compare", "a", "b")
+    assert code in (1, 2)
+    assert "malformed reply" in err
 
 
 def test_bad_lambda_grid(capsys, fixture_path):

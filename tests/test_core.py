@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
-from ccdae import core
-from ccdae.core import InvalidBatchError
+from ccdae import core, oracle
+from ccdae.core import Hypothesis, InvalidBatchError, ScoredBatch
 
 from conftest import make_encoder_batch, make_uniform_batch
 
@@ -292,3 +294,113 @@ def test_property_intersection_identity(losses1, losses2, lam):
     d21 = core.cross_expected_loss(batch, lam, 1, 0) - core.expected_loss(batch, lam, 0)
     d12 = core.cross_expected_loss(batch, lam, 0, 1) - core.expected_loss(batch, lam, 1)
     assert lhs == pytest.approx(0.5 * (d21 + d12), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the blocked Gibbs trace against a per-lambda reference loop
+
+
+def _reference_point(batch, lam, target):
+    """One lambda of the trace, one hypothesis list and logsumexp at a time."""
+    extra = np.array([h.log_pcode - h.log_proposal for h in batch.hypotheses])
+    u = -lam * batch.loss[target] + extra + np.log(batch.counts)
+    w = np.exp(u - logsumexp(u))
+    w = w / w.sum()
+    beta = float(w @ batch.loss[target])
+    logz = float(logsumexp(u) - math.log(batch.n_draws))
+    c = -lam * beta - logz
+    if -1e-9 <= c < 0.0:
+        c = 0.0
+    return w, c, beta, logz
+
+
+def _reference_distance(batch, grid, capacity_grid_size=100):
+    cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
+    for i in (0, 1):
+        for k, lam in enumerate(grid):
+            w, cap[i, k], beta[i, k], _ = _reference_point(batch, float(lam), i)
+            cross[i, k] = float(w @ batch.loss[1 - i])
+    c_max = float(min(cap[0].max(), cap[1].max()))
+    cgrid = np.linspace(0.0, c_max, capacity_grid_size)
+
+    def interp(x, y):
+        order = np.argsort(x, kind="stable")
+        return np.interp(cgrid, x[order], y[order])
+
+    d21 = interp(cap[1], cross[1]) - interp(cap[0], beta[0])
+    d12 = interp(cap[0], cross[0]) - interp(cap[1], beta[1])
+    dist = 0.5 * (d21 + d12)
+    return cgrid, d21, d12, dist, core.auc(cgrid, dist, c_max)
+
+
+def _random_batch(rng, n_hyp, loss_scale=5.0):
+    log_pcode = rng.uniform(-20.0, 0.0, n_hyp)
+    log_proposal = rng.uniform(-20.0, 0.0, n_hyp)
+    hyps = [
+        Hypothesis(tokens=(f"h{j}",), text=f"h{j}", log_pcode=float(log_pcode[j]),
+                   log_proposal=float(log_proposal[j]))
+        for j in range(n_hyp)
+    ]
+    return ScoredBatch(
+        hypotheses=hyps,
+        loss=rng.normal(0.0, loss_scale, (2, n_hyp)),  # mixed signs
+        counts=rng.integers(1, 6, n_hyp).astype(float),
+    )
+
+
+def _assert_matches_reference(batch, grid):
+    tol = dict(rtol=1e-12, atol=1e-12)
+    for target in (0, 1):
+        curve = core.trace_rate_curve(batch, grid, target)
+        for point, lam in zip(curve.points, grid):
+            w, c, beta, logz = _reference_point(batch, float(lam), target)
+            np.testing.assert_allclose(point.weights, w, **tol)
+            np.testing.assert_allclose(
+                [point.capacity, point.expected_loss, point.log_partition],
+                [c, beta, logz], **tol)
+    try:
+        expected = _reference_distance(batch, grid)
+    except InvalidBatchError:
+        with pytest.raises(InvalidBatchError):
+            core.distance_curve(batch, grid)
+        return
+    got = core.distance_curve(batch, grid)
+    for a, b in zip((got.capacity_grid, got.delta_2_to_1, got.delta_1_to_2,
+                     got.distance, got.auc), expected):
+        np.testing.assert_allclose(a, b, **tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_hyp=st.integers(2, 12),
+    lam_max=st.floats(min_value=0.1, max_value=100.0),
+    n_lam=st.integers(1, 60),
+)
+def test_property_trace_matches_reference_loop(seed, n_hyp, lam_max, n_lam):
+    batch = _random_batch(np.random.default_rng(seed), n_hyp)
+    _assert_matches_reference(batch, np.linspace(0.0, lam_max, n_lam + 1))
+
+
+def test_trace_spanning_several_blocks_matches_reference_loop():
+    batch = _random_batch(np.random.default_rng(7), 5000, loss_scale=1.0)
+    assert 5000 * core.default_lambda_grid().size > 4 * core._BLOCK_ELEMENTS
+    _assert_matches_reference(batch, core.default_lambda_grid())
+
+
+def test_distance_curve_memory_stays_blocked():
+    rng = np.random.default_rng(0)
+    logits = rng.normal(0.0, 1.5, 10_000)
+    table = oracle.FiniteHypothesisTable(
+        code_lengths=np.logaddexp.reduce(logits) - logits,
+        loss=rng.gamma(2.0, 1.0, (2, 10_000)),
+    )
+    batch = oracle.exact_batch(table)
+    tracemalloc.start()
+    try:
+        core.distance_curve(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an unblocked 200 x 10,000 trace peaks near 100 MB
+    assert peak < 8 * 2**20

@@ -154,6 +154,12 @@ def test_exact_curve_separable_positive(separable):
     assert np.all(curve.distance >= -1e-12)
 
 
+def test_exact_curve_cmax_out_of_range_is_typed(separable):
+    with pytest.raises(core.InvalidBatchError, match="c_max"):
+        oracle.exact_distance_curve(separable, lambda_grid=np.linspace(0, 5, 20),
+                                    c_max=10.0)
+
+
 def test_exact_intersection_identity(all_tables):
     for table in all_tables.values():
         if table.n_samples < 2:
