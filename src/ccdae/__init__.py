@@ -13,12 +13,10 @@ Subpackages:
 """
 
 from .backends import (
-    BackendDescriptor,
     NGramBackend,
     NGramModel,
     RemoteBackend,
     TableBackend,
-    make_backend,
     train_ngram,
 )
 from .core import (
@@ -52,12 +50,10 @@ from .pipeline import CompareConfig, DistanceReport, build_batch, compare
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendDescriptor",
     "NGramBackend",
     "NGramModel",
     "RemoteBackend",
     "TableBackend",
-    "make_backend",
     "train_ngram",
     "CapacityCurve",
     "DistanceCurve",

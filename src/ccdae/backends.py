@@ -22,7 +22,7 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,17 +33,11 @@ __all__ = [
     "SampledDescription",
     "BackendError",
     "RemoteBackendError",
-    "BackendDescriptor",
     "NGramModel",
     "NGramBackend",
     "TableBackend",
     "RemoteBackend",
     "train_ngram",
-    "cond_logprob",
-    "code_logprob",
-    "sample_descriptions",
-    "ensemble_sample",
-    "make_backend",
 ]
 
 #: Reserved end-of-sequence symbol (multi-char, so never a literal token).
@@ -94,33 +88,6 @@ class SampledDescription:
     @property
     def total_logprob(self) -> float:
         return float(sum(self.per_token_logprobs))
-
-
-@dataclass(frozen=True)
-class BackendDescriptor:
-    """Declarative backend selection: kind plus kind-specific parameters."""
-
-    kind: str  # ngram | remote | table
-    model_path: str | None = None
-    endpoint: str | None = None
-    fixture_path: str | None = None
-    prompt: str | None = None
-
-    def __post_init__(self) -> None:
-        needed = {"ngram": self.model_path, "remote": self.endpoint,
-                  "table": self.fixture_path}
-        if self.kind not in needed:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if not needed[self.kind]:
-            raise ValueError(f"backend kind {self.kind!r} is missing its source")
-
-
-def make_backend(desc: BackendDescriptor):
-    if desc.kind == "ngram":
-        return NGramBackend(NGramModel.load(desc.model_path), prompt=desc.prompt)
-    if desc.kind == "table":
-        return TableBackend.load(desc.fixture_path, prompt=desc.prompt)
-    return RemoteBackend(desc.endpoint, prompt=desc.prompt)
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +163,19 @@ class NGramModel:
     def load(cls, path) -> "NGramModel":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("magic") != _MAGIC_NGRAM:
+        if not isinstance(doc, dict) or doc.get("magic") != _MAGIC_NGRAM:
             raise BackendError(f"{path}: not an n-gram model file")
         if doc.get("version") != 1:
             raise BackendError(f"{path}: unsupported model version")
-        return cls(
-            order=int(doc["order"]),
-            smoothing_alpha=float(doc["alpha"]),
-            vocabulary=tuple(doc["vocabulary"]),
-            counts={ctx: dict(sym) for ctx, sym in doc["counts"].items()},
-        )
+        try:
+            return cls(
+                order=int(doc["order"]),
+                smoothing_alpha=float(doc["alpha"]),
+                vocabulary=tuple(doc["vocabulary"]),
+                counts={ctx: dict(sym) for ctx, sym in doc["counts"].items()},
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BackendError(f"{path}: malformed model file: {exc!r}") from exc
 
 
 def train_ngram(corpus: str, order: int = 5, smoothing_alpha: float = 0.01) -> NGramModel:
@@ -240,12 +210,10 @@ def train_ngram(corpus: str, order: int = 5, smoothing_alpha: float = 0.01) -> N
 class NGramBackend:
     """Backend contract on top of an :class:`NGramModel`.
 
-    The conditioning prefix is ``prompt + "\\n" + context + separator``
-    with an empty separator by default; only the last order-1 characters
-    matter to the model but the documented layout keeps runs reproducible.
+    The conditioning prefix is ``prompt + "\\n" + context`` (just
+    ``context`` without a prompt); only the last order-1 characters matter
+    to the model but the documented layout keeps runs reproducible.
     """
-
-    separator = ""
 
     def __init__(self, model: NGramModel, prompt: str | None = None):
         self.model = model
@@ -253,11 +221,7 @@ class NGramBackend:
 
     def _prefix(self, context: str, prompt: str | None) -> str:
         prompt = self.prompt if prompt is None else prompt
-        parts = []
-        if prompt:
-            parts.append(prompt + "\n")
-        parts.append(context)
-        return "".join(parts) + self.separator
+        return f"{prompt}\n{context}" if prompt else context
 
     def score_tokens(
         self,
@@ -389,19 +353,22 @@ class TableBackend:
     """
 
     def __init__(self, doc: dict, prompt: str | None = None):
-        if doc.get("magic") != _MAGIC_TABLE:
+        if not isinstance(doc, dict) or doc.get("magic") != _MAGIC_TABLE:
             raise BackendError("not a table-backend fixture")
-        self.floor = float(doc.get("floor", -20.0))
-        self.descriptions: dict[str, str] = dict(doc["descriptions"])
-        self.cond: dict[str, dict[str, list[float]]] = {
-            ctx: {d: list(map(float, v)) for d, v in row.items()}
-            for ctx, row in doc["cond"].items()
-        }
-        self.code: dict[str, list[float]] = {
-            d: list(map(float, v)) for d, v in doc.get("code", {}).items()
-        }
+        try:
+            self.floor = float(doc.get("floor", -20.0))
+            self.descriptions: dict[str, str] = dict(doc["descriptions"])
+            self.cond: dict[str, dict[str, list[float]]] = {
+                ctx: {d: list(map(float, v)) for d, v in row.items()}
+                for ctx, row in doc["cond"].items()
+            }
+            self.code: dict[str, list[float]] = {
+                d: list(map(float, v)) for d, v in doc.get("code", {}).items()
+            }
+            self._by_text = {text: did for did, text in self.descriptions.items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise BackendError(f"malformed table-backend fixture: {exc!r}") from exc
         self.prompt = prompt
-        self._by_text = {text: did for did, text in self.descriptions.items()}
 
     @classmethod
     def load(cls, path, prompt: str | None = None) -> "TableBackend":
@@ -627,33 +594,3 @@ class RemoteBackend:
     def ensemble_sample(self, context_a, context_b, count, max_tokens=20,
                         temperature=1.0, seed=0, prompt=None):
         raise BackendError("remote protocol does not expose ensemble sampling")
-
-
-# ---------------------------------------------------------------------------
-# free-function façade mirroring the backend contract
-
-
-def cond_logprob(backend, context: str, description: str, prompt: str | None = None,
-                 terminated: bool = True) -> LogProbResult:
-    return backend.cond_logprob(context, description, prompt=prompt,
-                                terminated=terminated)
-
-
-def code_logprob(backend, description: str, terminated: bool = True) -> LogProbResult:
-    return backend.code_logprob(description, terminated=terminated)
-
-
-def sample_descriptions(backend, context, count, max_tokens=20, temperature=1.0,
-                        seed=0, prompt=None) -> list[SampledDescription]:
-    return backend.sample_descriptions(
-        context, count, max_tokens=max_tokens, temperature=temperature, seed=seed,
-        prompt=prompt,
-    )
-
-
-def ensemble_sample(backend, context_a, context_b, count, max_tokens=20,
-                    temperature=1.0, seed=0, prompt=None) -> list[SampledDescription]:
-    return backend.ensemble_sample(
-        context_a, context_b, count, max_tokens=max_tokens, temperature=temperature,
-        seed=seed, prompt=prompt,
-    )

@@ -221,6 +221,14 @@ def _config_echo(config: pipeline.CompareConfig, score: str) -> dict:
     }
 
 
+def _check_failure_budget(failures: list, records: list) -> None:
+    if len(failures) > FAILURE_BUDGET * len(records):
+        raise BenchError(
+            f"{len(failures)}/{len(records)} records failed; exceeding the "
+            f"{FAILURE_BUDGET:.0%} failure budget"
+        )
+
+
 def run_similarity_bench(
     records: list[PairRecord],
     backend,
@@ -243,11 +251,7 @@ def run_similarity_bench(
             failures.append({"id": rec.id, "error": str(exc)})
             continue
         per_record.append({"id": rec.id, "score": s, "human": rec.human_score})
-    if len(failures) > FAILURE_BUDGET * len(records):
-        raise BenchError(
-            f"{len(failures)}/{len(records)} records failed; exceeding the "
-            f"{FAILURE_BUDGET:.0%} failure budget"
-        )
+    _check_failure_budget(failures, records)
     rho = spearman(
         [r["score"] for r in per_record], [r["human"] for r in per_record]
     )
@@ -302,11 +306,7 @@ def run_choice_bench(
         per_record.append(
             {"id": rec.id, "score": s_pos - s_neg, "human": None, "hit": hit}
         )
-    if len(failures) > FAILURE_BUDGET * len(records):
-        raise BenchError(
-            f"{len(failures)}/{len(records)} records failed; exceeding the "
-            f"{FAILURE_BUDGET:.0%} failure budget"
-        )
+    _check_failure_budget(failures, records)
     if not per_record:
         raise BenchError("no records scored")
     return BenchReport(

@@ -66,16 +66,13 @@ def _make_backend(args) -> object:
         flag = {"ngram": "--model", "remote": "--endpoint (or CCDAE_ENDPOINT)",
                 "table": "--fixture"}[args.backend]
         raise UsageError(f"backend {args.backend!r} requires {flag}")
-    if args.backend in ("ngram", "table") and not os.path.isfile(src):
+    if args.backend == "remote":
+        return backends.RemoteBackend(src)
+    if not os.path.isfile(src):
         raise UsageError(f"backend source not found: {src}")
-    desc = backends.BackendDescriptor(
-        kind=args.backend,
-        model_path=args.model,
-        endpoint=endpoint,
-        fixture_path=args.fixture,
-        prompt=getattr(args, "prompt", None),
-    )
-    return backends.make_backend(desc)
+    if args.backend == "ngram":
+        return backends.NGramBackend(backends.NGramModel.load(src))
+    return backends.TableBackend.load(src)
 
 
 def _unit_factor(args) -> float:

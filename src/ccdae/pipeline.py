@@ -33,13 +33,15 @@ __all__ = [
     "DistanceReport",
     "build_batch",
     "compare",
-    "cross_modal_compare",
     "explain",
     "effective_sample_size",
 ]
 
 #: Weight-concentration warning threshold for the ESS diagnostic.
 ESS_WARN = 5.0
+
+#: Lambda at which ``compare`` ranks the explanation lists.
+EXPLAIN_LAMBDA = 1.0
 
 
 @dataclass(frozen=True)
@@ -51,10 +53,8 @@ class CompareConfig:
     pcode_mode: str = "proposal_mix"  # proposal_mix | lm_code
     loss_mode: str = "encoder_only"  # encoder_only | generative
     lambda_grid: tuple[float, ...] | None = None
-    capacity_grid_size: int = 100
     c_max: float | None = None
     prompt: str | None = None
-    explain_lambda: float = 1.0
 
     def __post_init__(self) -> None:
         if self.samples_per_input < 1 or self.max_tokens < 1:
@@ -165,8 +165,13 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
         log_pi = float(np.logaddexp(la, lb)) - math.log(2.0)
         if config.pcode_mode == "proposal_mix":
             log_pcode = log_pi
+        elif s.text:
+            log_pcode = backend.code_logprob(s.text).total
         else:
-            log_pcode = backend.code_logprob(s.text or "".join(s.tokens)).total
+            # zero-length draw: its one token is the bare EOS event, scored
+            # as the code model's conditional on an empty context and prompt
+            log_pcode = backend.score_tokens("", s.tokens, s.terminated,
+                                             prompt="").total
         hypotheses.append(
             Hypothesis(
                 tokens=s.tokens,
@@ -226,17 +231,16 @@ def explain(batch: ScoredBatch, lam: float):
 
 
 def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceReport:
-    """Full conceptual-distance comparison of two items."""
+    """Full conceptual-distance comparison of two items.
+
+    Either item may be any context the backend can condition on, e.g. an
+    image id known to a multimodal server or a fixture table.
+    """
     config = config or CompareConfig()
     batch = build_batch(x1, x2, backend, config)
-    curve = distance_curve(
-        batch,
-        lambda_grid=config.grid(),
-        capacity_grid_size=config.capacity_grid_size,
-        c_max=config.c_max,
-    )
-    shared, distinctive = explain(batch, config.explain_lambda)
     grid = config.grid()
+    curve = distance_curve(batch, lambda_grid=grid, c_max=config.c_max)
+    shared, distinctive = explain(batch, EXPLAIN_LAMBDA)
     diagnostics = {
         "dropped_hypotheses": batch.dropped,
         "n_hypotheses": batch.n_hypotheses,
@@ -248,7 +252,7 @@ def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceRep
                 effective_sample_size(batch, float(grid[-1]), i) for i in (0, 1)
             ],
         },
-        "explain_lambda": config.explain_lambda,
+        "explain_lambda": EXPLAIN_LAMBDA,
     }
     ess_floor = min(
         min(diagnostics["ess"]["lambda_min"]), min(diagnostics["ess"]["lambda_max"])
@@ -265,15 +269,3 @@ def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceRep
         distinctive_descriptions=distinctive,
         diagnostics=diagnostics,
     )
-
-
-def cross_modal_compare(
-    x_text, x_other, backend, config: CompareConfig | None = None
-) -> DistanceReport:
-    """Compare items of different kinds through a shared description space.
-
-    Identical algorithm to :func:`compare`; the second context may be any
-    reference the backend can condition on (e.g. an image id known to a
-    remote multimodal server or a fixture table).
-    """
-    return compare(x_text, x_other, backend, config)

@@ -11,7 +11,6 @@ from conftest import StubSession
 from ccdae import backends
 from ccdae.backends import (
     EOS,
-    BackendDescriptor,
     BackendError,
     LogProbResult,
     NGramBackend,
@@ -178,14 +177,6 @@ def test_table_ensemble_disjoint_one_hot_mixture(tmp_path):
     draws = be.ensemble_sample("c1", "c2", 2000, seed=0)
     freq = Counter(s.text for s in draws)
     assert abs(freq["u"] / 2000 - 0.5) < 0.05
-
-
-def test_backend_descriptor_validation():
-    with pytest.raises(ValueError):
-        BackendDescriptor(kind="ngram")
-    with pytest.raises(ValueError):
-        BackendDescriptor(kind="alien", model_path="x")
-    BackendDescriptor(kind="table", fixture_path="f.json")
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,12 @@ def test_missing_subcommand_exits_2(capsys):
     assert code == 2
 
 
+def test_unknown_backend_exits_2(capsys):
+    code, _, err = run(capsys, "--backend", "alien", "compare", "a", "b")
+    assert code == 2
+    assert "invalid choice" in err
+
+
 def test_backend_requires_source(capsys, tmp_path):
     code, _, err = run(capsys, "--backend", "table",
                        "compare", "a", "b")
@@ -74,6 +80,21 @@ def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
                        "compare", "a", "b")
     assert code in (1, 2)
     assert "malformed reply" in err
+
+
+@pytest.mark.parametrize("flags, doc", [
+    (("--model",), '{"magic": "CCDAE-NGRAM", "version": 1}'),
+    (("--model",), "[]"),
+    (("--backend", "table", "--fixture"), '{"magic": "CCDAE-TABLE"}'),
+    (("--backend", "table", "--fixture"), "[]"),
+], ids=["ngram-fields", "ngram-list", "table-fields", "table-list"])
+def test_malformed_backend_file_exits_1(capsys, tmp_path, flags, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, _, err = run(capsys, *flags, str(path), "compare", "a", "b")
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_bad_lambda_grid(capsys, fixture_path):

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from ccdae import pipeline
+from ccdae import backends, pipeline
 from ccdae.core import InvalidBatchError
 from ccdae.pipeline import CompareConfig
 
@@ -88,6 +89,21 @@ def test_generative_mode_uses_decoder_loss(table_backend, quick_config):
     assert np.all(batch.loss > 0)
 
 
+def test_lm_code_scores_zero_length_draws():
+    # p(EOS | "") is about 0.5 under this model, so empty draws are common
+    model = backends.train_ngram("a\nb\n", order=2)
+    config = CompareConfig(samples_per_input=10, max_tokens=5,
+                           pcode_mode="lm_code")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = pipeline.build_batch("x", "y", backends.NGramBackend(model),
+                                     config)
+    assert batch.dropped == 0
+    empty = [h for h in batch.hypotheses if h.text == ""]
+    assert len(empty) == 1
+    assert empty[0].log_pcode == model.symbol_logprob("", backends.EOS)
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -170,17 +186,16 @@ def test_explain_rejects_negative_lambda():
 
 def test_cross_modal_self_zero(table_backend):
     config = CompareConfig(samples_per_input=10, max_tokens=10)
-    rep = pipeline.cross_modal_compare("img_sunset", "img_sunset",
-                                       table_backend, config)
+    rep = pipeline.compare("img_sunset", "img_sunset", table_backend, config)
     assert rep.auc == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cross_modal_positive_caption_wins(table_backend):
     config = CompareConfig(samples_per_input=12, max_tokens=10)
-    pos = pipeline.cross_modal_compare("img_sunset", "cap_positive",
-                                       table_backend, config).auc
-    neg = pipeline.cross_modal_compare("img_sunset", "cap_negative",
-                                       table_backend, config).auc
+    pos = pipeline.compare("img_sunset", "cap_positive", table_backend,
+                           config).auc
+    neg = pipeline.compare("img_sunset", "cap_negative", table_backend,
+                           config).auc
     assert pos < neg
 
 
