@@ -22,8 +22,9 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,56 +95,70 @@ class SampledDescription:
 # character n-gram model
 
 
+class _ContextRow(NamedTuple):
+    """One context's next-symbol distribution, indexed like the vocabulary."""
+
+    logprobs: tuple[float, ...]  # log(count + alpha) - log(den) (-inf at 0), scoring
+    probs: np.ndarray  # (count + alpha) / den, for sampling
+
+
 @dataclass
 class NGramModel:
     """Character n-gram counts with additive smoothing.
 
     ``counts`` maps a context string (length < order) to next-symbol
     counts; contexts of every length from 0 to order-1 are stored so
-    scoring can back off to the longest context actually seen.
+    scoring can back off to the longest context actually seen. Each
+    context is compiled into a :class:`_ContextRow` the first time it is
+    used, so ``counts`` must not change after construction.
     """
 
     order: int
     smoothing_alpha: float
     vocabulary: tuple[str, ...]  # includes EOS
     counts: dict[str, dict[str, int]]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _rows: dict[str, _ContextRow] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._index = {sym: i for i, sym in enumerate(self.vocabulary)}
+        self._rows = {}
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocabulary)
 
-    def _context_counts(self, prefix: str) -> dict[str, int]:
+    def context(self, prefix: str) -> str:
+        """The longest stored context that ends ``prefix`` (back-off)."""
         ctx = prefix[-(self.order - 1):] if self.order > 1 else ""
         while ctx not in self.counts and ctx:
             ctx = ctx[1:]
-        return self.counts.get(ctx, {})
+        return ctx
+
+    def row(self, context: str) -> _ContextRow:
+        """The row of a context returned by :meth:`context`, built once."""
+        row = self._rows.get(context)
+        if row is None:
+            table = self.counts.get(context, {})
+            den = sum(table.values()) + self.smoothing_alpha * self.vocab_size
+            nums = [table.get(s, 0) + self.smoothing_alpha for s in self.vocabulary]
+            row = self._rows[context] = _ContextRow(
+                tuple(math.log(n) - math.log(den) if n > 0 else -math.inf
+                      for n in nums),
+                np.array([n / den for n in nums]),
+            )
+        return row
 
     def symbol_logprob(self, prefix: str, symbol: str) -> float:
         """log p(symbol | prefix) with additive smoothing; -inf off-vocab."""
-        if symbol not in self._vocab_set():
+        idx = self._index.get(symbol)
+        if idx is None:
             return -math.inf
-        table = self._context_counts(prefix)
-        total = sum(table.values())
-        num = table.get(symbol, 0) + self.smoothing_alpha
-        den = total + self.smoothing_alpha * self.vocab_size
-        return math.log(num) - math.log(den)
+        return self.row(self.context(prefix)).logprobs[idx]
 
     def distribution(self, prefix: str) -> np.ndarray:
         """Smoothed next-symbol probabilities over the whole vocabulary."""
-        table = self._context_counts(prefix)
-        total = sum(table.values())
-        den = total + self.smoothing_alpha * self.vocab_size
-        probs = np.array(
-            [(table.get(s, 0) + self.smoothing_alpha) / den for s in self.vocabulary]
-        )
-        return probs
-
-    def _vocab_set(self) -> set[str]:
-        cached = getattr(self, "_vset", None)
-        if cached is None:
-            cached = set(self.vocabulary)
-            self._vset = cached
-        return cached
+        return self.row(self.context(prefix)).probs.copy()
 
     # -- serialization: versioned JSON with a magic header ----------------
 
@@ -161,8 +176,7 @@ class NGramModel:
 
     @classmethod
     def load(cls, path) -> "NGramModel":
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _read_json(path)
         if not isinstance(doc, dict) or doc.get("magic") != _MAGIC_NGRAM:
             raise BackendError(f"{path}: not an n-gram model file")
         if doc.get("version") != 1:
@@ -176,6 +190,15 @@ class NGramModel:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"{path}: malformed model file: {exc!r}") from exc
+
+
+def _read_json(path):
+    """Parse a backend file; a file that is not JSON is a ``BackendError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise BackendError(f"{path}: not a JSON document: {exc}") from exc
 
 
 def train_ngram(corpus: str, order: int = 5, smoothing_alpha: float = 0.01) -> NGramModel:
@@ -218,6 +241,7 @@ class NGramBackend:
     def __init__(self, model: NGramModel, prompt: str | None = None):
         self.model = model
         self.prompt = prompt
+        self._steps: dict[tuple, tuple[list[float], list[float]]] = {}
 
     def _prefix(self, context: str, prompt: str | None) -> str:
         prompt = self.prompt if prompt is None else prompt
@@ -253,6 +277,28 @@ class NGramBackend:
     def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
         return self.cond_logprob("", description, prompt="", terminated=terminated)
 
+    def _step(self, contexts: tuple[str, ...], temperature: float):
+        """Renormalized ensemble log-probs and the CDF a step draws from.
+
+        Built once per key from the model alone. The CDF is built as
+        ``Generator.choice(p=probs)`` builds it, so ``bisect_right(cdf,
+        rng.random())`` makes that call's draw and leaves the same state.
+        """
+        key = (contexts, temperature)
+        step = self._steps.get(key)
+        if step is None:
+            logp = np.mean([np.log(self.model.row(c).probs) for c in contexts],
+                           axis=0)
+            logp = logp - np.logaddexp.reduce(logp)  # renormalized ensemble
+            tilt = logp / temperature
+            tilt = tilt - tilt.max()
+            probs = np.exp(tilt)
+            probs /= probs.sum()
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            step = self._steps[key] = (logp.tolist(), cdf.tolist())
+        return step
+
     def _sample_one(
         self, prefixes: list[str], max_tokens: int, temperature: float, rng
     ) -> SampledDescription:
@@ -261,18 +307,12 @@ class NGramBackend:
         logprobs: list[float] = []
         terminated = False
         vocab = self.model.vocabulary
+        context = self.model.context
         for _ in range(max_tokens):
-            logp = np.mean(
-                [np.log(self.model.distribution(p)) for p in prefixes], axis=0
-            )
-            logp = logp - np.logaddexp.reduce(logp)  # renormalized ensemble
-            tilt = logp / temperature
-            tilt = tilt - tilt.max()
-            probs = np.exp(tilt)
-            probs /= probs.sum()
-            idx = int(rng.choice(len(vocab), p=probs))
+            logp, cdf = self._step(tuple(map(context, prefixes)), temperature)
+            idx = bisect_right(cdf, rng.random())
             sym = vocab[idx]
-            logprobs.append(float(logp[idx]))
+            logprobs.append(logp[idx])
             if sym == EOS:
                 terminated = True
                 break
@@ -343,6 +383,11 @@ def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> Non
 # table (fixture) backend
 
 
+def _split(text: str) -> tuple[str, ...]:
+    """A table description's tokens: its words, or the text itself if none."""
+    return tuple(text.split() or [text])
+
+
 class TableBackend:
     """Log-prob lookups from a JSON fixture document.
 
@@ -366,27 +411,36 @@ class TableBackend:
                 d: list(map(float, v)) for d, v in doc.get("code", {}).items()
             }
             self._by_text = {text: did for did, text in self.descriptions.items()}
+            self._by_tokens = {
+                _split(text): did for did, text in self.descriptions.items()
+            }
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed table-backend fixture: {exc!r}") from exc
         self.prompt = prompt
 
     @classmethod
     def load(cls, path, prompt: str | None = None) -> "TableBackend":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh), prompt=prompt)
+        doc = _read_json(path)
+        try:
+            return cls(doc, prompt=prompt)
+        except BackendError as exc:
+            raise BackendError(f"{path}: {exc}") from exc
 
     def _desc_id(self, description: str) -> str | None:
         if description in self.descriptions:
             return description
         return self._by_text.get(description)
 
-    def _tokens(self, description: str) -> list[str]:
+    def _tokens(self, description: str) -> tuple[str, ...]:
         did = self._desc_id(description)
-        text = self.descriptions[did] if did else description
-        return text.split() or [text]
+        return _split(self.descriptions[did] if did else description)
 
     def score_tokens(self, context, tokens, terminated=True, prompt=None) -> LogProbResult:
-        return self.cond_logprob(context, " ".join(tokens), prompt=prompt)
+        # a draw's tokens name its description; its re-joined text may not
+        # (runs of whitespace, or a text that is another description's id)
+        did = self._by_tokens.get(tuple(tokens))
+        description = " ".join(tokens) if did is None else did
+        return self.cond_logprob(context, description, prompt=prompt)
 
     def cond_logprob(
         self, context: str, description: str, prompt: str | None = None,
@@ -459,7 +513,7 @@ class TableBackend:
             out.append(
                 SampledDescription(
                     text=text,
-                    tokens=tuple(text.split() or [text]),
+                    tokens=_split(text),
                     per_token_logprobs=tuple(map(float, per_token)),
                     terminated=True,
                 )

@@ -23,6 +23,7 @@ from .core import (
     Hypothesis,
     InvalidBatchError,
     ScoredBatch,
+    _gibbs_trace,
     default_lambda_grid,
     distance_curve,
     gibbs_weights,
@@ -204,10 +205,24 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     )
 
 
+def _ess(weights: np.ndarray, counts: np.ndarray) -> float:
+    return float(1.0 / np.sum(weights**2 / counts))
+
+
 def effective_sample_size(batch: ScoredBatch, lam: float, target: int) -> float:
     """1 / sum of squared per-draw weights; low values flag degeneracy."""
-    alpha = gibbs_weights(batch, lam, target)
-    return float(1.0 / np.sum(alpha**2 / batch.counts))
+    return _ess(gibbs_weights(batch, lam, target), batch.counts)
+
+
+def _rank_explanations(batch: ScoredBatch, w0: np.ndarray, w1: np.ndarray):
+    mix = 0.5 * (w0 + w1)
+    texts = [h.text for h in batch.hypotheses]
+
+    def ranked(values):
+        order = sorted(range(len(texts)), key=lambda j: (-values[j], texts[j]))
+        return [(texts[j], float(values[j])) for j in order]
+
+    return ranked(mix), (ranked(w0 - mix), ranked(w1 - mix))
 
 
 def explain(batch: ScoredBatch, lam: float):
@@ -218,16 +233,8 @@ def explain(batch: ScoredBatch, lam: float):
     """
     if lam < 0:
         raise InvalidBatchError("lambda must be nonnegative")
-    w0 = gibbs_weights(batch, lam, 0)
-    w1 = gibbs_weights(batch, lam, 1)
-    mix = 0.5 * (w0 + w1)
-    texts = [h.text for h in batch.hypotheses]
-
-    def ranked(values):
-        order = sorted(range(len(texts)), key=lambda j: (-values[j], texts[j]))
-        return [(texts[j], float(values[j])) for j in order]
-
-    return ranked(mix), (ranked(w0 - mix), ranked(w1 - mix))
+    return _rank_explanations(batch, gibbs_weights(batch, lam, 0),
+                              gibbs_weights(batch, lam, 1))
 
 
 def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceReport:
@@ -240,17 +247,18 @@ def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceRep
     batch = build_batch(x1, x2, backend, config)
     grid = config.grid()
     curve = distance_curve(batch, lambda_grid=grid, c_max=config.c_max)
-    shared, distinctive = explain(batch, EXPLAIN_LAMBDA)
+    # weights at the grid ends (ESS) and at EXPLAIN_LAMBDA, one kernel call
+    # per sample; rows equal gibbs_weights at each point
+    points = np.array([grid[0], EXPLAIN_LAMBDA, grid[-1]])
+    weights = [_gibbs_trace(batch, points, i, keep_weights=True).weights
+               for i in (0, 1)]
+    shared, distinctive = _rank_explanations(batch, weights[0][1], weights[1][1])
     diagnostics = {
         "dropped_hypotheses": batch.dropped,
         "n_hypotheses": batch.n_hypotheses,
         "ess": {
-            "lambda_min": [
-                effective_sample_size(batch, float(grid[0]), i) for i in (0, 1)
-            ],
-            "lambda_max": [
-                effective_sample_size(batch, float(grid[-1]), i) for i in (0, 1)
-            ],
+            "lambda_min": [_ess(w[0], batch.counts) for w in weights],
+            "lambda_max": [_ess(w[-1], batch.counts) for w in weights],
         },
         "explain_lambda": EXPLAIN_LAMBDA,
     }

@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import threading
@@ -6,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from conftest import StubSession
+from conftest import DATA, StubSession
 
 from ccdae import backends
 from ccdae.backends import (
@@ -144,6 +145,130 @@ def test_prompt_precedes_context_with_newline():
 
 
 # ---------------------------------------------------------------------------
+# compiled n-gram model and cached-CDF sampler against the per-step
+# reference: what the model and sampler computed before compiling
+
+
+def _reference_table(model, prefix):
+    ctx = prefix[-(model.order - 1):] if model.order > 1 else ""
+    while ctx not in model.counts and ctx:
+        ctx = ctx[1:]
+    return model.counts.get(ctx, {})
+
+
+def _reference_logprob(model, prefix, symbol):
+    if symbol not in set(model.vocabulary):
+        return -math.inf
+    table = _reference_table(model, prefix)
+    num = table.get(symbol, 0) + model.smoothing_alpha
+    den = sum(table.values()) + model.smoothing_alpha * model.vocab_size
+    return math.log(num) - math.log(den)
+
+
+def _reference_probs(model, prefix):
+    table = _reference_table(model, prefix)
+    den = sum(table.values()) + model.smoothing_alpha * model.vocab_size
+    return np.array(
+        [(table.get(s, 0) + model.smoothing_alpha) / den for s in model.vocabulary]
+    )
+
+
+def _reference_step(model, prefixes, temperature):
+    logp = np.mean([np.log(_reference_probs(model, p)) for p in prefixes], axis=0)
+    logp = logp - np.logaddexp.reduce(logp)
+    tilt = logp / temperature
+    tilt = tilt - tilt.max()
+    probs = np.exp(tilt)
+    probs /= probs.sum()
+    return logp, probs
+
+
+def _reference_sample(backend, prefixes, count, max_tokens, temperature, seed):
+    rng = np.random.default_rng(seed)
+    vocab = backend.model.vocabulary
+    out = []
+    for _ in range(count):
+        tokens, logprobs, terminated, current = [], [], False, list(prefixes)
+        for _ in range(max_tokens):
+            logp, probs = _reference_step(backend.model, current, temperature)
+            idx = int(rng.choice(len(vocab), p=probs))
+            logprobs.append(float(logp[idx]))
+            if vocab[idx] == EOS:
+                terminated = True
+                break
+            tokens.append(vocab[idx])
+            current = [p + vocab[idx] for p in current]
+        if tokens:
+            out.append(backends.SampledDescription(
+                "".join(tokens), tuple(tokens), tuple(logprobs), terminated))
+        else:
+            out.append(backends.SampledDescription("", (EOS,), tuple(logprobs), False))
+    return out
+
+
+def test_bisect_draw_matches_generator_choice(ngram_backend):
+    model = ngram_backend.model
+    for ci, ctx in enumerate(sorted(model.counts)):
+        for ti, temperature in enumerate((0.5, 1.0, 2.0)):
+            _, probs = _reference_step(model, [ctx], temperature)
+            _, cdf = ngram_backend._step((model.context(ctx),), temperature)
+            a = np.random.default_rng([ci, ti])
+            b = np.random.default_rng([ci, ti])
+            for _ in range(4):
+                assert bisect.bisect_right(cdf, b.random()) == int(
+                    a.choice(len(probs), p=probs))
+            assert b.bit_generator.state == a.bit_generator.state
+
+
+@pytest.mark.parametrize("model", [
+    backends.NGramModel.load(DATA / "toy_ngram.json"),
+    train_ngram("the cat sat\nthe dog ran\n", order=1),
+    train_ngram("the cat sat\nthe dog ran\n", order=3),
+], ids=["toy", "order1", "order3"])
+def test_compiled_scores_equal_reference_bit_for_bit(model):
+    for ctx in model.counts:
+        for prefix in (ctx, "~" + ctx, "a\n" + ctx):
+            for sym in model.vocabulary:
+                assert model.symbol_logprob(prefix, sym).hex() == (
+                    _reference_logprob(model, prefix, sym).hex())
+            assert model.symbol_logprob(prefix, "~~") == -math.inf
+            assert model.symbol_logprob(prefix, "\t") == -math.inf
+            assert np.array_equal(model.distribution(prefix),
+                                  _reference_probs(model, prefix))
+
+
+@pytest.mark.parametrize("seed, temperature, max_tokens, prompt", [
+    (0, 1.0, 20, None),
+    (1, 0.5, 7, None),
+    (2, 2.0, 1, None),
+    (3, 1.0, 12, "describe"),
+    (4, 0.7, 30, "x"),
+])
+def test_sampler_equals_reference(ngram_backend, seed, temperature, max_tokens, prompt):
+    def prefix(ctx):
+        return f"{prompt}\n{ctx}" if prompt else ctx
+
+    got = ngram_backend.sample_descriptions(
+        "rain", 12, max_tokens=max_tokens, temperature=temperature, seed=seed,
+        prompt=prompt)
+    assert got == _reference_sample(ngram_backend, [prefix("rain")], 12,
+                                    max_tokens, temperature, seed)
+    got = ngram_backend.ensemble_sample(
+        "snow", "iron", 12, max_tokens=max_tokens, temperature=temperature,
+        seed=seed, prompt=prompt)
+    assert got == _reference_sample(ngram_backend, [prefix("snow"), prefix("iron")],
+                                    12, max_tokens, temperature, seed)
+
+
+def test_sampler_reaches_zero_length_draws():
+    # a model that often ends at once exercises the immediate-EOS branch
+    be = NGramBackend(train_ngram("a\nb\nab\n", order=2))
+    got = be.sample_descriptions("", 40, max_tokens=3, seed=1)
+    assert any(s.text == "" for s in got)
+    assert got == _reference_sample(be, [""], 40, 3, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
 # table backend
 
 
@@ -177,6 +302,31 @@ def test_table_ensemble_disjoint_one_hot_mixture(tmp_path):
     draws = be.ensemble_sample("c1", "c2", 2000, seed=0)
     freq = Counter(s.text for s in draws)
     assert abs(freq["u"] / 2000 - 0.5) < 0.05
+
+
+@pytest.mark.parametrize("doc", [
+    None,
+    {
+        "magic": "CCDAE-TABLE",
+        "descriptions": {"u": "calm  water ", "v": "u", "w": "v"},
+        "cond": {
+            "c1": {"u": [-0.5, -0.25], "v": [-1.5], "w": [-3.0]},
+            "c2": {"u": [-2.0], "v": [-0.125, -0.5], "w": [-0.75]},
+        },
+    },
+], ids=["bundled", "whitespace-and-id-like-texts"])
+def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
+    """Every draw, rescored with ``score_tokens``, totals what it was sampled with.
+
+    The n-gram half is ``test_sampled_logprobs_match_rescoring``.
+    ``RemoteBackend`` is not covered: its ``/v1/logprob`` reply has no EOS
+    event, so a terminated draw's sampled total cannot be rebuilt from it.
+    """
+    be = table_backend if doc is None else TableBackend(doc)
+    for ctx in be.cond:
+        for s in be.sample_descriptions(ctx, 30, seed=4):
+            rescored = be.score_tokens(ctx, s.tokens, s.terminated)
+            assert rescored.total == s.total_logprob
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,16 @@ def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
     (("--model",), "[]"),
     (("--backend", "table", "--fixture"), '{"magic": "CCDAE-TABLE"}'),
     (("--backend", "table", "--fixture"), "[]"),
-], ids=["ngram-fields", "ngram-list", "table-fields", "table-list"])
+    (("--model",), "{not json"),
+    (("--backend", "table", "--fixture"), "{not json"),
+], ids=["ngram-fields", "ngram-list", "table-fields", "table-list",
+        "ngram-not-json", "table-not-json"])
 def test_malformed_backend_file_exits_1(capsys, tmp_path, flags, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
     code, _, err = run(capsys, *flags, str(path), "compare", "a", "b")
     assert code == 1
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path}: ")
     assert "Traceback" not in err
 
 

@@ -104,6 +104,50 @@ def test_lm_code_scores_zero_length_draws():
     assert empty[0].log_pcode == model.symbol_logprob("", backends.EOS)
 
 
+class _RecordingBackend:
+    """Delegates to a backend and keeps the text of every sampled draw."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.texts = []
+
+    def sample_descriptions(self, *args, **kwargs):
+        draws = self.backend.sample_descriptions(*args, **kwargs)
+        self.texts += [d.text for d in draws]
+        return draws
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+
+# The seed-0 draws of three bundled pairs under the default config: the
+# distinct texts in first-seen order, and each draw as an index into them.
+PINNED_DRAWS = {
+    ("rain", "snow"): (
+        ("skies look clear and", "skies turn bright an", "skies turn bri"),
+        "0100010001001100000000021010110101011110",
+    ),
+    ("snow", "clay"): (
+        ("floods sweep across ", "floods rise over the", "skies look clear and",
+         "skies turn bri", "skies turn bright an"),
+        "0011001100010101101022234242442424244442",
+    ),
+    ("dust", "fern"): (
+        ("floods sweep across ", "skies turn bright an", "floods rise over the",
+         "skies look clear and", "floods sweep a"),
+        "0123312231321203333332242200220202322100",
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_DRAWS))
+def test_build_batch_seed0_draws_pinned(ngram_backend, pair):
+    recorder = _RecordingBackend(ngram_backend)
+    pipeline.build_batch(*pair, recorder, CompareConfig(seed=0))
+    texts, order = PINNED_DRAWS[pair]
+    assert recorder.texts == [texts[int(k)] for k in order]
+
+
 # ---------------------------------------------------------------------------
 # compare
 
@@ -138,6 +182,31 @@ def test_compare_diagnostics(ngram_backend, quick_config):
     assert diag["n_hypotheses"] >= 2
     assert "lambda_min" in diag["ess"] and "lambda_max" in diag["ess"]
     assert all(v >= 1.0 for v in diag["ess"]["lambda_min"])
+
+
+@pytest.mark.parametrize("backend_name, pair, config", [
+    ("ngram_backend", ("rain", "iron"), CompareConfig(samples_per_input=10,
+                                                      max_tokens=10)),
+    ("ngram_backend", ("dust", "fern"), CompareConfig(seed=3)),
+    ("ngram_backend", ("snow", "wind"), CompareConfig(
+        seed=1, lambda_grid=(0.25, 0.5, 1.0, 4.0, 16.0))),
+    ("table_backend", ("cap_positive", "img_sunset"), CompareConfig(seed=2)),
+])
+def test_report_ess_and_explanations_equal_public_functions(
+        request, backend_name, pair, config):
+    backend = request.getfixturevalue(backend_name)
+    report = pipeline.compare(*pair, backend, config)
+    batch = pipeline.build_batch(*pair, backend, config)
+    grid = config.grid()
+    assert report.diagnostics["ess"] == {
+        "lambda_min": [pipeline.effective_sample_size(batch, float(grid[0]), i)
+                       for i in (0, 1)],
+        "lambda_max": [pipeline.effective_sample_size(batch, float(grid[-1]), i)
+                       for i in (0, 1)],
+    }
+    shared, distinctive = pipeline.explain(batch, pipeline.EXPLAIN_LAMBDA)
+    assert report.shared_descriptions == shared
+    assert report.distinctive_descriptions == distinctive
 
 
 def test_compare_degenerate_batch_errors(table_backend):
