@@ -394,7 +394,8 @@ class TableBackend:
     The fixture maps context ids to the descriptions available under that
     context (each with per-token log-probs), plus unconditional code
     log-probs. Descriptions absent from a context fall back to a per-token
-    floor so cross-context scoring never produces -inf.
+    floor so cross-context scoring never produces -inf. No two descriptions
+    may have equal texts or equal tokens, since a draw is rescored by them.
     """
 
     def __init__(self, doc: dict, prompt: str | None = None):
@@ -411,9 +412,15 @@ class TableBackend:
                 d: list(map(float, v)) for d, v in doc.get("code", {}).items()
             }
             self._by_text = {text: did for did, text in self.descriptions.items()}
-            self._by_tokens = {
-                _split(text): did for did, text in self.descriptions.items()
-            }
+            self._by_tokens: dict[tuple[str, ...], str] = {}
+            for did, text in self.descriptions.items():
+                # equal texts split alike, so this also catches those
+                other = self._by_tokens.setdefault(_split(text), did)
+                if other != did:
+                    raise BackendError(
+                        f"descriptions {other!r} and {did!r} have the same "
+                        "tokens, so their draws cannot be told apart"
+                    )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed table-backend fixture: {exc!r}") from exc
         self.prompt = prompt
@@ -542,6 +549,12 @@ class RemoteBackend:
 
     Requests are retried with bounded exponential backoff; at most
     ``max_in_flight`` requests run concurrently.
+
+    Protocol limit: ``/v1/logprob`` scores a continuation string and has
+    no end-of-sequence event. So ``score_tokens`` re-joins a draw's tokens
+    with single spaces and ignores ``terminated``; a draw whose text has
+    other whitespace, or whose sampled log-prob included an EOS event, may
+    rescore differently from how it was sampled.
     """
 
     def __init__(

@@ -10,7 +10,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from . import baselines, pipeline
 from .backends import BackendError
@@ -138,10 +137,20 @@ def spearman(xs, ys) -> float:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 2:
         raise BenchError("need two equal-length sequences of length >= 2")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise BenchError("correlation undefined for non-finite input")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise BenchError("correlation undefined for constant input")
-    rho = stats.spearmanr(xs, ys).statistic
-    return float(rho)
+    # [1, 0], not [0, 1]: the two can differ by an ulp, and the reference
+    # Spearman in the tests returns this one.
+    return float(np.corrcoef(_average_ranks(xs), _average_ranks(ys))[1, 0])
+
+
+def _average_ranks(xs: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, inverse, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - 0.5 * (counts - 1))[inverse]
 
 
 def pair_score(

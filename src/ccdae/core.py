@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Hypothesis",
@@ -108,14 +107,21 @@ class ScoredBatch:
             raise InvalidBatchError("batch needs at least 2 hypotheses")
         if not np.all(np.isfinite(self.loss)):
             raise InvalidBatchError("loss matrix contains non-finite entries")
+        extra = [(h.log_pcode, h.log_proposal) for h in self.hypotheses]
+        if not np.all(np.isfinite(extra)):
+            raise InvalidBatchError("hypothesis log-probs contain non-finite entries")
         if self.mode not in ("generative", "encoder_only"):
             raise InvalidBatchError(f"unknown loss mode {self.mode!r}")
         if self.counts is None:
             self.counts = np.ones(len(self.hypotheses))
         else:
             self.counts = np.asarray(self.counts, dtype=float)
-            if self.counts.shape != (len(self.hypotheses),) or np.any(self.counts <= 0):
-                raise InvalidBatchError("counts must be positive, one per hypothesis")
+            if self.counts.shape != (len(self.hypotheses),) or not np.all(
+                np.isfinite(self.counts) & (self.counts > 0)
+            ):
+                raise InvalidBatchError(
+                    "counts must be positive and finite, one per hypothesis"
+                )
         if self.log_conditionals is not None:
             self.log_conditionals = np.asarray(self.log_conditionals, dtype=float)
             if self.log_conditionals.shape != self.loss.shape:
@@ -287,6 +293,22 @@ class _Trace(NamedTuple):
     weights: np.ndarray | None  # (L, H), only when asked for
 
 
+def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
+    """log(sum(exp(u), axis=1)) of a 2-D block of finite logits, as a column.
+
+    Each row's maxima are held out of the sum and added back through
+    ``log1p`` (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).
+    The steps, down to the zeros left where the maxima were so that the
+    pairwise summation groups the terms alike, are those of the reference
+    logsumexp in the tests, which this equals bit for bit.
+    """
+    top = u.max(axis=1, keepdims=True)
+    at_top = u == top
+    m = at_top.sum(axis=1, keepdims=True, dtype=float)
+    s = np.exp(np.where(at_top, -np.inf, u) - top).sum(axis=1, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + top
+
+
 def _gibbs_trace(
     batch: ScoredBatch, grid: np.ndarray, target: int, keep_weights: bool = False
 ) -> _Trace:
@@ -306,7 +328,7 @@ def _gibbs_trace(
     for start in range(0, grid.size, per_block):
         block = slice(start, start + per_block)
         u = (-grid[block, None] * batch.loss[target] + extra) + log_counts
-        lse = logsumexp(u, axis=1, keepdims=True)
+        lse = _logsumexp_rows(u)
         w = np.exp(u - lse)
         w /= w.sum(axis=1, keepdims=True)
         for s, row in enumerate(batch.loss):

@@ -329,6 +329,21 @@ def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
             assert rescored.total == s.total_logprob
 
 
+@pytest.mark.parametrize("texts", [
+    {"a": "same words", "b": "same words"},
+    {"a": "x  y", "b": "x y"},
+], ids=["equal-texts", "equal-tokens"])
+def test_table_rejects_colliding_descriptions(texts):
+    # a draw of "a" would rescore as "b": sampled at -0.5, rescored at -3.0
+    doc = {
+        "magic": "CCDAE-TABLE",
+        "descriptions": texts,
+        "cond": {"c": {"a": [-0.5], "b": [-3.0]}},
+    }
+    with pytest.raises(BackendError, match="'a' and 'b'"):
+        TableBackend(doc)
+
+
 # ---------------------------------------------------------------------------
 # remote backend against a local HTTP server
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from ccdae import bench, pipeline
 from ccdae.bench import BenchError, ChoiceRecord, PairRecord
@@ -82,6 +83,25 @@ def test_spearman_errors():
         bench.spearman([1.0], [1.0])
     with pytest.raises(BenchError):
         bench.spearman([1, 2], [1, 2, 3])
+    # a NaN would otherwise give nan, or rank as a tie and give a wrong number
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(BenchError, match="non-finite"):
+            bench.spearman([1, 2, bad, 4], [1, 2, 3, 4])
+        with pytest.raises(BenchError, match="non-finite"):
+            bench.spearman([1, 2, 3, 4], [bad, 2, 3, 4])
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["untied", "tied"])
+def test_spearman_equals_scipy_bit_for_bit(ties):
+    rng = np.random.default_rng(int(ties))
+    for _ in range(500):
+        n = int(rng.integers(3, 60))
+        xs, ys = rng.normal(size=n), rng.normal(size=n)
+        if ties:
+            xs, ys = np.round(2 * xs), np.round(3 * ys)
+            if np.all(xs == xs[0]) or np.all(ys == ys[0]):
+                continue
+        assert bench.spearman(xs, ys) == stats.spearmanr(xs, ys).statistic
 
 
 def test_spearman_monotone_transform_invariance():

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 import requests
@@ -89,8 +91,11 @@ def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
     (("--backend", "table", "--fixture"), "[]"),
     (("--model",), "{not json"),
     (("--backend", "table", "--fixture"), "{not json"),
+    (("--backend", "table", "--fixture"),
+     '{"magic": "CCDAE-TABLE", "descriptions": {"a": "x  y", "b": "x y"},'
+     ' "cond": {}}'),
 ], ids=["ngram-fields", "ngram-list", "table-fields", "table-list",
-        "ngram-not-json", "table-not-json"])
+        "ngram-not-json", "table-not-json", "table-colliding-ids"])
 def test_malformed_backend_file_exits_1(capsys, tmp_path, flags, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
@@ -241,6 +246,26 @@ def test_bench_reports_skipped_lines(capsys, model_path, tmp_path):
                        str(data), "--samples", "10", "--max-tokens", "10")
     assert code == 0
     assert "skipped line 3" in err
+
+
+def test_runtime_needs_no_scipy(data_dir, tmp_path):
+    """The package imports and benchmarks with scipy made unimportable."""
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import ccdae\n"
+        "from ccdae import cli\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(data_dir.parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "--model", str(data_dir / "toy_ngram.json"),
+         "--out", str(tmp_path / "rep.json"),
+         "bench", "pairs", str(data_dir / "pairs.tsv")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("spearman_x100 ")
 
 
 def test_bench_missing_data_file(capsys, model_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -233,6 +234,22 @@ def test_batch_requires_two_hypotheses():
         ScoredBatch(hypotheses=[h], loss=[[1.0]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", ["log_pcode", "log_proposal", "counts"])
+def test_batch_rejects_nonfinite_inputs(field, value):
+    hyps = [
+        Hypothesis(tokens=(t,), text=t, log_pcode=-1.0, log_proposal=-2.0)
+        for t in "abc"
+    ]
+    counts = [1.0, 2.0, 1.0]
+    if field == "counts":
+        counts[1] = value
+    else:
+        hyps[1] = dataclasses.replace(hyps[1], **{field: value})
+    with pytest.raises(InvalidBatchError, match="finite"):
+        ScoredBatch(hypotheses=hyps, loss=[[1.0, 2.0, 3.0]] * 2, counts=counts)
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
@@ -386,6 +403,19 @@ def test_trace_spanning_several_blocks_matches_reference_loop():
     batch = _random_batch(np.random.default_rng(7), 5000, loss_scale=1.0)
     assert 5000 * core.default_lambda_grid().size > 4 * core._BLOCK_ELEMENTS
     _assert_matches_reference(batch, core.default_lambda_grid())
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 1000, core._BLOCK_ELEMENTS + 3])
+def test_logsumexp_rows_equals_scipy_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    for scale in (1e-3, 1.0, 30.0, 700.0):
+        u = rng.normal(0.0, scale, (6, width))
+        u[1] = np.round(u[1])  # many ties, some at the row maximum
+        u[2:4, : min(width, 3)] = u[2:4].max(axis=1, keepdims=True)
+        u[3] = rng.permutation(u[3])
+        u[4] = u[4, 0]  # a constant row: every entry is the maximum
+        np.testing.assert_array_equal(
+            core._logsumexp_rows(u), logsumexp(u, axis=1, keepdims=True))
 
 
 def test_distance_curve_memory_stays_blocked():
