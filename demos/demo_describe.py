@@ -8,53 +8,24 @@ single description best reconstructs each input, and which one is the
 best compromise for both.
 """
 
-import math
 from pathlib import Path
-
-import numpy as np
 
 from ccdae import backends, descgen
 
 DATA = Path(backends.__file__).parent / "data"
-LN2 = math.log(2.0)
 
 backend = backends.TableBackend.load(DATA / "multimodal_fixture.json")
-a, b = "img_sunset", "cap_positive"
-
-atoms = []
-for context, source in ((a, "sample_1"), (b, "sample_2")):
-    for atom in descgen.generate_atoms(backend, context, count=6,
-                                       source=source, seed=0):
-        if all(atom.text != seen.text for seen in atoms):
-            atoms.append(atom)
+atoms, winners, rows = descgen.describe_pair(
+    backend, "img_sunset", "cap_positive", atoms=6, beam_width=4, max_atoms=2,
+)
 print(f"{len(atoms)} atoms:")
 for atom in atoms:
     print(f"  [{atom.source}] {atom.text}")
 
-
-def proxy(text):
-    return (backend.cond_logprob(a, text).total
-            + backend.cond_logprob(b, text).total)
-
-
-per_length = descgen.beam_compose(
-    atoms, proxy, beam_width=4, max_atoms=2,
-    code_length_fn=lambda t: -backend.code_logprob(t).total,
-)
-entries = [beam[0] for beam in per_length if beam]
 print("\nbeam winners per composed length:")
-for entry in entries:
+for entry in winners:
     print(f"  len={len(entry.atoms_used)} score={entry.proxy_score:7.2f} "
           f"code={entry.code_length:6.2f}  {entry.text}")
 
-
-def losses(text):
-    la = backend.cond_logprob(a, text).total
-    lb = backend.cond_logprob(b, text).total
-    log_phat = np.logaddexp(la, lb) - LN2
-    return float(log_phat - la), float(log_phat - lb)
-
-
-rows = descgen.best_single_description_curve(entries, losses)
 print("\nbest single description per capacity:")
 print(descgen.curve_csv(rows), end="")

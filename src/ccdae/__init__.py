@@ -22,7 +22,6 @@ from .backends import (
 from .core import (
     CapacityCurve,
     DistanceCurve,
-    GibbsPoint,
     Hypothesis,
     ScoredBatch,
     auc,
@@ -57,7 +56,6 @@ __all__ = [
     "train_ngram",
     "CapacityCurve",
     "DistanceCurve",
-    "GibbsPoint",
     "Hypothesis",
     "ScoredBatch",
     "auc",

@@ -1,8 +1,9 @@
 """Description-scoring backends.
 
 Three implementations share one contract: unconditional code log-prob of
-a description, conditional log-prob given a context (plus optional
-prompt), and seeded sampling of descriptions.
+a description, conditional log-prob given a context, and seeded sampling
+of descriptions. A prompt is passed per call; ``None`` and ``""`` both
+mean no prompt.
 
 * ``NGramBackend`` — a character n-gram model with additive smoothing;
   self-contained stand-in for a large conditional text model.
@@ -95,6 +96,11 @@ class SampledDescription:
 # character n-gram model
 
 
+def _is_count(n) -> bool:
+    """A non-negative int that is not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
+
+
 class _ContextRow(NamedTuple):
     """One context's next-symbol distribution, indexed like the vocabulary."""
 
@@ -121,6 +127,15 @@ class NGramModel:
     _rows: dict[str, _ContextRow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not _is_count(self.order) or self.order < 1:
+            raise ValueError(f"order must be an int >= 1, got {self.order!r}")
+        alpha = self.smoothing_alpha
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"smoothing_alpha must be finite and >= 0, got {alpha!r}")
+        if not all(isinstance(ctx, str) and isinstance(table, dict)
+                   and all(isinstance(s, str) and _is_count(n) for s, n in table.items())
+                   for ctx, table in self.counts.items()):
+            raise ValueError("counts must be non-negative ints keyed by strings")
         self._index = {sym: i for i, sym in enumerate(self.vocabulary)}
         self._rows = {}
 
@@ -238,13 +253,12 @@ class NGramBackend:
     to the model but the documented layout keeps runs reproducible.
     """
 
-    def __init__(self, model: NGramModel, prompt: str | None = None):
+    def __init__(self, model: NGramModel):
         self.model = model
-        self.prompt = prompt
         self._steps: dict[tuple, tuple[list[float], list[float]]] = {}
 
-    def _prefix(self, context: str, prompt: str | None) -> str:
-        prompt = self.prompt if prompt is None else prompt
+    @staticmethod
+    def _prefix(context: str, prompt: str | None) -> str:
         return f"{prompt}\n{context}" if prompt else context
 
     def score_tokens(
@@ -333,41 +347,26 @@ class NGramBackend:
             terminated=terminated,
         )
 
-    def sample_descriptions(
-        self,
-        context: str,
-        count: int,
-        max_tokens: int = 20,
-        temperature: float = 1.0,
-        seed: int = 0,
-        prompt: str | None = None,
-    ) -> list[SampledDescription]:
+    def _sample(self, contexts, count, max_tokens, temperature, seed, prompt):
+        """``count`` draws from the renormalized mean of the contexts' models."""
         _check_sampling_args(count, max_tokens, temperature)
         rng = np.random.default_rng(seed)
-        prefix = self._prefix(context, prompt)
-        return [
-            self._sample_one([prefix], max_tokens, temperature, rng)
-            for _ in range(count)
-        ]
+        prefixes = [self._prefix(c, prompt) for c in contexts]
+        return [self._sample_one(prefixes, max_tokens, temperature, rng)
+                for _ in range(count)]
+
+    def sample_descriptions(
+        self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
+    ) -> list[SampledDescription]:
+        return self._sample([context], count, max_tokens, temperature, seed, prompt)
 
     def ensemble_sample(
-        self,
-        context_a: str,
-        context_b: str,
-        count: int,
-        max_tokens: int = 20,
-        temperature: float = 1.0,
-        seed: int = 0,
-        prompt: str | None = None,
+        self, context_a, context_b, count, max_tokens=20, temperature=1.0, seed=0,
+        prompt=None,
     ) -> list[SampledDescription]:
         """Sample from the renormalized mean of the two conditionals."""
-        _check_sampling_args(count, max_tokens, temperature)
-        rng = np.random.default_rng(seed)
-        prefixes = [self._prefix(context_a, prompt), self._prefix(context_b, prompt)]
-        return [
-            self._sample_one(list(prefixes), max_tokens, temperature, rng)
-            for _ in range(count)
-        ]
+        return self._sample([context_a, context_b], count, max_tokens, temperature,
+                            seed, prompt)
 
 
 def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> None:
@@ -398,7 +397,7 @@ class TableBackend:
     may have equal texts or equal tokens, since a draw is rescored by them.
     """
 
-    def __init__(self, doc: dict, prompt: str | None = None):
+    def __init__(self, doc: dict):
         if not isinstance(doc, dict) or doc.get("magic") != _MAGIC_TABLE:
             raise BackendError("not a table-backend fixture")
         try:
@@ -423,13 +422,12 @@ class TableBackend:
                     )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed table-backend fixture: {exc!r}") from exc
-        self.prompt = prompt
 
     @classmethod
-    def load(cls, path, prompt: str | None = None) -> "TableBackend":
+    def load(cls, path) -> "TableBackend":
         doc = _read_json(path)
         try:
-            return cls(doc, prompt=prompt)
+            return cls(doc)
         except BackendError as exc:
             raise BackendError(f"{path}: {exc}") from exc
 
@@ -473,8 +471,7 @@ class TableBackend:
         row = self.cond.get(context)
         if row is None:
             raise BackendError(f"context {context!r} not in fixture")
-        items = sorted(row.items())
-        return items
+        return sorted(row.items())
 
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
@@ -493,17 +490,11 @@ class TableBackend:
             set(dict(self._context_items(context_a)))
             | set(dict(self._context_items(context_b)))
         )
-        rows = []
-        totals = []
-        for did in ids:
-            la = self.cond_logprob(context_a, did).total
-            lb = self.cond_logprob(context_b, did).total
-            mean = 0.5 * (la + lb)
-            rows.append((did, [mean]))
-            totals.append(mean)
-        totals = np.array(totals)
+        totals = np.array([0.5 * (self.cond_logprob(context_a, did).total
+                                  + self.cond_logprob(context_b, did).total)
+                           for did in ids])
         totals = totals - np.logaddexp.reduce(totals)  # renormalized mixture
-        rows = [(did, [t]) for (did, _), t in zip(rows, totals)]
+        rows = [(did, [t]) for did, t in zip(ids, totals)]
         return self._draw(rows, totals, count, temperature, seed)
 
     def _draw(self, items, total_logprobs, count, temperature, seed):
@@ -547,8 +538,10 @@ class RemoteBackend:
                        temperature, seed} ->
         {samples: [{text, per_token_logprobs, terminated?}, ...]}
 
-    Requests are retried with bounded exponential backoff; at most
-    ``max_in_flight`` requests run concurrently.
+    Requests are retried with bounded exponential backoff. Every call is
+    sequential today, so one request is in flight at a time; the
+    ``max_in_flight`` semaphore only caps callers that share the client
+    across threads.
 
     Protocol limit: ``/v1/logprob`` scores a continuation string and has
     no end-of-sequence event. So ``score_tokens`` re-joins a draw's tokens
@@ -560,7 +553,6 @@ class RemoteBackend:
     def __init__(
         self,
         endpoint: str,
-        prompt: str | None = None,
         timeout: float = 30.0,
         max_retries: int = 3,
         backoff: float = 0.25,
@@ -570,7 +562,6 @@ class RemoteBackend:
         import requests
 
         self.endpoint = endpoint.rstrip("/")
-        self.prompt = prompt
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
@@ -614,7 +605,6 @@ class RemoteBackend:
         if not description:
             raise ValueError("description must be nonempty")
         payload = {"context": context, "continuation": description}
-        prompt = self.prompt if prompt is None else prompt
         if prompt:
             payload["prompt"] = prompt
         doc = self._post("/v1/logprob", payload)
@@ -633,7 +623,6 @@ class RemoteBackend:
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
     ) -> list[SampledDescription]:
         _check_sampling_args(count, max_tokens, temperature)
-        prompt = self.prompt if prompt is None else prompt
         doc = self._post(
             "/v1/sample",
             {

@@ -7,7 +7,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,10 @@ __all__ = [
 FAILURE_BUDGET = 0.10
 
 SCORE_KINDS = ("auc", "d_at_c", "traj", "cond_lik")
+
+#: The ``CompareConfig`` fields a report echoes.
+_ECHOED_CONFIG = ("samples_per_input", "max_tokens", "temperature", "seed",
+                  "pcode_mode", "loss_mode")
 
 
 class BenchError(RuntimeError):
@@ -192,19 +196,7 @@ class BenchReport:
     wall_clock_s: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metric_name": self.metric_name,
-                "metric": self.metric,
-                "per_record": self.per_record,
-                "failures": self.failures,
-                "config": self.config,
-                "backend_id": self.backend_id,
-                "wall_clock_s": self.wall_clock_s,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -218,24 +210,37 @@ class BenchReport:
         return buf.getvalue()
 
 
-def _config_echo(config: pipeline.CompareConfig, score: str) -> dict:
-    return {
-        "samples_per_input": config.samples_per_input,
-        "max_tokens": config.max_tokens,
-        "temperature": config.temperature,
-        "seed": config.seed,
-        "pcode_mode": config.pcode_mode,
-        "loss_mode": config.loss_mode,
-        "score": score,
-    }
+def _run_bench(records, score_record, metric_name, metric, config, score,
+               backend_id) -> BenchReport:
+    """Score every record and summarize the scored rows with ``metric``.
 
-
-def _check_failure_budget(failures: list, records: list) -> None:
+    A record whose backend call or data fails is listed in ``failures``;
+    more than ``FAILURE_BUDGET`` of them abort the run.
+    """
+    if not records:
+        raise BenchError("no records")
+    t0 = time.perf_counter()
+    per_record = []
+    failures = []
+    for rec in records:
+        try:
+            per_record.append(score_record(rec))
+        except (BackendError, ValueError) as exc:  # flaky backends, bad records
+            failures.append({"id": rec.id, "error": str(exc)})
     if len(failures) > FAILURE_BUDGET * len(records):
         raise BenchError(
             f"{len(failures)}/{len(records)} records failed; exceeding the "
             f"{FAILURE_BUDGET:.0%} failure budget"
         )
+    return BenchReport(
+        metric_name=metric_name,
+        metric=metric(per_record),
+        per_record=per_record,
+        failures=failures,
+        config={**{k: getattr(config, k) for k in _ECHOED_CONFIG}, "score": score},
+        backend_id=backend_id,
+        wall_clock_s=time.perf_counter() - t0,
+    )
 
 
 def run_similarity_bench(
@@ -247,32 +252,17 @@ def run_similarity_bench(
     backend_id: str = "?",
 ) -> BenchReport:
     """Spearman correlation (x100) of pair scores against human scores."""
-    if not records:
-        raise BenchError("no records")
     config = config or pipeline.CompareConfig()
-    t0 = time.perf_counter()
-    per_record = []
-    failures = []
-    for rec in records:
-        try:
-            s = pair_score(rec.text_a, rec.text_b, backend, config, score, capacity)
-        except (BackendError, ValueError) as exc:  # flaky backends, bad records
-            failures.append({"id": rec.id, "error": str(exc)})
-            continue
-        per_record.append({"id": rec.id, "score": s, "human": rec.human_score})
-    _check_failure_budget(failures, records)
-    rho = spearman(
-        [r["score"] for r in per_record], [r["human"] for r in per_record]
-    )
-    return BenchReport(
-        metric_name="spearman_x100",
-        metric=100.0 * rho,
-        per_record=per_record,
-        failures=failures,
-        config=_config_echo(config, score),
-        backend_id=backend_id,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+
+    def score_record(rec: PairRecord) -> dict:
+        s = pair_score(rec.text_a, rec.text_b, backend, config, score, capacity)
+        return {"id": rec.id, "score": s, "human": rec.human_score}
+
+    def metric(rows: list[dict]) -> float:
+        return 100.0 * spearman([r["score"] for r in rows], [r["human"] for r in rows])
+
+    return _run_bench(records, score_record, "spearman_x100", metric, config, score,
+                      backend_id)
 
 
 def run_choice_bench(
@@ -288,42 +278,17 @@ def run_choice_bench(
     Choice mode defaults to 10 samples of at most 10 tokens per input.
     Ties count as half a hit.
     """
-    if not records:
-        raise BenchError("no records")
     if config is None:
         config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10)
-    t0 = time.perf_counter()
-    per_record = []
-    failures = []
-    hits = 0.0
-    for rec in records:
-        try:
-            s_pos = pair_score(rec.context, rec.positive, backend, config, score,
-                               capacity)
-            s_neg = pair_score(rec.context, rec.negative, backend, config, score,
-                               capacity)
-        except (BackendError, ValueError) as exc:
-            failures.append({"id": rec.id, "error": str(exc)})
-            continue
-        if s_pos > s_neg:
-            hit = 1.0
-        elif s_pos == s_neg:
-            hit = 0.5
-        else:
-            hit = 0.0
-        hits += hit
-        per_record.append(
-            {"id": rec.id, "score": s_pos - s_neg, "human": None, "hit": hit}
-        )
-    _check_failure_budget(failures, records)
-    if not per_record:
-        raise BenchError("no records scored")
-    return BenchReport(
-        metric_name="accuracy",
-        metric=hits / len(per_record),
-        per_record=per_record,
-        failures=failures,
-        config=_config_echo(config, score),
-        backend_id=backend_id,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+
+    def score_record(rec: ChoiceRecord) -> dict:
+        s_pos = pair_score(rec.context, rec.positive, backend, config, score, capacity)
+        s_neg = pair_score(rec.context, rec.negative, backend, config, score, capacity)
+        hit = 1.0 if s_pos > s_neg else 0.5 if s_pos == s_neg else 0.0
+        return {"id": rec.id, "score": s_pos - s_neg, "human": None, "hit": hit}
+
+    def metric(rows: list[dict]) -> float:
+        return sum(r["hit"] for r in rows) / len(rows)
+
+    return _run_bench(records, score_record, "accuracy", metric, config, score,
+                      backend_id)

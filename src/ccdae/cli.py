@@ -106,19 +106,15 @@ def _cmd_compare(args) -> int:
     report = pipeline.compare(
         _resolve_input(args.a), _resolve_input(args.b), backend, config
     )
-    factor = _unit_factor(args)
-    curve = report.curve if factor == 1.0 else report.curve.scaled(factor)
+    curve = report.curve.scaled(_unit_factor(args))
     out = args.out or "compare_curve.csv"
     _write_text(out, curve.to_csv())
     report_path = (out[:-4] if out.endswith(".csv") else out) + ".report.json"
     doc = report.to_dict()
-    doc["units"] = args.units
-    if factor != 1.0:
-        doc["curve"] = curve.report()
-        doc["auc"] = curve.auc
+    doc.update(units=args.units, curve=curve.report(), auc=curve.auc)
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
-    print(f"auc {curve.auc if factor != 1.0 else report.auc:.6f}")
+    print(f"auc {curve.auc:.6f}")
     return 0
 
 
@@ -126,29 +122,26 @@ def _cmd_bench(args) -> int:
     backend = _make_backend(args)
     score = {"auc": "auc", "dc": "d_at_c", "traj": "traj",
              "condlik": "cond_lik"}[args.score]
+    if args.capacity is not None:
+        if args.score != "dc":
+            raise UsageError("--capacity applies only to --score dc")
+        if not (math.isfinite(args.capacity) and args.capacity >= 0):
+            raise UsageError("--capacity must be finite and >= 0")
     config_kwargs = dict(seed=args.seed)
     if args.samples is not None:
         config_kwargs["samples_per_input"] = args.samples
     if args.max_tokens is not None:
         config_kwargs["max_tokens"] = args.max_tokens
     if args.kind == "pairs":
-        loaded = bench.load_pairs(args.data)
-        report = bench.run_similarity_bench(
-            loaded.records, backend,
-            config=pipeline.CompareConfig(**config_kwargs),
-            score=score, capacity=args.capacity, backend_id=args.backend,
-        )
-        print(f"spearman_x100 {report.metric:.4f}")
+        load, run = bench.load_pairs, bench.run_similarity_bench
     else:
         config_kwargs.setdefault("samples_per_input", 10)
         config_kwargs.setdefault("max_tokens", 10)
-        loaded = bench.load_choices(args.data)
-        report = bench.run_choice_bench(
-            loaded.records, backend,
-            config=pipeline.CompareConfig(**config_kwargs),
-            score=score, capacity=args.capacity, backend_id=args.backend,
-        )
-        print(f"accuracy {report.metric:.4f}")
+        load, run = bench.load_choices, bench.run_choice_bench
+    loaded = load(args.data)
+    report = run(loaded.records, backend, config=pipeline.CompareConfig(**config_kwargs),
+                 score=score, capacity=args.capacity, backend_id=args.backend)
+    print(f"{report.metric_name} {report.metric:.4f}")
     for lineno, reason in loaded.skipped:
         print(f"skipped line {lineno}: {reason}", file=sys.stderr)
     if args.out:
@@ -199,42 +192,15 @@ def _cmd_train_ngram(args) -> int:
 
 def _cmd_describe(args) -> int:
     backend = _make_backend(args)
-    a = _resolve_input(args.a)
-    b = _resolve_input(args.b)
-    atoms = []
-    for context, source in ((a, "sample_1"), (b, "sample_2")):
-        for atom in descgen.generate_atoms(
-            backend, context, count=args.atoms, source=source, seed=args.seed,
-            max_tokens=args.max_tokens,
-        ):
-            if all(atom.text != seen.text for seen in atoms):
-                atoms.append(atom)
-
-    def proxy(text: str) -> float:
-        return (backend.cond_logprob(a, text).total
-                + backend.cond_logprob(b, text).total)
-
-    def code_length(text: str) -> float:
-        return -backend.code_logprob(text).total
-
-    per_length = descgen.beam_compose(
-        atoms, proxy, beam_width=args.beam, max_atoms=args.max_atoms,
-        code_length_fn=code_length,
+    _, _, rows = descgen.describe_pair(
+        backend, _resolve_input(args.a), _resolve_input(args.b), atoms=args.atoms,
+        beam_width=args.beam, max_atoms=args.max_atoms, max_tokens=args.max_tokens,
+        seed=args.seed,
     )
-    entries = [beam[0] for beam in per_length if beam]
-
-    def losses(text: str) -> tuple[float, float]:
-        la = backend.cond_logprob(a, text).total
-        lb = backend.cond_logprob(b, text).total
-        log_phat = np.logaddexp(la, lb) - LN2
-        return float(log_phat - la), float(log_phat - lb)
-
     factor = _unit_factor(args)
-    rows = descgen.best_single_description_curve(entries, losses)
-    if factor != 1.0:
-        for row in rows:
-            for key in ("capacity", "loss_x1", "loss_x2", "loss_common"):
-                row[key] = row[key] * factor
+    for row in rows:
+        for key in ("capacity", "loss_x1", "loss_x2", "loss_common"):
+            row[key] = row[key] * factor
     _write_text(args.out, descgen.curve_csv(rows))
     return 0
 

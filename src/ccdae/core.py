@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Hypothesis",
     "ScoredBatch",
-    "GibbsPoint",
     "CapacityCurve",
     "DistanceCurve",
     "default_lambda_grid",
@@ -187,34 +186,19 @@ class ScoredBatch:
 
 
 @dataclass(frozen=True)
-class GibbsPoint:
-    """One traced point of the Gibbs family q(h) ~ p_code(h) exp(-lam*loss)."""
-
-    lam: float
-    weights: np.ndarray
-    capacity: float
-    expected_loss: float
-    log_partition: float
-
-
-@dataclass(frozen=True)
 class CapacityCurve:
-    """Rate curve (capacity, expected loss) for one sample, ordered by lam."""
+    """Rate curve of one sample's Gibbs family q(h) ~ p_code(h) exp(-lam*loss).
 
-    points: list[GibbsPoint]
+    One entry per lambda of the grid: ``capacities``, ``expected_losses``
+    and ``log_partitions`` have shape (L,), ``weights`` has shape (L, H).
+    """
+
+    lambdas: np.ndarray
+    capacities: np.ndarray
+    expected_losses: np.ndarray
+    log_partitions: np.ndarray
+    weights: np.ndarray
     sample_index: int
-
-    @property
-    def lambdas(self) -> np.ndarray:
-        return np.array([p.lam for p in self.points])
-
-    @property
-    def capacities(self) -> np.ndarray:
-        return np.array([p.capacity for p in self.points])
-
-    @property
-    def expected_losses(self) -> np.ndarray:
-        return np.array([p.expected_loss for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -397,14 +381,8 @@ def trace_rate_curve(
     """Trace (lam, C, beta) along the lambda grid for one sample."""
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
     t = _gibbs_trace(batch, grid, target, keep_weights=True)
-    points = [
-        GibbsPoint(lam=float(lam), weights=w, capacity=float(c),
-                   expected_loss=float(b), log_partition=float(z))
-        for lam, w, c, b, z in zip(
-            grid, t.weights, t.capacity, t.expected[target], t.log_partition
-        )
-    ]
-    return CapacityCurve(points=points, sample_index=target)
+    return CapacityCurve(grid.copy(), t.capacity, t.expected[target],
+                         t.log_partition, t.weights, target)
 
 
 def curve_from_traces(

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 __all__ = [
     "Atom",
     "BeamEntry",
@@ -24,6 +26,7 @@ __all__ = [
     "encoder_proxy_scorer",
     "best_single_description_curve",
     "curve_csv",
+    "describe_pair",
 ]
 
 DEFAULT_ATOM_PROMPT = "Describe in 10 short bullet points what you see"
@@ -62,13 +65,13 @@ class BeamEntry:
             raise ValueError("an atom may appear at most once per entry")
 
 
-def _split_atoms(text: str) -> list[str]:
-    out = []
-    for line in text.splitlines():
-        line = _BULLET_RE.sub("", line).strip()
-        if line:
-            out.append(line)
-    return out
+def _add_atoms(seen: dict[str, None], samples) -> None:
+    """Add each draw's lines, bullet markers stripped, to ``seen`` once."""
+    for s in samples:
+        for line in (s.text or "".join(s.tokens)).splitlines():
+            line = _BULLET_RE.sub("", line).strip()
+            if line:
+                seen.setdefault(line, None)
 
 
 def generate_atoms(
@@ -102,11 +105,7 @@ def generate_atoms(
         )
         round_no += 1
         before = len(seen)
-        for s in samples:
-            text = s.text or "".join(s.tokens)
-            for frag in _split_atoms(text):
-                if frag not in seen:
-                    seen[frag] = None
+        _add_atoms(seen, samples)
         stale_rounds = 0 if len(seen) > before else stale_rounds + 1
     return [Atom(text=t, source=source) for t in list(seen)[:count]]
 
@@ -122,9 +121,7 @@ def ensemble_atoms(
         temperature=temperature, seed=seed, prompt=prompt,
     )
     seen: dict[str, None] = {}
-    for s in samples:
-        for frag in _split_atoms(s.text or "".join(s.tokens)):
-            seen.setdefault(frag, None)
+    _add_atoms(seen, samples)
     return [Atom(text=t, source="ensemble") for t in list(seen)[:count]]
 
 
@@ -221,19 +218,14 @@ def best_single_description_curve(
     for cap in capacity_grid:
         feas = [j for j, e in enumerate(entries) if e.code_length <= cap + 1e-12]
         row = {"capacity": float(cap)}
-        for name, key in (
-            ("x1", lambda j: losses[j][0]),
-            ("x2", lambda j: losses[j][1]),
-            ("common", lambda j: losses[j][0] + losses[j][1]),
+        for name, label, key in (
+            ("x1", "best_h_x1", lambda j: losses[j][0]),
+            ("x2", "best_h_x2", lambda j: losses[j][1]),
+            ("common", "best_common", lambda j: losses[j][0] + losses[j][1]),
         ):
             j = best(feas, key)
-            if j is None:
-                row[f"best_h_{name}" if name != "common" else "best_common"] = ""
-                row[f"loss_{name}"] = float("nan")
-            else:
-                label = f"best_h_{name}" if name != "common" else "best_common"
-                row[label] = entries[j].text
-                row[f"loss_{name}"] = float(key(j))
+            row[label] = "" if j is None else entries[j].text
+            row[f"loss_{name}"] = float("nan") if j is None else float(key(j))
         rows.append(row)
     return rows
 
@@ -256,3 +248,48 @@ def curve_csv(rows: Sequence[dict]) -> str:
                                    "loss_common")]
         )
     return buf.getvalue()
+
+
+def describe_pair(
+    backend,
+    a: str,
+    b: str,
+    atoms: int = 40,
+    beam_width: int = 8,
+    max_atoms: int = 10,
+    max_tokens: int = 40,
+    seed: int = 0,
+) -> tuple[list[Atom], list[BeamEntry], list[dict]]:
+    """Best single description per capacity for a pair, in nats.
+
+    Pools up to ``atoms`` atoms from each input (first source kept),
+    composes them by beam search under log p(h|a) + log p(h|b), and
+    tabulates each composed length's winner with its encoder-only losses
+    log p_hat(h) - log p(h|x). Returns (atoms, winners, rows).
+    """
+    pool: dict[str, Atom] = {}
+    for context, source in ((a, "sample_1"), (b, "sample_2")):
+        for atom in generate_atoms(backend, context, count=atoms, source=source,
+                                   seed=seed, max_tokens=max_tokens):
+            pool.setdefault(atom.text, atom)
+    pool_atoms = list(pool.values())
+
+    def conditionals(text: str) -> tuple[float, float]:
+        return (backend.cond_logprob(a, text).total,
+                backend.cond_logprob(b, text).total)
+
+    def proxy(text: str) -> float:
+        la, lb = conditionals(text)
+        return la + lb
+
+    def losses(text: str) -> tuple[float, float]:
+        la, lb = conditionals(text)
+        log_phat = np.logaddexp(la, lb) - math.log(2.0)
+        return float(log_phat - la), float(log_phat - lb)
+
+    per_length = beam_compose(
+        pool_atoms, proxy, beam_width=beam_width, max_atoms=max_atoms,
+        code_length_fn=lambda text: -backend.code_logprob(text).total,
+    )
+    winners = [beam[0] for beam in per_length]
+    return pool_atoms, winners, best_single_description_curve(winners, losses)

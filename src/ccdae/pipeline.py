@@ -146,61 +146,45 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
             )
         )
 
-    # merge duplicates, keeping first-seen order
-    merged: dict[tuple, int] = {}
-    samples = {}
+    # merge duplicates, keeping first-seen order: key -> [first draw, count]
+    merged: dict[tuple, list] = {}
     for s in draws:
-        key = (s.text, s.tokens, s.terminated)
-        merged[key] = merged.get(key, 0) + 1
-        samples[key] = s
+        merged.setdefault((s.text, s.tokens, s.terminated), [s, 0])[1] += 1
+    unique = [s for s, _ in merged.values()]
 
-    hypotheses: list[Hypothesis] = []
-    counts = []
-    cond = [[], []]
-    for key, mult in merged.items():
-        s = samples[key]
-        la = backend.score_tokens(str(x1), s.tokens, s.terminated,
-                                  prompt=config.prompt).total
-        lb = backend.score_tokens(str(x2), s.tokens, s.terminated,
-                                  prompt=config.prompt).total
-        log_pi = float(np.logaddexp(la, lb)) - math.log(2.0)
-        if config.pcode_mode == "proposal_mix":
-            log_pcode = log_pi
-        elif s.text:
-            log_pcode = backend.code_logprob(s.text).total
-        else:
-            # zero-length draw: its one token is the bare EOS event, scored
-            # as the code model's conditional on an empty context and prompt
-            log_pcode = backend.score_tokens("", s.tokens, s.terminated,
-                                             prompt="").total
-        hypotheses.append(
-            Hypothesis(
-                tokens=s.tokens,
-                text=s.text,
-                log_pcode=log_pcode,
-                log_proposal=log_pi,
-                terminated=s.terminated,
-            )
-        )
-        counts.append(mult)
-        cond[0].append(la)
-        cond[1].append(lb)
-
-    cond = np.array(cond)
-    if config.loss_mode == "encoder_only":
-        log_phat = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
-        loss = log_phat[None, :] - cond
+    cond = np.array([
+        [backend.score_tokens(str(x), s.tokens, s.terminated,
+                              prompt=config.prompt).total for s in unique]
+        for x in (x1, x2)
+    ])
+    log_pi = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
+    if config.pcode_mode == "proposal_mix":
+        log_pcode = log_pi
     else:
-        loss = np.empty_like(cond)
-        for j, h in enumerate(hypotheses):
-            loss[0, j] = -backend.cond_logprob(h.text, str(x1)).total
-            loss[1, j] = -backend.cond_logprob(h.text, str(x2)).total
+        # a zero-length draw's one token is the bare EOS event, scored as
+        # the code model's conditional on an empty context and prompt
+        log_pcode = [
+            backend.code_logprob(s.text, terminated=s.terminated).total if s.text
+            else backend.score_tokens("", s.tokens, s.terminated, prompt="").total
+            for s in unique
+        ]
+    hypotheses = [
+        Hypothesis(tokens=s.tokens, text=s.text, log_pcode=float(pc),
+                   log_proposal=float(pi), terminated=s.terminated)
+        for s, pc, pi in zip(unique, log_pcode, log_pi)
+    ]
+
+    if config.loss_mode == "encoder_only":
+        loss = log_pi[None, :] - cond
+    else:
+        loss = -np.array([[backend.cond_logprob(h.text, str(x)).total
+                           for h in hypotheses] for x in (x1, x2)])
 
     return ScoredBatch.from_columns(
         hypotheses,
         loss,
         mode=config.loss_mode,
-        counts=np.array(counts, dtype=float),
+        counts=np.array([n for _, n in merged.values()], dtype=float),
         log_conditionals=cond,
     )
 

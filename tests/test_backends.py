@@ -138,10 +138,9 @@ def test_ensemble_equal_contexts_matches_single(ab_backend):
 
 def test_prompt_precedes_context_with_newline():
     model = train_ngram("xxb\nyyc\n" * 10, order=3)
-    be = NGramBackend(model, prompt="default")
-    assert be._prefix("ctx", None) == "default\nctx"
+    be = NGramBackend(model)
     assert be._prefix("ctx", "override") == "override\nctx"
-    assert NGramBackend(model)._prefix("ctx", None) == "ctx"
+    assert be._prefix("ctx", None) == be._prefix("ctx", "") == "ctx"
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +301,38 @@ def test_table_ensemble_disjoint_one_hot_mixture(tmp_path):
     draws = be.ensemble_sample("c1", "c2", 2000, seed=0)
     freq = Counter(s.text for s in draws)
     assert abs(freq["u"] / 2000 - 0.5) < 0.05
+
+
+def _reference_table_ensemble(be, context_a, context_b, count, temperature, seed):
+    """``TableBackend.ensemble_sample`` as it was written before its rows
+    were built in one pass."""
+    ids = sorted(set(dict(be._context_items(context_a)))
+                 | set(dict(be._context_items(context_b))))
+    rows = []
+    totals = []
+    for did in ids:
+        la = be.cond_logprob(context_a, did).total
+        lb = be.cond_logprob(context_b, did).total
+        mean = 0.5 * (la + lb)
+        rows.append((did, [mean]))
+        totals.append(mean)
+    totals = np.array(totals)
+    totals = totals - np.logaddexp.reduce(totals)
+    rows = [(did, [t]) for (did, _), t in zip(rows, totals)]
+    return be._draw(rows, totals, count, temperature, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+@pytest.mark.parametrize("contexts, temperature", [
+    (("img_sunset", "cap_positive"), 1.0),
+    (("cap_positive", "cap_negative"), 0.5),
+    (("img_sunset", "img_sunset"), 2.0),
+])
+def test_table_ensemble_equals_reference(table_backend, contexts, temperature, seed):
+    got = table_backend.ensemble_sample(*contexts, 25, temperature=temperature,
+                                        seed=seed)
+    assert got == _reference_table_ensemble(table_backend, *contexts, 25,
+                                            temperature, seed)
 
 
 @pytest.mark.parametrize("doc", [

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 import requests
-from conftest import StubSession
+from conftest import DATA, StubSession
 
 from ccdae import backends, cli
 
@@ -84,6 +84,12 @@ def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
     assert "malformed reply" in err
 
 
+def _ngram_doc(**fields):
+    doc = {"magic": "CCDAE-NGRAM", "version": 1, "order": 2, "alpha": 0.01,
+           "vocabulary": ["</s>", "a"], "counts": {"": {"a": 3, "</s>": 1}}}
+    return json.dumps({**doc, **fields})
+
+
 @pytest.mark.parametrize("flags, doc", [
     (("--model",), '{"magic": "CCDAE-NGRAM", "version": 1}'),
     (("--model",), "[]"),
@@ -94,8 +100,12 @@ def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
     (("--backend", "table", "--fixture"),
      '{"magic": "CCDAE-TABLE", "descriptions": {"a": "x  y", "b": "x y"},'
      ' "cond": {}}'),
+    (("--model",), _ngram_doc(counts={"": {"a": "3", "</s>": "1"}})),
+    (("--model",), _ngram_doc(alpha=-1)),
+    (("--model",), _ngram_doc(order=0)),
 ], ids=["ngram-fields", "ngram-list", "table-fields", "table-list",
-        "ngram-not-json", "table-not-json", "table-colliding-ids"])
+        "ngram-not-json", "table-not-json", "table-colliding-ids",
+        "ngram-string-counts", "ngram-negative-alpha", "ngram-order-0"])
 def test_malformed_backend_file_exits_1(capsys, tmp_path, flags, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)
@@ -239,6 +249,22 @@ def test_bench_choice_small(capsys, model_path, tmp_path):
     assert stdout.strip() == "accuracy 1.0000"
 
 
+@pytest.mark.parametrize("score, capacity, error", [
+    ("dc", "-5", "--capacity must be finite and >= 0"),
+    ("dc", "nan", "--capacity must be finite and >= 0"),
+    ("dc", "inf", "--capacity must be finite and >= 0"),
+    ("auc", "0.5", "--capacity applies only to --score dc"),
+    ("traj", "0.5", "--capacity applies only to --score dc"),
+    ("condlik", "0.5", "--capacity applies only to --score dc"),
+])
+def test_bench_capacity_usage_errors(capsys, model_path, score, capacity, error):
+    code, _, err = run(capsys, "--model", model_path, "bench", "choice",
+                       str(DATA / "choices.tsv"), "--score", score,
+                       "--capacity", capacity)
+    assert code == 2
+    assert err == f"error: {error}\n"
+
+
 def test_bench_reports_skipped_lines(capsys, model_path, tmp_path):
     data = tmp_path / "pairs.tsv"
     data.write_text("rain\train\t3.0\nrain\twind\t2.0\nbroken\n")
@@ -323,6 +349,15 @@ def test_train_ngram_empty_corpus(capsys, tmp_path):
     assert code == 2
 
 
+def test_train_ngram_negative_alpha(capsys, tmp_path):
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("ab\nba\n")
+    code, _, err = run(capsys, "--out", str(tmp_path / "m.json"), "train-ngram",
+                       str(corpus), "--alpha", "-1")
+    assert code == 2
+    assert err.startswith("error: smoothing_alpha must be finite and >= 0")
+
+
 def test_train_ngram_missing_corpus(capsys):
     code, _, err = run(capsys, "train-ngram", "/no/such/corpus.txt")
     assert code == 2
@@ -332,14 +367,23 @@ def test_train_ngram_missing_corpus(capsys):
 # describe
 
 
+# the whole table of the bundled fixture, recorded before the describe
+# workflow moved into descgen.describe_pair
+DESCRIBE_FIXTURE_CSV = (
+    "capacity,best_h_x1,loss_x1,best_h_x2,loss_x2,best_common,loss_common\n"
+    "2.1,a bright sun over calm water,-0.0950083111784,"
+    "a bright sun over calm water,0.104991688822,"
+    "a bright sun over calm water,0.00998337764329\n"
+    "240,a bright sun over calm water,-0.0950083111784,"
+    '"a bright sun over calm water, a small boat near the shore",0,'
+    '"a bright sun over calm water, a small boat near the shore",0\n'
+)
+
+
 def test_describe_fixture(capsys, fixture_path, tmp_path):
-    out = str(tmp_path / "desc.csv")
+    out = tmp_path / "desc.csv"
     code, _, _ = run(capsys, "--backend", "table", "--fixture", fixture_path,
-                     "--out", out, "describe", "img_sunset", "cap_positive",
+                     "--out", str(out), "describe", "img_sunset", "cap_positive",
                      "--atoms", "4", "--beam", "3", "--max-atoms", "2")
     assert code == 0
-    with open(out, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == ("capacity,best_h_x1,loss_x1,best_h_x2,loss_x2,"
-                        "best_common,loss_common")
-    assert len(lines) >= 2
+    assert out.read_bytes() == DESCRIBE_FIXTURE_CSV.encode()

@@ -97,10 +97,10 @@ def test_trace_degenerate_single_loss_value():
 def test_trace_hand_points():
     batch = make_uniform_batch([[1.0, 2.0]])
     curve = core.trace_rate_curve(batch, [0.0, 1.0])
-    assert curve.points[0].capacity == pytest.approx(0.0, abs=1e-12)
-    assert curve.points[0].expected_loss == pytest.approx(1.5, abs=1e-12)
-    assert curve.points[1].capacity == pytest.approx(0.1109, abs=2e-4)
-    assert curve.points[1].expected_loss == pytest.approx(1.26894, abs=1e-5)
+    assert curve.capacities[0] == pytest.approx(0.0, abs=1e-12)
+    assert curve.expected_losses[0] == pytest.approx(1.5, abs=1e-12)
+    assert curve.capacities[1] == pytest.approx(0.1109, abs=2e-4)
+    assert curve.expected_losses[1] == pytest.approx(1.26894, abs=1e-5)
 
 
 def test_trace_grid_validation():
@@ -369,11 +369,12 @@ def _assert_matches_reference(batch, grid):
     tol = dict(rtol=1e-12, atol=1e-12)
     for target in (0, 1):
         curve = core.trace_rate_curve(batch, grid, target)
-        for point, lam in zip(curve.points, grid):
+        for k, lam in enumerate(grid):
             w, c, beta, logz = _reference_point(batch, float(lam), target)
-            np.testing.assert_allclose(point.weights, w, **tol)
+            np.testing.assert_allclose(curve.weights[k], w, **tol)
             np.testing.assert_allclose(
-                [point.capacity, point.expected_loss, point.log_partition],
+                [curve.capacities[k], curve.expected_losses[k],
+                 curve.log_partitions[k]],
                 [c, beta, logz], **tol)
     try:
         expected = _reference_distance(batch, grid)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccdae import backends, pipeline
-from ccdae.core import InvalidBatchError
+from ccdae.core import Hypothesis, InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
 from conftest import make_uniform_batch
@@ -102,6 +102,100 @@ def test_lm_code_scores_zero_length_draws():
     empty = [h for h in batch.hypotheses if h.text == ""]
     assert len(empty) == 1
     assert empty[0].log_pcode == model.symbol_logprob("", backends.EOS)
+
+
+def test_lm_code_truncated_draws_have_no_eos_event(ngram_backend):
+    config = CompareConfig(samples_per_input=10, max_tokens=5, pcode_mode="lm_code")
+    batch = pipeline.build_batch("rain", "iron", ngram_backend, config)
+    truncated = [h for h in batch.hypotheses if h.text and not h.terminated]
+    assert truncated
+    for h in truncated:
+        assert h.log_pcode == ngram_backend.score_tokens(
+            "", h.tokens, False, prompt="").total
+
+
+def _reference_batch(x1, x2, backend, config):
+    """``build_batch`` as a per-hypothesis loop, as it was written before
+    the single scoring pass (with truncated ``lm_code`` draws scored
+    without an EOS event)."""
+    xa, xb, _ = pipeline._canonical_order(x1, x2)
+    draws = []
+    for rank, x in enumerate((xa, xb)):
+        seed = np.random.default_rng([config.seed, rank]).integers(2**31)
+        draws.extend(backend.sample_descriptions(
+            str(x), config.samples_per_input, max_tokens=config.max_tokens,
+            temperature=config.temperature, seed=int(seed), prompt=config.prompt))
+    merged = {}
+    samples = {}
+    for s in draws:
+        key = (s.text, s.tokens, s.terminated)
+        merged[key] = merged.get(key, 0) + 1
+        samples[key] = s
+    hypotheses, counts, cond = [], [], [[], []]
+    for key, mult in merged.items():
+        s = samples[key]
+        la = backend.score_tokens(str(x1), s.tokens, s.terminated,
+                                  prompt=config.prompt).total
+        lb = backend.score_tokens(str(x2), s.tokens, s.terminated,
+                                  prompt=config.prompt).total
+        log_pi = float(np.logaddexp(la, lb)) - math.log(2.0)
+        if config.pcode_mode == "proposal_mix":
+            log_pcode = log_pi
+        elif s.text:
+            log_pcode = backend.code_logprob(s.text, terminated=s.terminated).total
+        else:
+            log_pcode = backend.score_tokens("", s.tokens, s.terminated,
+                                             prompt="").total
+        hypotheses.append(Hypothesis(tokens=s.tokens, text=s.text,
+                                     log_pcode=log_pcode, log_proposal=log_pi,
+                                     terminated=s.terminated))
+        counts.append(mult)
+        cond[0].append(la)
+        cond[1].append(lb)
+    cond = np.array(cond)
+    if config.loss_mode == "encoder_only":
+        log_phat = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
+        loss = log_phat[None, :] - cond
+    else:
+        loss = np.empty_like(cond)
+        for j, h in enumerate(hypotheses):
+            loss[0, j] = -backend.cond_logprob(h.text, str(x1)).total
+            loss[1, j] = -backend.cond_logprob(h.text, str(x2)).total
+    return ScoredBatch.from_columns(hypotheses, loss, mode=config.loss_mode,
+                                    counts=np.array(counts, dtype=float),
+                                    log_conditionals=cond)
+
+
+@pytest.mark.filterwarnings("ignore:dropping")  # both drop alike; checked below
+@pytest.mark.parametrize("loss_mode", ["encoder_only", "generative"])
+@pytest.mark.parametrize("pcode_mode", ["proposal_mix", "lm_code"])
+@pytest.mark.parametrize("case", ["ngram", "ngram-prompt", "zero-length", "table"])
+def test_build_batch_equals_reference(ngram_backend, table_backend, case,
+                                      pcode_mode, loss_mode):
+    backend, x1, x2, max_tokens, prompt = {
+        "ngram": (ngram_backend, "rain", "iron", 5, None),
+        "ngram-prompt": (ngram_backend, "snow", "clay", 8, "describe"),
+        "zero-length": (backends.NGramBackend(backends.train_ngram("a\nb\n", order=2)),
+                        "x", "y", 5, None),
+        "table": (table_backend, "img_sunset", "cap_positive", 10, None),
+    }[case]
+    for seed in (0, 1):
+        config = CompareConfig(samples_per_input=10, max_tokens=max_tokens,
+                               seed=seed, pcode_mode=pcode_mode,
+                               loss_mode=loss_mode, prompt=prompt)
+        try:
+            want = _reference_batch(x1, x2, backend, config)
+        except InvalidBatchError:
+            # "x" and "y" are off this model's vocabulary, so every decoder
+            # loss is infinite and no batch is left
+            with pytest.raises(InvalidBatchError):
+                pipeline.build_batch(x1, x2, backend, config)
+            continue
+        got = pipeline.build_batch(x1, x2, backend, config)
+        assert got.hypotheses == want.hypotheses
+        assert got.mode == want.mode and got.dropped == want.dropped
+        for name in ("counts", "loss", "log_conditionals"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 class _RecordingBackend:
