@@ -114,9 +114,13 @@ class NGramModel:
 
     ``counts`` maps a context string (length < order) to next-symbol
     counts; contexts of every length from 0 to order-1 are stored so
-    scoring can back off to the longest context actually seen. Each
-    context is compiled into a :class:`_ContextRow` the first time it is
-    used, so ``counts`` must not change after construction.
+    scoring can back off to the longest context actually seen. The stored
+    contexts must be prefix-closed (every nonempty prefix of a stored
+    context is stored too), so that the context after a symbol depends
+    only on the context before it: ``context(prefix + s) ==
+    context(context(prefix) + s)``. Each context is compiled into a
+    :class:`_ContextRow` the first time it is used, so ``counts`` must not
+    change after construction.
     """
 
     order: int
@@ -136,6 +140,11 @@ class NGramModel:
                    and all(isinstance(s, str) and _is_count(n) for s, n in table.items())
                    for ctx, table in self.counts.items()):
             raise ValueError("counts must be non-negative ints keyed by strings")
+        orphan = next((ctx for ctx in self.counts
+                       if len(ctx) > 1 and ctx[:-1] not in self.counts), None)
+        if orphan is not None:
+            raise ValueError(f"counts must be prefix-closed: context {orphan!r} "
+                             f"is stored but its prefix {orphan[:-1]!r} is not")
         self._index = {sym: i for i, sym in enumerate(self.vocabulary)}
         self._rows = {}
 
@@ -245,21 +254,71 @@ def train_ngram(corpus: str, order: int = 5, smoothing_alpha: float = 0.01) -> N
     )
 
 
+#: Most uniforms one sampling call draws from its generator at a time.
+_UNIFORM_BLOCK = 4096
+
+
+def _uniforms(rng, block: int):
+    """``rng.random()``'s values, drawn ``block`` at a time when needed.
+
+    Consecutive blocks of any sizes hold exactly the values that repeated
+    scalar ``rng.random()`` calls return, in the same order.
+    """
+    while True:
+        yield from rng.random(block).tolist()
+
+
+class _State:
+    """A node of the sampler's automaton: one back-off context per ensemble
+    member, at one temperature.
+
+    ``logp`` holds the renormalised ensemble log-probs and ``cdf`` the
+    cumulative distribution a step draws from; ``next[i]`` is the state
+    after vocabulary symbol ``i``, filled in the first time it is drawn.
+    """
+
+    __slots__ = ("contexts", "temperature", "logp", "cdf", "next")
+
+    def __init__(self, contexts, temperature, logp, cdf):
+        self.contexts = contexts
+        self.temperature = temperature
+        self.logp = logp
+        self.cdf = cdf
+        self.next: list[_State | None] = [None] * len(cdf)
+
+
 class NGramBackend:
     """Backend contract on top of an :class:`NGramModel`.
 
     The conditioning prefix is ``prompt + "\\n" + context`` (just
     ``context`` without a prompt); only the last order-1 characters matter
     to the model but the documented layout keeps runs reproducible.
+
+    Sampling and scoring walk the model's back-off contexts rather than
+    the growing prefix: a symbol moves a context to ``model.context(context
+    + symbol)``, which the model's prefix-closed contexts make equal to the
+    prefix's own context. The moves and the sampler's states hold only
+    values derived from the model, so their number is bounded by the
+    model's contexts, never by the draws or the texts scored.
     """
 
     def __init__(self, model: NGramModel):
         self.model = model
-        self._steps: dict[tuple, tuple[list[float], list[float]]] = {}
+        self._states: dict[tuple, _State] = {}
+        self._moves: dict[tuple[str, int], str] = {}
 
     @staticmethod
     def _prefix(context: str, prompt: str | None) -> str:
         return f"{prompt}\n{context}" if prompt else context
+
+    def _move(self, context: str, index: int) -> str:
+        """The context after vocabulary symbol ``index``, memoised."""
+        key = (context, index)
+        moved = self._moves.get(key)
+        if moved is None:
+            moved = self._moves[key] = self.model.context(
+                context + self.model.vocabulary[index])
+        return moved
 
     def score_tokens(
         self,
@@ -268,13 +327,17 @@ class NGramBackend:
         terminated: bool,
         prompt: str | None = None,
     ) -> LogProbResult:
-        prefix = self._prefix(context, prompt)
+        model = self.model
+        ctx = model.context(self._prefix(context, prompt))
         per_token = []
-        for tok in tokens:
-            per_token.append(self.model.symbol_logprob(prefix, tok))
-            prefix += tok
-        if terminated:
-            per_token.append(self.model.symbol_logprob(prefix, EOS))
+        for tok in (*tokens, EOS) if terminated else tokens:
+            idx = model._index.get(tok)
+            if idx is None:  # off-vocabulary: -inf, and no memo entry
+                per_token.append(-math.inf)
+                ctx = model.context(ctx + tok)
+            else:
+                per_token.append(model.row(ctx).logprobs[idx])
+                ctx = self._move(ctx, idx)
         return LogProbResult.from_tokens(per_token)
 
     def cond_logprob(
@@ -291,16 +354,16 @@ class NGramBackend:
     def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
         return self.cond_logprob("", description, prompt="", terminated=terminated)
 
-    def _step(self, contexts: tuple[str, ...], temperature: float):
-        """Renormalized ensemble log-probs and the CDF a step draws from.
+    def _state(self, contexts: tuple[str, ...], temperature: float) -> _State:
+        """The automaton state of ``contexts`` at ``temperature``, built once.
 
-        Built once per key from the model alone. The CDF is built as
+        Built from the model alone. The CDF is built as
         ``Generator.choice(p=probs)`` builds it, so ``bisect_right(cdf,
         rng.random())`` makes that call's draw and leaves the same state.
         """
         key = (contexts, temperature)
-        step = self._steps.get(key)
-        if step is None:
+        state = self._states.get(key)
+        if state is None:
             logp = np.mean([np.log(self.model.row(c).probs) for c in contexts],
                            axis=0)
             logp = logp - np.logaddexp.reduce(logp)  # renormalized ensemble
@@ -310,50 +373,53 @@ class NGramBackend:
             probs /= probs.sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            step = self._steps[key] = (logp.tolist(), cdf.tolist())
-        return step
+            state = self._states[key] = _State(contexts, temperature,
+                                               logp.tolist(), cdf.tolist())
+        return state
 
-    def _sample_one(
-        self, prefixes: list[str], max_tokens: int, temperature: float, rng
-    ) -> SampledDescription:
-        # prefixes: one conditioning prefix per ensemble member.
-        tokens: list[str] = []
-        logprobs: list[float] = []
-        terminated = False
-        vocab = self.model.vocabulary
-        context = self.model.context
-        for _ in range(max_tokens):
-            logp, cdf = self._step(tuple(map(context, prefixes)), temperature)
-            idx = bisect_right(cdf, rng.random())
-            sym = vocab[idx]
-            logprobs.append(logp[idx])
-            if sym == EOS:
-                terminated = True
-                break
-            tokens.append(sym)
-            prefixes = [p + sym for p in prefixes]
-        if not tokens:
-            # zero-length draw (immediate EOS): keep the EOS symbol as the
-            # single token with terminated=False so rescoring counts the
-            # EOS event exactly once.
-            return SampledDescription(
-                text="", tokens=(EOS,), per_token_logprobs=tuple(logprobs),
-                terminated=False,
-            )
-        return SampledDescription(
-            text="".join(tokens),
-            tokens=tuple(tokens),
-            per_token_logprobs=tuple(logprobs),
-            terminated=terminated,
-        )
+    def _follow(self, state: _State, index: int) -> _State:
+        """The state after symbol ``index``; links it into ``state.next``."""
+        moved = tuple(self._move(c, index) for c in state.contexts)
+        state.next[index] = self._state(moved, state.temperature)
+        return state.next[index]
 
     def _sample(self, contexts, count, max_tokens, temperature, seed, prompt):
-        """``count`` draws from the renormalized mean of the contexts' models."""
+        """``count`` draws from the renormalized mean of the contexts' models.
+
+        Each draw walks the automaton from the prompted contexts' state; a
+        step takes the next uniform and bisects the state's CDF.
+        """
         _check_sampling_args(count, max_tokens, temperature)
-        rng = np.random.default_rng(seed)
-        prefixes = [self._prefix(c, prompt) for c in contexts]
-        return [self._sample_one(prefixes, max_tokens, temperature, rng)
-                for _ in range(count)]
+        uniforms = _uniforms(np.random.default_rng(seed),
+                             min(count * max_tokens, _UNIFORM_BLOCK))
+        start = self._state(
+            tuple(self.model.context(self._prefix(c, prompt)) for c in contexts),
+            temperature)
+        vocab = self.model.vocabulary
+        out = []
+        for _ in range(count):
+            state, tokens, logprobs, terminated = start, [], [], False
+            for _ in range(max_tokens):
+                idx = bisect_right(state.cdf, next(uniforms))
+                logprobs.append(state.logp[idx])
+                sym = vocab[idx]
+                if sym == EOS:
+                    terminated = True
+                    break
+                tokens.append(sym)
+                state = state.next[idx] or self._follow(state, idx)
+            if tokens:
+                out.append(SampledDescription(
+                    text="".join(tokens), tokens=tuple(tokens),
+                    per_token_logprobs=tuple(logprobs), terminated=terminated))
+            else:
+                # zero-length draw (immediate EOS): keep the EOS symbol as
+                # the single token with terminated=False so rescoring counts
+                # the EOS event exactly once.
+                out.append(SampledDescription(
+                    text="", tokens=(EOS,), per_token_logprobs=tuple(logprobs),
+                    terminated=False))
+        return out
 
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
@@ -561,6 +627,14 @@ class RemoteBackend:
     ):
         import requests
 
+        for name, value in (("max_retries", max_retries),
+                            ("max_in_flight", max_in_flight)):
+            if not _is_count(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if not timeout > 0:
+            raise ValueError(f"timeout must be > 0, got {timeout!r}")
+        if not backoff >= 0:
+            raise ValueError(f"backoff must be >= 0, got {backoff!r}")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -202,9 +203,11 @@ def best_single_description_curve(
     entries = list(entries)
     if not entries:
         raise ValueError("entry list must be nonempty")
-    if any(math.isnan(e.code_length) for e in entries):
-        raise ValueError("entries must carry code lengths")
+    if not all(math.isfinite(e.code_length) for e in entries):
+        raise ValueError("entries must carry finite code lengths")
     losses = [loss_fn(e.text) for e in entries]
+    if any(math.isnan(v) for pair in losses for v in pair):
+        raise ValueError("loss_fn returned NaN")
     if capacity_grid is None:
         capacity_grid = sorted({float(e.code_length) for e in entries})
 
@@ -266,6 +269,10 @@ def describe_pair(
     composes them by beam search under log p(h|a) + log p(h|b), and
     tabulates each composed length's winner with its encoder-only losses
     log p_hat(h) - log p(h|x). Returns (atoms, winners, rows).
+
+    A winner whose code length or either conditional is not finite (a text
+    the backend gives zero probability) is dropped with a warning; if none
+    is left, ``ValueError``.
     """
     pool: dict[str, Atom] = {}
     for context, source in ((a, "sample_1"), (b, "sample_2")):
@@ -292,4 +299,12 @@ def describe_pair(
         code_length_fn=lambda text: -backend.code_logprob(text).total,
     )
     winners = [beam[0] for beam in per_length]
-    return pool_atoms, winners, best_single_description_curve(winners, losses)
+    kept = [w for w in winners if math.isfinite(w.code_length)
+            and all(map(math.isfinite, conditionals(w.text)))]
+    if not kept:
+        raise ValueError(f"none of the {len(winners)} composed descriptions "
+                         "has finite scores")
+    if len(kept) < len(winners):
+        warnings.warn(f"dropping {len(winners) - len(kept)} descriptions with "
+                      "non-finite scores")
+    return pool_atoms, kept, best_single_description_curve(kept, losses)

@@ -210,7 +210,7 @@ def test_bisect_draw_matches_generator_choice(ngram_backend):
     for ci, ctx in enumerate(sorted(model.counts)):
         for ti, temperature in enumerate((0.5, 1.0, 2.0)):
             _, probs = _reference_step(model, [ctx], temperature)
-            _, cdf = ngram_backend._step((model.context(ctx),), temperature)
+            cdf = ngram_backend._state((model.context(ctx),), temperature).cdf
             a = np.random.default_rng([ci, ti])
             b = np.random.default_rng([ci, ti])
             for _ in range(4):
@@ -242,6 +242,7 @@ def test_compiled_scores_equal_reference_bit_for_bit(model):
     (2, 2.0, 1, None),
     (3, 1.0, 12, "describe"),
     (4, 0.7, 30, "x"),
+    (5, 1.0, 15, "Ω~\t"),  # a prompt of off-vocabulary characters
 ])
 def test_sampler_equals_reference(ngram_backend, seed, temperature, max_tokens, prompt):
     def prefix(ctx):
@@ -265,6 +266,100 @@ def test_sampler_reaches_zero_length_draws():
     got = be.sample_descriptions("", 40, max_tokens=3, seed=1)
     assert any(s.text == "" for s in got)
     assert got == _reference_sample(be, [""], 40, 3, 1.0, 1)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3, 7, 1, 64), (4096, 5)])
+def test_uniform_blocks_equal_scalar_draws(sizes):
+    scalar, blocked = np.random.default_rng(9), np.random.default_rng(9)
+    got = np.concatenate([blocked.random(k) for k in sizes]).tolist()
+    assert got == [scalar.random() for _ in range(sum(sizes))]
+    assert blocked.bit_generator.state == scalar.bit_generator.state
+    # the sampler's stream, across two block boundaries
+    scalar, n = np.random.default_rng(9), 2 * sizes[0] + 1
+    uniforms = backends._uniforms(np.random.default_rng(9), sizes[0])
+    assert [next(uniforms) for _ in range(n)] == [scalar.random() for _ in range(n)]
+
+
+ORDER1 = train_ngram("the cat sat\nthe dog ran\n", order=1)
+
+
+@pytest.mark.parametrize("model, contexts, count, max_tokens, prompt, block", [
+    # about 8,000 uniforms: more than one block of the default size
+    (None, ["rain"], 400, 20, None, None),
+    (None, ["snow", "iron"], 30, 25, "describe", 7),
+    (None, ["rain", "zzz"], 30, 12, "Ω~\t\n", 5),
+    (ORDER1, ["rain"], 60, 8, None, 50),
+    (ORDER1, ["a", "Ω"], 30, 8, "x", 3),
+], ids=["many-blocks", "ensemble-prompt", "off-vocab-prompt", "order1",
+        "order1-ensemble"])
+def test_sampler_equals_reference_across_blocks(ngram_backend, monkeypatch, model,
+                                                contexts, count, max_tokens, prompt,
+                                                block):
+    be = ngram_backend if model is None else NGramBackend(model)
+    if block is not None:
+        monkeypatch.setattr(backends, "_UNIFORM_BLOCK", block)
+    got = be._sample(contexts, count, max_tokens, 1.0, 3, prompt)
+    prefixes = [f"{prompt}\n{c}" if prompt else c for c in contexts]
+    assert got == _reference_sample(be, prefixes, count, max_tokens, 1.0, 3)
+    used = sum(len(s.per_token_logprobs) for s in got)
+    assert used > (block or backends._UNIFORM_BLOCK)
+
+
+def _reference_score(model, prefix, tokens, terminated):
+    per_token = []
+    for tok in tokens:
+        per_token.append(_reference_logprob(model, prefix, tok))
+        prefix += tok
+    if terminated:
+        per_token.append(_reference_logprob(model, prefix, EOS))
+    return per_token
+
+
+@pytest.mark.parametrize("model", [
+    backends.NGramModel.load(DATA / "toy_ngram.json"),
+    ORDER1,
+    train_ngram("the cat sat\nthe dog ran\n", order=3),
+], ids=["toy", "order1", "order3"])
+def test_score_tokens_equal_reference_walk_bit_for_bit(model):
+    be = NGramBackend(model)
+    rng = np.random.default_rng(0)
+    pool = list(model.vocabulary) + ["~", "Ω", "\t", "ab", "the", "", EOS]
+    contexts = sorted(model.counts) + ["rain", "~Ω"]
+    for trial in range(300):
+        context = contexts[trial % len(contexts)]
+        prompt = (None, "", "describe", "Ω\n~")[trial % 4]
+        tokens = [pool[i] for i in rng.integers(len(pool), size=rng.integers(1, 15))]
+        terminated = bool(trial % 3)
+        prefix = f"{prompt}\n{context}" if prompt else context
+        want = _reference_score(model, prefix, tokens, terminated)
+        got = be.score_tokens(context, tokens, terminated, prompt)
+        assert [v.hex() for v in got.per_token] == [v.hex() for v in want]
+        assert got.total.hex() == float(sum(want)).hex()
+
+
+def test_automaton_is_bounded_by_the_contexts_it_visits():
+    model = backends.NGramModel.load(DATA / "toy_ngram.json")
+    be = NGramBackend(model)
+    visited = set()
+    for seed in range(12):
+        for contexts, prompt in ((["rain"], None), (["snow", "iron"], "describe"),
+                                 (["", "zzz~"], "Ω")):
+            for temperature in (0.5, 1.0):
+                prefixes = [f"{prompt}\n{c}" if prompt else c for c in contexts]
+                for s in be._sample(contexts, 10, 15, temperature, seed, prompt):
+                    # the states of every step, and the one after a truncation
+                    for k in range(len(s.text) + 1):
+                        visited.add((tuple(model.context(p + s.text[:k])
+                                           for p in prefixes), temperature))
+    assert 0 < len(be._states) <= len(visited)
+    stored = set(model.counts) | {""}
+    assert all(set(contexts) <= stored for contexts, _ in be._states)
+    assert all(ctx in stored and 0 <= i < model.vocab_size for ctx, i in be._moves)
+    # scoring arbitrary tokens does not grow the transition memo
+    moves = len(be._moves)
+    for tok in ("~", "Ω", "\t", "ab", "the other", "~~"):
+        assert be.score_tokens("rain", [tok] * 5, False).total == -math.inf
+    assert len(be._moves) == moves
 
 
 # ---------------------------------------------------------------------------
@@ -499,3 +594,19 @@ def test_remote_malformed_reply_is_typed_and_not_retried(call, body):
             be.sample_descriptions("ctx", 2)
     assert not exc.value.retryable
     assert stub.posts == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"max_retries": 0}, {"max_retries": -1}, {"max_retries": 2.0},
+    {"max_retries": True}, {"max_in_flight": 0}, {"max_in_flight": 1.5},
+    {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": math.nan},
+    {"backoff": -0.1}, {"backoff": math.nan},
+], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_remote_rejects_bad_constructor_arguments(kwargs):
+    # checked at construction only: no request is started
+    stub = StubSession("{}")
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        RemoteBackend("http://stub", session=stub, **kwargs)
+    assert stub.posts == 0
+    RemoteBackend("http://stub", session=stub, max_retries=1, max_in_flight=1,
+                  timeout=0.5, backoff=0.0)

@@ -103,9 +103,12 @@ def _ngram_doc(**fields):
     (("--model",), _ngram_doc(counts={"": {"a": "3", "</s>": "1"}})),
     (("--model",), _ngram_doc(alpha=-1)),
     (("--model",), _ngram_doc(order=0)),
+    # context "ab" is stored but its prefix "a" is not
+    (("--model",), _ngram_doc(order=3, counts={"": {"a": 3}, "ab": {"a": 1}})),
 ], ids=["ngram-fields", "ngram-list", "table-fields", "table-list",
         "ngram-not-json", "table-not-json", "table-colliding-ids",
-        "ngram-string-counts", "ngram-negative-alpha", "ngram-order-0"])
+        "ngram-string-counts", "ngram-negative-alpha", "ngram-order-0",
+        "ngram-not-prefix-closed"])
 def test_malformed_backend_file_exits_1(capsys, tmp_path, flags, doc):
     path = tmp_path / "bad.json"
     path.write_text(doc)

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from ccdae import descgen
+from ccdae import backends, cli, descgen
 from ccdae.descgen import Atom, BeamEntry
 
 
@@ -254,3 +254,50 @@ def test_curve_csv_header_and_nan_blank():
                         "best_common,loss_common")
     assert lines[1] == "1,,,,,,"
     assert lines[2] == "2,one,1,one,2,one,3"
+
+
+def test_curve_rejects_non_finite_code_lengths_and_nan_losses():
+    with pytest.raises(ValueError, match="finite code lengths"):
+        descgen.best_single_description_curve([_entry("x", math.inf)],
+                                              lambda t: (0.0, 0.0))
+    with pytest.raises(ValueError, match="NaN"):
+        descgen.best_single_description_curve([_entry("x", 1.0)],
+                                              lambda t: (math.nan, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# describe_pair
+
+
+def test_describe_pair_drops_winners_with_non_finite_scores(ngram_backend):
+    # "," is not in the toy model's vocabulary, so every joined description
+    # of two or more atoms scores -inf
+    with pytest.warns(UserWarning, match="dropping 2 descriptions"):
+        _, winners, rows = descgen.describe_pair(
+            ngram_backend, "rain", "iron", atoms=6, beam_width=3, max_atoms=3,
+            max_tokens=12)
+    assert [w.text for w in winners] == ["floods rise"]
+    assert len(rows) == 1
+    assert all(math.isfinite(rows[0][k])
+               for k in ("capacity", "loss_x1", "loss_x2", "loss_common"))
+
+
+class _UnscorableBackend(_StubBackend):
+    """Every text has zero probability under both inputs."""
+
+    def cond_logprob(self, context, text, prompt=None, terminated=True):
+        return backends.LogProbResult.from_tokens([-math.inf])
+
+    def code_logprob(self, text, terminated=True):
+        return backends.LogProbResult.from_tokens([-1.0])
+
+
+def test_describe_pair_with_no_finite_winner_raises_and_cli_exits_1(
+        monkeypatch, capsys):
+    backend = _UnscorableBackend(["- red\n- blue"])
+    with pytest.raises(ValueError, match="none of the 2 composed descriptions"):
+        descgen.describe_pair(backend, "a", "b", atoms=2)
+    monkeypatch.setattr(cli, "_make_backend", lambda args: backend)
+    assert cli.main(["describe", "a", "b", "--atoms", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: none of the 2 composed descriptions")
