@@ -440,8 +440,8 @@ def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> Non
         raise ValueError("count must be >= 1")
     if max_tokens < 1:
         raise ValueError("max_tokens must be >= 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError("temperature must be finite and positive")
 
 
 # ---------------------------------------------------------------------------

@@ -210,23 +210,80 @@ class BenchReport:
         return buf.getvalue()
 
 
-def _run_bench(records, score_record, metric_name, metric, config, score,
-               backend_id) -> BenchReport:
+class _Reuse:
+    """A backend whose ``sample_descriptions`` and ``score_tokens`` answer
+    each distinct request once, for one run of the benchmark loops.
+
+    A draw's seed depends only on the config seed and the input's canonical
+    rank, so an input paired with many others asks for the same draws and
+    the same rescores again and again. Entries are kept per context, only
+    for the inputs in ``last_use`` (input -> index of the last record that
+    uses it); ``done(i, inputs)`` drops those whose last record is ``i``.
+    A call that raises stores nothing, so the next record retries it. Every
+    other attribute is the wrapped backend's, and the wrapped methods are
+    looked up on the instance at each call.
+    """
+
+    def __init__(self, backend, last_use: dict[str, int]):
+        self._backend = backend
+        self._last_use = last_use
+        self._memo: dict[str, dict[tuple, object]] = {}
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
+
+    def _once(self, context, key, call):
+        if context not in self._last_use:
+            return call()
+        entries = self._memo.setdefault(context, {})
+        if key not in entries:
+            entries[key] = call()
+        return entries[key]
+
+    def sample_descriptions(self, context, count, max_tokens=20, temperature=1.0,
+                            seed=0, prompt=None):
+        draws = self._once(
+            context, ("sample", count, max_tokens, temperature, seed, prompt),
+            lambda: self._backend.sample_descriptions(
+                context, count, max_tokens=max_tokens, temperature=temperature,
+                seed=seed, prompt=prompt))
+        return list(draws)
+
+    def score_tokens(self, context, tokens, terminated=True, prompt=None):
+        return self._once(
+            context, ("score", tuple(tokens), terminated, prompt),
+            lambda: self._backend.score_tokens(context, tokens, terminated,
+                                               prompt=prompt))
+
+    def done(self, index: int, inputs) -> None:
+        for x in inputs:
+            if self._last_use.get(x) == index:
+                del self._last_use[x]
+                self._memo.pop(x, None)
+
+
+def _run_bench(records, backend, inputs, score_record, metric_name, metric, config,
+               score, backend_id) -> BenchReport:
     """Score every record and summarize the scored rows with ``metric``.
 
+    ``score_record(rec, backend)`` scores one record; ``inputs(rec)`` names
+    the texts it compares. The backend is wrapped in ``_Reuse`` for the run.
     A record whose backend call or data fails is listed in ``failures``;
     more than ``FAILURE_BUDGET`` of them abort the run.
     """
     if not records:
         raise BenchError("no records")
     t0 = time.perf_counter()
+    uses = [inputs(rec) for rec in records]
+    reuse = _Reuse(backend, {x: i for i, xs in enumerate(uses) for x in xs})
     per_record = []
     failures = []
-    for rec in records:
+    for i, rec in enumerate(records):
         try:
-            per_record.append(score_record(rec))
+            per_record.append(score_record(rec, reuse))
         except (BackendError, ValueError) as exc:  # flaky backends, bad records
             failures.append({"id": rec.id, "error": str(exc)})
+        reuse.done(i, uses[i])
     if len(failures) > FAILURE_BUDGET * len(records):
         raise BenchError(
             f"{len(failures)}/{len(records)} records failed; exceeding the "
@@ -254,15 +311,15 @@ def run_similarity_bench(
     """Spearman correlation (x100) of pair scores against human scores."""
     config = config or pipeline.CompareConfig()
 
-    def score_record(rec: PairRecord) -> dict:
+    def score_record(rec: PairRecord, backend) -> dict:
         s = pair_score(rec.text_a, rec.text_b, backend, config, score, capacity)
         return {"id": rec.id, "score": s, "human": rec.human_score}
 
     def metric(rows: list[dict]) -> float:
         return 100.0 * spearman([r["score"] for r in rows], [r["human"] for r in rows])
 
-    return _run_bench(records, score_record, "spearman_x100", metric, config, score,
-                      backend_id)
+    return _run_bench(records, backend, lambda r: (r.text_a, r.text_b), score_record,
+                      "spearman_x100", metric, config, score, backend_id)
 
 
 def run_choice_bench(
@@ -281,7 +338,7 @@ def run_choice_bench(
     if config is None:
         config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10)
 
-    def score_record(rec: ChoiceRecord) -> dict:
+    def score_record(rec: ChoiceRecord, backend) -> dict:
         s_pos = pair_score(rec.context, rec.positive, backend, config, score, capacity)
         s_neg = pair_score(rec.context, rec.negative, backend, config, score, capacity)
         hit = 1.0 if s_pos > s_neg else 0.5 if s_pos == s_neg else 0.0
@@ -290,5 +347,5 @@ def run_choice_bench(
     def metric(rows: list[dict]) -> float:
         return sum(r["hit"] for r in rows) / len(rows)
 
-    return _run_bench(records, score_record, "accuracy", metric, config, score,
-                      backend_id)
+    return _run_bench(records, backend, lambda r: (r.context, r.positive, r.negative),
+                      score_record, "accuracy", metric, config, score, backend_id)

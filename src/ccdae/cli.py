@@ -33,6 +33,8 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad lambda grid {text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"lambda grid start and stop must be finite, got {text!r}")
     if count < 2 or stop <= start or start < 0:
         raise UsageError("lambda grid needs start >= 0, stop > start, count >= 2")
     return tuple(np.linspace(start, stop, count))

@@ -368,6 +368,8 @@ def _validate_grid(lambda_grid) -> np.ndarray:
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise InvalidBatchError("lambda grid is empty")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidBatchError("lambda grid must be finite")
     if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
         raise InvalidBatchError("lambda grid must be nonnegative and increasing")
     return grid

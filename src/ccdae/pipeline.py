@@ -11,6 +11,7 @@ conditionals; no unconditional data likelihood ever enters the data model.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -60,6 +61,8 @@ class CompareConfig:
     def __post_init__(self) -> None:
         if self.samples_per_input < 1 or self.max_tokens < 1:
             raise ValueError("counts must be >= 1")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError("temperature must be finite and positive")
         if self.pcode_mode not in ("proposal_mix", "lm_code"):
             raise ValueError(f"unknown pcode_mode {self.pcode_mode!r}")
         if self.loss_mode not in ("encoder_only", "generative"):
@@ -121,6 +124,12 @@ def _canonical_order(x1, x2):
     return x2, x1, True
 
 
+@functools.lru_cache(maxsize=256)
+def _rank_seed(seed: int, rank: int) -> int:
+    """The sampling seed of the input at canonical ``rank`` under ``seed``."""
+    return int(np.random.default_rng([seed, rank]).integers(2**31))
+
+
 def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredBatch:
     """Sample the proposal mixture and score every pooled hypothesis.
 
@@ -134,14 +143,13 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     xa, xb, _ = _canonical_order(x1, x2)
     draws = []
     for rank, x in enumerate((xa, xb)):
-        seed = np.random.default_rng([config.seed, rank]).integers(2**31)
         draws.extend(
             backend.sample_descriptions(
                 str(x),
                 config.samples_per_input,
                 max_tokens=config.max_tokens,
                 temperature=config.temperature,
-                seed=int(seed),
+                seed=_rank_seed(config.seed, rank),
                 prompt=config.prompt,
             )
         )

@@ -94,6 +94,20 @@ def test_cond_logprob_extension_monotonicity(ab_backend):
     assert longer <= base
 
 
+@pytest.mark.parametrize("temperature", [0.0, -1.0, math.nan, math.inf])
+def test_sampling_rejects_bad_temperature(ngram_backend, table_backend, temperature):
+    # inf would sample uniformly and nan would fall off the end of the CDF
+    stub = StubSession("{}")
+    remote = RemoteBackend("http://stub", session=stub)
+    for backend, context in ((ngram_backend, "rain"), (table_backend, "img_sunset"),
+                             (remote, "rain")):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            backend.sample_descriptions(context, 3, temperature=temperature)
+    with pytest.raises(ValueError, match="temperature must be finite"):
+        ngram_backend.ensemble_sample("rain", "iron", 3, temperature=temperature)
+    assert stub.posts == 0
+
+
 def test_cond_logprob_rejects_empty(ab_backend):
     with pytest.raises(ValueError):
         ab_backend.cond_logprob("a", "")

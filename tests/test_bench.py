@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from ccdae import bench, pipeline
+from ccdae.backends import BackendError
 from ccdae.bench import BenchError, ChoiceRecord, PairRecord
 
 
@@ -212,3 +213,192 @@ def test_report_serialization(ngram_backend, quick_config):
     lines = rep.to_csv().splitlines()
     assert lines[0] == "id,score,human"
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------------------
+# reuse of draws and rescores within one run
+
+
+class CountingBackend:
+    """Logs every sampling and rescoring request before passing it on.
+
+    With ``fail_once`` set to a context, the first sampling call for that
+    context raises ``BackendError`` instead.
+    """
+
+    def __init__(self, backend, fail_once=None):
+        self.backend = backend
+        self.fail_once = fail_once
+        self.samples = []
+        self.scores = []
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def sample_descriptions(self, context, count, max_tokens=20, temperature=1.0,
+                            seed=0, prompt=None):
+        self.samples.append((context, count, max_tokens, temperature, seed, prompt))
+        if context == self.fail_once:
+            self.fail_once = None
+            raise BackendError(f"flaky backend on {context!r}")
+        return self.backend.sample_descriptions(
+            context, count, max_tokens=max_tokens, temperature=temperature,
+            seed=seed, prompt=prompt)
+
+    def score_tokens(self, context, tokens, terminated=True, prompt=None):
+        self.scores.append((context, tuple(tokens), terminated, prompt))
+        return self.backend.score_tokens(context, tokens, terminated, prompt=prompt)
+
+
+_TABLE_INPUTS = ("img_sunset", "cap_positive", "cap_negative")
+
+#: kind -> (bench loop, the texts one record compares)
+_RUNS = {
+    "pairs": (bench.run_similarity_bench, lambda r: [(r.text_a, r.text_b)]),
+    "choice": (bench.run_choice_bench,
+               lambda r: [(r.context, r.positive), (r.context, r.negative)]),
+}
+
+
+def _records(kind, backend_name, data_dir):
+    if backend_name == "ngram":
+        if kind == "pairs":
+            return bench.load_pairs(data_dir / "pairs.tsv").records
+        return bench.load_choices(data_dir / "choices.tsv").records
+    if kind == "pairs":
+        return [PairRecord(id=f"{a}-{b}", text_a=a, text_b=b, human_score=float(n))
+                for n, (a, b) in enumerate(
+                    (a, b) for a in _TABLE_INPUTS for b in _TABLE_INPUTS if a != b)]
+    return [ChoiceRecord(id=str(n), context=c, positive=p, negative=q)
+            for n, (c, p, q) in enumerate(
+                [_TABLE_INPUTS, _TABLE_INPUTS[::-1], _TABLE_INPUTS[1:] + _TABLE_INPUTS[:1]]
+                * 2)]
+
+
+def _reference(kind, records, backend, config, score="auc"):
+    """The bench loop with no reuse: ``pair_score`` per record on the bare backend.
+
+    Returns the per-record scores and hits, and the failures.
+    """
+    rows, failures = [], []
+    for rec in records:
+        try:
+            s = [bench.pair_score(a, b, backend, config, score)
+                 for a, b in _RUNS[kind][1](rec)]
+        except (BackendError, ValueError) as exc:
+            failures.append({"id": rec.id, "error": str(exc)})
+            continue
+        if kind == "pairs":
+            rows.append({"id": rec.id, "score": s[0], "human": rec.human_score})
+        else:
+            hit = 1.0 if s[0] > s[1] else 0.5 if s[0] == s[1] else 0.0
+            rows.append({"id": rec.id, "score": s[0] - s[1], "hit": hit})
+    return rows, failures
+
+
+def _assert_matches_reference(kind, report, rows, failures):
+    assert report.failures == failures
+    assert [r["id"] for r in report.per_record] == [r["id"] for r in rows]
+    assert ([r["score"].hex() for r in report.per_record]
+            == [r["score"].hex() for r in rows])
+    if kind == "pairs":
+        metric = 100.0 * bench.spearman([r["score"] for r in rows],
+                                        [r["human"] for r in rows])
+    else:
+        assert [r["hit"] for r in report.per_record] == [r["hit"] for r in rows]
+        metric = sum(r["hit"] for r in rows) / len(rows)
+    assert report.metric.hex() == metric.hex()
+
+
+def _config(kind, seed, **fields):
+    if kind == "choice":
+        fields = {"samples_per_input": 10, "max_tokens": 10, **fields}
+    return pipeline.CompareConfig(seed=seed, **fields)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["pairs", "choice"])
+@pytest.mark.parametrize("backend_name", ["ngram", "table"])
+def test_bench_makes_each_request_once(request, data_dir, backend_name, kind, seed):
+    bare = request.getfixturevalue(f"{backend_name}_backend")
+    records = _records(kind, backend_name, data_dir)
+    config = _config(kind, seed)
+    counted, reference = CountingBackend(bare), CountingBackend(bare)
+    report = _RUNS[kind][0](records, counted, config)
+    rows, failures = _reference(kind, records, reference, config)
+
+    _assert_matches_reference(kind, report, rows, failures)
+    assert len(counted.samples) == len(set(counted.samples)) == len(set(reference.samples))
+    assert len(counted.scores) == len(set(counted.scores)) == len(set(reference.scores))
+    assert set(counted.samples) == set(reference.samples)
+    assert set(counted.scores) == set(reference.scores)
+    assert len(counted.scores) < len(reference.scores)
+    if (backend_name, kind, seed) == ("ngram", "pairs", 0):
+        assert (len(counted.samples), len(counted.scores)) == (18, 58)
+        assert (len(reference.samples), len(reference.scores)) == (80, 382)
+
+    # a second run asks for everything again: nothing outlives a run
+    calls = len(counted.samples), len(counted.scores)
+    again = _RUNS[kind][0](records, counted, config)
+    assert (len(counted.samples), len(counted.scores)) == (2 * calls[0], 2 * calls[1])
+    assert again.per_record == report.per_record
+
+
+@pytest.mark.parametrize("kind", ["pairs", "choice"])
+def test_reuse_keeps_only_inputs_still_to_come(monkeypatch, data_dir, ngram_backend,
+                                               kind):
+    records = _records(kind, "ngram", data_dir)
+    calls_per_record = len(_RUNS[kind][1](records[0]))
+    seen = []  # (record index, inputs of the call, contexts in the memo, backend)
+    score = bench.pair_score
+
+    def spying_pair_score(x1, x2, backend, *args, **kwargs):
+        seen.append((len(seen) // calls_per_record, {x1, x2}, set(backend._memo),
+                     backend))
+        return score(x1, x2, backend, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "pair_score", spying_pair_score)
+    _RUNS[kind][0](records, ngram_backend, _config(kind, 0))
+
+    def still_to_come(i):
+        return {x for rec in records[i:] for pair in _RUNS[kind][1](rec) for x in pair}
+
+    for i, _, memo, _ in seen:
+        assert memo <= still_to_come(i)
+    assert any(inputs & memo for _, inputs, memo, _ in seen)  # reuse happened
+    reuse = seen[-1][3]
+    assert reuse._memo == {} and reuse._last_use == {}
+
+
+def test_failed_request_is_retried_by_next_record(data_dir, ngram_backend):
+    records = bench.load_pairs(data_dir / "pairs.tsv").records
+    flaky = "snow"
+    users = [r.id for r in records if flaky in (r.text_a, r.text_b)]
+    assert len(users) >= 2
+    config = pipeline.CompareConfig(seed=0)
+    report = bench.run_similarity_bench(
+        records, CountingBackend(ngram_backend, fail_once=flaky), config)
+    rows, failures = _reference("pairs", records,
+                                CountingBackend(ngram_backend, fail_once=flaky), config)
+
+    _assert_matches_reference("pairs", report, rows, failures)
+    assert [f["id"] for f in report.failures] == users[:1]
+    assert users[1] in [r["id"] for r in report.per_record]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("score, fields", [
+    ("traj", {}),
+    ("cond_lik", {}),
+    ("d_at_c", {}),
+    ("auc", {"pcode_mode": "lm_code"}),
+    ("auc", {"loss_mode": "generative"}),
+], ids=["traj", "condlik", "d_at_c", "lm_code", "generative"])
+def test_reuse_matches_reference_for_every_score_kind(data_dir, ngram_backend, score,
+                                                      fields, seed):
+    for kind in ("pairs", "choice"):
+        records = _records(kind, "ngram", data_dir)
+        config = _config(kind, seed, samples_per_input=10, max_tokens=10, **fields)
+        report = _RUNS[kind][0](records, ngram_backend, config, score=score)
+        _assert_matches_reference(
+            kind, report, *_reference(kind, records, ngram_backend, config, score))

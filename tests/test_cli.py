@@ -125,6 +125,22 @@ def test_bad_lambda_grid(capsys, fixture_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:nan:5", "nan:5:3", "0:inf:5", "-inf:0:3"])
+def test_non_finite_lambda_grid_exits_2(capsys, fixture_path, grid):
+    code, _, err = run(capsys, "--backend", "table", "--fixture", fixture_path,
+                       "compare", "img_sunset", "cap_positive", f"--lambda={grid}")
+    assert code == 2
+    assert err == f"error: lambda grid start and stop must be finite, got {grid!r}\n"
+
+
+@pytest.mark.parametrize("temperature", ["0", "-1", "nan", "inf"])
+def test_bad_temperature_exits_1(capsys, model_path, temperature):
+    code, _, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
+                       "--temperature", temperature)
+    assert code == 1
+    assert err == "error: temperature must be finite and positive\n"
+
+
 def test_bad_cmax(capsys, fixture_path):
     code, _, err = run(capsys, "--backend", "table", "--fixture", fixture_path,
                        "compare", "img_sunset", "cap_positive",
@@ -266,6 +282,20 @@ def test_bench_capacity_usage_errors(capsys, model_path, score, capacity, error)
                        "--capacity", capacity)
     assert code == 2
     assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("kind, data", [("pairs", "pairs.tsv"),
+                                        ("choice", "choices.tsv")])
+def test_bench_csv_matches_recorded(capsys, model_path, tmp_path, kind, data):
+    # recorded before the bench loops reused draws and rescores within a run
+    out = tmp_path / "rep.json"
+    code, _, _ = run(capsys, "--model", model_path, "--seed", "0", "--out", str(out),
+                     "bench", kind, str(DATA / data))
+    assert code == 0
+    recorded = os.path.join(os.path.dirname(__file__), "data",
+                            f"bench_{kind}_seed0.csv")
+    with open(recorded, "rb") as want, open(tmp_path / "rep.csv", "rb") as got:
+        assert got.read() == want.read()
 
 
 def test_bench_reports_skipped_lines(capsys, model_path, tmp_path):

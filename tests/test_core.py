@@ -111,6 +111,9 @@ def test_trace_grid_validation():
         core.trace_rate_curve(batch, [1.0, 0.5])
     with pytest.raises(InvalidBatchError):
         core.trace_rate_curve(batch, [-1.0, 0.5])
+    for grid in ([0.0, math.nan, 2.0], [0.0, 1.0, math.inf]):
+        with pytest.raises(InvalidBatchError, match="lambda grid must be finite"):
+            core.trace_rate_curve(batch, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,26 @@ def test_config_validation():
         CompareConfig(pcode_mode="bogus")
     with pytest.raises(ValueError):
         CompareConfig(loss_mode="bogus")
+    for temperature in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            CompareConfig(temperature=temperature)
+
+
+def test_compare_rejects_non_finite_lambda_grid(ngram_backend):
+    config = CompareConfig(samples_per_input=5, max_tokens=5,
+                           lambda_grid=(0.0, math.nan, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="lambda grid must be finite"):
+            pipeline.compare("rain", "iron", ngram_backend, config)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
+def test_rank_seed_equals_inline_expression(seed):
+    for rank in (0, 1):
+        got = pipeline._rank_seed(seed, rank)
+        assert type(got) is int
+        assert got == int(np.random.default_rng([seed, rank]).integers(2**31))
 
 
 # ---------------------------------------------------------------------------
