@@ -19,6 +19,11 @@ __all__ = ["main", "build_parser"]
 
 LN2 = math.log(2.0)
 
+#: Most points a --lambda grid may have. The config keeps the grid as a tuple
+#: of floats, about 40 MB at this count; a larger count is refused as a usage
+#: error instead of failing to allocate.
+MAX_LAMBDA_POINTS = 10**6
+
 
 class UsageError(ValueError):
     """Bad flags or unusable configuration; maps to exit code 2."""
@@ -37,7 +42,21 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
         raise UsageError(f"lambda grid start and stop must be finite, got {text!r}")
     if count < 2 or stop <= start or start < 0:
         raise UsageError("lambda grid needs start >= 0, stop > start, count >= 2")
+    if count > MAX_LAMBDA_POINTS:
+        raise UsageError(
+            f"lambda grid count must be <= {MAX_LAMBDA_POINTS}, got {count}")
     return tuple(np.linspace(start, stop, count))
+
+
+def _count(text: str) -> int:
+    """An argparse type for count flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _parse_cmax(text: str) -> float | None:
@@ -230,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="distance curve and AUC for a pair")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--max-tokens", type=int, default=20)
+    p.add_argument("--samples", type=_count, default=20)
+    p.add_argument("--max-tokens", type=_count, default=20)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--lambda", dest="lambda_grid", default="0:100:200")
     p.add_argument("--cmax", default="auto")
@@ -245,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score", choices=("auc", "dc", "traj", "condlik"),
                    default="auc")
     p.add_argument("--capacity", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--max-tokens", type=int)
+    p.add_argument("--samples", type=_count)
+    p.add_argument("--max-tokens", type=_count)
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("ncd-demo", help="compression-distance noise experiment")
@@ -267,10 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("describe", help="best single description per capacity")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--atoms", type=int, default=40)
-    p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--max-atoms", type=int, default=10)
-    p.add_argument("--max-tokens", type=int, default=40)
+    p.add_argument("--atoms", type=_count, default=40)
+    p.add_argument("--beam", type=_count, default=8)
+    p.add_argument("--max-atoms", type=_count, default=10)
+    p.add_argument("--max-tokens", type=_count, default=40)
     p.set_defaults(func=_cmd_describe)
     return parser
 

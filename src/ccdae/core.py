@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -23,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "Hypothesis",
+    "LabelledHypotheses",
     "ScoredBatch",
     "CapacityCurve",
     "DistanceCurve",
@@ -75,6 +77,43 @@ class Hypothesis:
             raise InvalidBatchError("hypothesis has no tokens")
 
 
+def _columns(hypotheses: Sequence[Hypothesis]) -> tuple[np.ndarray, np.ndarray]:
+    """The log_pcode and log_proposal columns of a hypothesis sequence."""
+    if isinstance(hypotheses, LabelledHypotheses):
+        return hypotheses.log_pcode, hypotheses.log_proposal
+    return (np.array([h.log_pcode for h in hypotheses], dtype=float),
+            np.array([h.log_proposal for h in hypotheses], dtype=float))
+
+
+class LabelledHypotheses(Sequence):
+    """Single-token hypotheses held as columns; an entry is built when read.
+
+    Entry j is ``Hypothesis(tokens=(labels[j],), text=labels[j],
+    log_pcode=float(log_pcode[j]), log_proposal=float(log_proposal[j]))``.
+    A :class:`ScoredBatch` takes its columns from here as they are, so a
+    batch over a finite table never builds a ``Hypothesis`` it is not asked
+    for.
+    """
+
+    def __init__(self, labels, log_pcode: np.ndarray, log_proposal: np.ndarray):
+        self.labels = labels
+        self.log_pcode = np.asarray(log_pcode, dtype=float)
+        self.log_proposal = np.asarray(log_proposal, dtype=float)
+        if not self.log_pcode.shape == self.log_proposal.shape == (len(labels),):
+            raise InvalidBatchError("one log_pcode and log_proposal per label")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[k] for k in range(*j.indices(len(self)))]
+        label = self.labels[j]
+        return Hypothesis(tokens=(label,), text=label,
+                          log_pcode=float(self.log_pcode[j]),
+                          log_proposal=float(self.log_proposal[j]))
+
+
 @dataclass
 class ScoredBatch:
     """Per-pair evaluation matrix for a set of sampled hypotheses.
@@ -87,14 +126,22 @@ class ScoredBatch:
     ``counts`` proportional to the proposal probabilities reproduces exact
     expectations ("exact mode"). ``log_conditionals`` optionally stores
     log p(h|x_i) rows for baselines that need the raw conditionals.
+
+    The kernel reads the columns ``log_pcode`` and ``log_proposal``, float64
+    arrays with one entry per hypothesis, built once here. ``hypotheses``
+    may be a list, or a :class:`LabelledHypotheses` whose columns are used
+    as they are and whose ``Hypothesis`` objects are built only when read,
+    as the oracle's batches are.
     """
 
-    hypotheses: list[Hypothesis]
+    hypotheses: Sequence[Hypothesis]
     loss: np.ndarray
     mode: str = "encoder_only"
     counts: np.ndarray | None = None
     log_conditionals: np.ndarray | None = None
     dropped: int = 0
+    log_pcode: np.ndarray = field(init=False, repr=False)
+    log_proposal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.loss = np.asarray(self.loss, dtype=float)
@@ -106,8 +153,9 @@ class ScoredBatch:
             raise InvalidBatchError("batch needs at least 2 hypotheses")
         if not np.all(np.isfinite(self.loss)):
             raise InvalidBatchError("loss matrix contains non-finite entries")
-        extra = [(h.log_pcode, h.log_proposal) for h in self.hypotheses]
-        if not np.all(np.isfinite(extra)):
+        self.log_pcode, self.log_proposal = _columns(self.hypotheses)
+        if not (np.all(np.isfinite(self.log_pcode))
+                and np.all(np.isfinite(self.log_proposal))):
             raise InvalidBatchError("hypothesis log-probs contain non-finite entries")
         if self.mode not in ("generative", "encoder_only"):
             raise InvalidBatchError(f"unknown loss mode {self.mode!r}")
@@ -129,7 +177,7 @@ class ScoredBatch:
     @classmethod
     def from_columns(
         cls,
-        hypotheses: list[Hypothesis],
+        hypotheses: Sequence[Hypothesis],
         loss: np.ndarray,
         mode: str = "encoder_only",
         counts: np.ndarray | None = None,
@@ -141,10 +189,9 @@ class ScoredBatch:
         columns are removed up front and counted in ``dropped``.
         """
         loss = np.asarray(loss, dtype=float)
-        extra = np.column_stack(
-            [[h.log_pcode, h.log_proposal] for h in hypotheses]
-        )
-        keep = np.isfinite(loss).all(axis=0) & np.isfinite(extra).all(axis=0)
+        log_pcode, log_proposal = _columns(hypotheses)
+        keep = (np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode)
+                & np.isfinite(log_proposal))
         n_drop = int((~keep).sum())
         if n_drop:
             warnings.warn(f"dropping {n_drop} hypotheses with non-finite scores")
@@ -284,12 +331,17 @@ def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
     ``log1p`` (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021).
     The steps, down to the zeros left where the maxima were so that the
     pairwise summation groups the terms alike, are those of the reference
-    logsumexp in the tests, which this equals bit for bit.
+    logsumexp in the tests, which this equals bit for bit. The shifted
+    block is exped in place and the maxima's slots are then zeroed, which
+    is what exp(-inf) gives there.
     """
     top = u.max(axis=1, keepdims=True)
     at_top = u == top
     m = at_top.sum(axis=1, keepdims=True, dtype=float)
-    s = np.exp(np.where(at_top, -np.inf, u) - top).sum(axis=1, keepdims=True)
+    e = np.subtract(u, top)
+    np.exp(e, out=e)
+    e[at_top] = 0.0
+    s = e.sum(axis=1, keepdims=True)
     return np.log1p(s / m) + np.log(m) + top
 
 
@@ -301,19 +353,29 @@ def _gibbs_trace(
     weights = softmax(-lam*loss[target] + log p_code - log proposal
     + log counts), stabilized inside logsumexp. A block holds at most
     ``_BLOCK_ELEMENTS`` logits, so memory stays flat however wide the batch.
+    The logits are built in one buffer, added in the order written above,
+    and that buffer then holds the weights.
     """
     _check_target(batch, target)
-    extra = np.array([h.log_pcode - h.log_proposal for h in batch.hypotheses])
+    extra = batch.log_pcode - batch.log_proposal
     log_counts = np.log(batch.counts)
+    loss = batch.loss[target]
     per_block = max(1, _BLOCK_ELEMENTS // batch.n_hypotheses)
     expected = np.empty((batch.loss.shape[0], grid.size))
     log_z = np.empty(grid.size)
     weights = np.empty((grid.size, batch.n_hypotheses)) if keep_weights else None
+    buf = np.empty((min(per_block, grid.size), batch.n_hypotheses))
     for start in range(0, grid.size, per_block):
         block = slice(start, start + per_block)
-        u = (-grid[block, None] * batch.loss[target] + extra) + log_counts
+        lams = grid[block, None]
+        u = buf[: lams.shape[0]]
+        np.multiply(-lams, loss, out=u)
+        u += extra
+        u += log_counts
         lse = _logsumexp_rows(u)
-        w = np.exp(u - lse)
+        w = u  # the logits are spent: the weights overwrite them
+        w -= lse
+        np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
         for s, row in enumerate(batch.loss):
             # vecdot rounds as one dot per lambda does; a matmul would not.

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DistanceCurve, Hypothesis, ScoredBatch, curve_from_traces,
-                   default_lambda_grid)
+from .core import (DistanceCurve, LabelledHypotheses, ScoredBatch, _validate_grid,
+                   curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -121,19 +121,6 @@ class FiniteHypothesisTable:
             return cls.loads(fh.read())
 
 
-def _table_hypotheses(table: FiniteHypothesisTable, log_proposal: np.ndarray):
-    log_pcode = -table.code_lengths
-    return [
-        Hypothesis(
-            tokens=(label,),
-            text=label,
-            log_pcode=float(log_pcode[j]),
-            log_proposal=float(log_proposal[j]),
-        )
-        for j, label in enumerate(table.labels)
-    ]
-
-
 def proposal_batch(
     table: FiniteHypothesisTable,
     n_draws: int,
@@ -155,17 +142,12 @@ def proposal_batch(
     rng = np.random.default_rng(seed)
     draws = rng.choice(table.n_hypotheses, size=n_draws, p=proposal)
     idx, counts = np.unique(draws, return_counts=True)
-    hyps = [
-        Hypothesis(
-            tokens=(table.labels[j],),
-            text=table.labels[j],
-            log_pcode=float(-table.code_lengths[j]),
-            log_proposal=float(np.log(proposal[j])),
-        )
-        for j in idx
-    ]
     return ScoredBatch(
-        hypotheses=hyps,
+        hypotheses=LabelledHypotheses(
+            [table.labels[j] for j in idx.tolist()],
+            -table.code_lengths[idx],
+            np.log(proposal[idx]),
+        ),
         loss=table.loss[:, idx],
         mode="generative",
         counts=counts.astype(float),
@@ -182,7 +164,8 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
     mass = np.exp(-table.code_lengths)
     proposal = mass / mass.sum()
     return ScoredBatch(
-        hypotheses=_table_hypotheses(table, np.log(proposal)),
+        hypotheses=LabelledHypotheses(
+            table.labels, -table.code_lengths, np.log(proposal)),
         loss=table.loss.copy(),
         mode="generative",
         counts=proposal,
@@ -288,7 +271,7 @@ def exact_distance_curve(
     c_max: float | None = None,
 ) -> DistanceCurve:
     """Exact counterpart of :func:`ccdae.core.distance_curve`."""
-    grid = default_lambda_grid() if lambda_grid is None else np.asarray(lambda_grid, float)
+    grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
     for k, lam in enumerate(grid):
         for s, (i, j) in enumerate((pair, pair[::-1])):

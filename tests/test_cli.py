@@ -133,6 +133,43 @@ def test_non_finite_lambda_grid_exits_2(capsys, fixture_path, grid):
     assert err == f"error: lambda grid start and stop must be finite, got {grid!r}\n"
 
 
+def test_lambda_grid_count_is_bounded(capsys, model_path):
+    count = cli.MAX_LAMBDA_POINTS + 1
+    code, _, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
+                       "--lambda", f"0:1:{count}")
+    assert code == 2
+    assert err == f"error: lambda grid count must be <= {cli.MAX_LAMBDA_POINTS}, got {count}\n"
+    code, _, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
+                       "--lambda", "0:1:1000000000000")
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compare", "rain", "iron", "--samples", "0"),
+    ("compare", "rain", "iron", "--max-tokens", "0"),
+    ("compare", "rain", "iron", "--samples", "-2"),
+    ("bench", "pairs", str(DATA / "pairs.tsv"), "--samples", "0"),
+    ("bench", "choice", str(DATA / "choices.tsv"), "--max-tokens", "0"),
+    ("describe", "rain", "iron", "--atoms", "0"),
+    ("describe", "rain", "iron", "--beam", "0"),
+    ("describe", "rain", "iron", "--max-atoms", "0"),
+    ("describe", "rain", "iron", "--max-tokens", "0"),
+])
+def test_count_flags_below_one_exit_2(capsys, model_path, argv):
+    code, out, err = run(capsys, "--model", model_path, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-2]}: must be >= 1, got {argv[-1]}" in err
+
+
+def test_count_flag_not_an_integer_exits_2(capsys, model_path):
+    code, _, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
+                       "--samples", "two")
+    assert code == 2
+    assert "argument --samples: invalid int value: 'two'" in err
+
+
 @pytest.mark.parametrize("temperature", ["0", "-1", "nan", "inf"])
 def test_bad_temperature_exits_1(capsys, model_path, temperature):
     code, _, err = run(capsys, "--model", model_path, "compare", "rain", "iron",

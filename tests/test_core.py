@@ -438,3 +438,134 @@ def test_distance_curve_memory_stays_blocked():
         tracemalloc.stop()
     # an unblocked 200 x 10,000 trace peaks near 100 MB
     assert peak < 8 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the kernel is bit-identical to the one it replaced
+
+
+def _previous_logsumexp_rows(u):
+    """The kernel's logsumexp before it exped in place, verbatim."""
+    top = u.max(axis=1, keepdims=True)
+    at_top = u == top
+    m = at_top.sum(axis=1, keepdims=True, dtype=float)
+    s = np.exp(np.where(at_top, -np.inf, u) - top).sum(axis=1, keepdims=True)
+    return np.log1p(s / m) + np.log(m) + top
+
+
+def _previous_gibbs_trace(batch, grid, target, keep_weights=False):
+    """The kernel before the columnar batch and the one logits buffer, verbatim."""
+    core._check_target(batch, target)
+    extra = np.array([h.log_pcode - h.log_proposal for h in batch.hypotheses])
+    log_counts = np.log(batch.counts)
+    per_block = max(1, core._BLOCK_ELEMENTS // batch.n_hypotheses)
+    expected = np.empty((batch.loss.shape[0], grid.size))
+    log_z = np.empty(grid.size)
+    weights = np.empty((grid.size, batch.n_hypotheses)) if keep_weights else None
+    for start in range(0, grid.size, per_block):
+        block = slice(start, start + per_block)
+        u = (-grid[block, None] * batch.loss[target] + extra) + log_counts
+        lse = _previous_logsumexp_rows(u)
+        w = np.exp(u - lse)
+        w /= w.sum(axis=1, keepdims=True)
+        for s, row in enumerate(batch.loss):
+            expected[s, block] = np.vecdot(w, row)
+        log_z[block] = lse[:, 0] - math.log(batch.n_draws)
+        if keep_weights:
+            weights[block] = w
+    capacity = -grid * expected[target] - log_z
+    capacity[(-core._CAPACITY_CLAMP <= capacity) & (capacity < 0.0)] = 0.0
+    return core._Trace(capacity, expected, log_z, weights)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _tied_batch(rng, n_hyp):
+    """Integer losses and a constant correction, so logits tie at the maximum."""
+    hyps = [Hypothesis(tokens=(f"h{j}",), text=f"h{j}", log_pcode=-1.5,
+                       log_proposal=-0.5) for j in range(n_hyp)]
+    return ScoredBatch(hypotheses=hyps, loss=rng.integers(0, 3, (2, n_hyp)),
+                       counts=rng.integers(1, 3, n_hyp).astype(float))
+
+
+def _assert_trace_bits(batch, grid):
+    for target in (0, 1):
+        for keep in (False, True):
+            got = core._gibbs_trace(batch, grid, target, keep_weights=keep)
+            want = _previous_gibbs_trace(batch, grid, target, keep_weights=keep)
+            assert _hex(got.capacity) == _hex(want.capacity)
+            assert _hex(got.expected) == _hex(want.expected)
+            assert _hex(got.log_partition) == _hex(want.log_partition)
+            if keep:
+                # every weight, bit for bit (the same test as .hex(), in bulk)
+                assert got.weights.tobytes() == want.weights.tobytes()
+
+
+@pytest.mark.parametrize("n_hyp, block_elements", [
+    (2, None), (3, None), (17, None), (1000, None), (12_000, None),
+    # small blocks: one lambda per block, a few, and a short last block
+    (2, 1), (17, 1), (3, 7), (17, 100), (1000, 1000), (1000, 7_000),
+])
+def test_trace_bits_equal_previous_kernel(monkeypatch, n_hyp, block_elements):
+    if block_elements is not None:
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(n_hyp)
+    grid = core.default_lambda_grid()
+    _assert_trace_bits(_random_batch(rng, n_hyp), grid)
+    _assert_trace_bits(_tied_batch(rng, n_hyp), grid)
+    # a grid that leaves a short last block
+    _assert_trace_bits(_random_batch(rng, n_hyp, loss_scale=0.5),
+                       np.linspace(0.0, 7.0, 13))
+
+
+def test_trace_bits_equal_previous_kernel_on_oracle_batches():
+    rng = np.random.default_rng(11)
+    logits = rng.normal(0.0, 1.5, 3000)
+    table = oracle.FiniteHypothesisTable(
+        code_lengths=np.logaddexp.reduce(logits) - logits,
+        loss=rng.gamma(2.0, 1.0, (2, 3000)),
+    )
+    grid = core.default_lambda_grid()
+    _assert_trace_bits(oracle.exact_batch(table), grid)
+    _assert_trace_bits(oracle.proposal_batch(table, 20_000, seed=5), grid)
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 1000, core._BLOCK_ELEMENTS + 3])
+def test_logsumexp_rows_bits_equal_previous(width):
+    rng = np.random.default_rng(width)
+    u = rng.normal(0.0, 30.0, (5, width))
+    u[1] = np.round(u[1])
+    u[2, : min(width, 3)] = u[2].max()
+    u[3] = u[3, 0]
+    before = u.copy()
+    assert _hex(core._logsumexp_rows(u)) == _hex(_previous_logsumexp_rows(u))
+    assert u.tobytes() == before.tobytes()  # the input block is left as it was
+
+
+def test_batch_columns_from_hypothesis_list():
+    rng = np.random.default_rng(2)
+    batch = _random_batch(rng, 50)
+    assert _hex(batch.log_pcode) == _hex([h.log_pcode for h in batch.hypotheses])
+    assert _hex(batch.log_proposal) == _hex(
+        [h.log_proposal for h in batch.hypotheses])
+    swapped = batch.swapped()
+    assert swapped.hypotheses is batch.hypotheses
+    assert _hex(swapped.log_pcode) == _hex(batch.log_pcode)
+
+
+def test_labelled_hypotheses_reads_like_a_list():
+    hyps = core.LabelledHypotheses(("a", "b", "c"), [-1.0, -2.0, -3.0],
+                                   [-0.5, -1.5, -2.5])
+    want = [Hypothesis(tokens=(t,), text=t, log_pcode=pc, log_proposal=pq)
+            for t, pc, pq in zip("abc", (-1.0, -2.0, -3.0), (-0.5, -1.5, -2.5))]
+    assert len(hyps) == 3
+    assert list(hyps) == want
+    assert hyps[-1] == want[-1]
+    assert hyps[1:] == want[1:]
+    assert type(hyps[0].log_pcode) is float
+    with pytest.raises(IndexError):
+        hyps[3]
+    with pytest.raises(InvalidBatchError):
+        core.LabelledHypotheses(("a", "b"), [-1.0], [-1.0, -2.0])

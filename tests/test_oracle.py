@@ -240,3 +240,85 @@ def test_proposal_batch_counts_and_determinism():
     assert a.n_draws == 500
     assert np.array_equal(a.counts, b.counts)
     assert [h.text for h in a.hypotheses] == [h.text for h in b.hypotheses]
+
+
+# ---------------------------------------------------------------------------
+# oracle batches are columnar: the same values, no Hypothesis until read
+
+
+def _benchmark_like_table(size, seed=0):
+    rng = np.random.default_rng([seed, size])
+    logits = rng.normal(0.0, 1.5, size)
+    return FiniteHypothesisTable(
+        code_lengths=-(logits - np.logaddexp.reduce(logits)),
+        loss=0.5 * rng.gamma(2.0, 1.0, size) + 0.5 * rng.gamma(2.0, 1.0, (2, size)),
+    )
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("size", [1000, 3160, 10000])
+def test_batch_columns_equal_per_hypothesis_expressions(size):
+    table = _benchmark_like_table(size)
+    mass = np.exp(-table.code_lengths)
+    proposal = mass / mass.sum()
+
+    batch = oracle.proposal_batch(table, 20000, seed=size)
+    idx = np.unique(np.random.default_rng(size).choice(size, 20000, p=proposal))
+    want = [core.Hypothesis(tokens=(table.labels[j],), text=table.labels[j],
+                            log_pcode=float(-table.code_lengths[j]),
+                            log_proposal=float(np.log(proposal[j])))
+            for j in idx]
+    assert _hex(batch.log_pcode) == _hex(h.log_pcode for h in want)
+    assert _hex(batch.log_proposal) == _hex(h.log_proposal for h in want)
+    assert list(batch.hypotheses) == want
+
+    batch = oracle.exact_batch(table)
+    log_pcode, log_proposal = -table.code_lengths, np.log(proposal)
+    want = [core.Hypothesis(tokens=(label,), text=label,
+                            log_pcode=float(log_pcode[j]),
+                            log_proposal=float(log_proposal[j]))
+            for j, label in enumerate(table.labels)]
+    assert _hex(batch.log_pcode) == _hex(h.log_pcode for h in want)
+    assert _hex(batch.log_proposal) == _hex(h.log_proposal for h in want)
+    assert list(batch.hypotheses) == want
+
+
+def test_oracle_paths_build_no_hypothesis_until_read(monkeypatch):
+    built = []
+    post_init = core.Hypothesis.__post_init__
+
+    def counting(self):
+        built.append(self.text)
+        post_init(self)
+
+    monkeypatch.setattr(core.Hypothesis, "__post_init__", counting)
+    table = _benchmark_like_table(300)
+    grid = np.linspace(0.0, 20.0, 30)
+    batches = [oracle.proposal_batch(table, 2000, seed=1), oracle.exact_batch(table)]
+    for batch in batches + [b.swapped() for b in batches]:
+        core.distance_curve(batch, grid)
+        core.trace_rate_curve(batch, grid, 1)
+        core.gibbs_weights(batch, 1.0, 0)
+        core.intersection_distance(batch, 1.0)
+    oracle.exact_distance_curve(table, lambda_grid=grid)
+    assert built == []
+    assert batches[1].hypotheses[5].text == table.labels[5]
+    assert built == [table.labels[5]]
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([0.0, np.nan, 2.0], "finite"),
+    ([0.0, np.inf], "finite"),
+    ([0.0, 5.0, 2.0, 10.0], "increasing"),
+    ([0.0, 1.0, 1.0], "increasing"),
+    ([-1.0, 0.0, 1.0], "nonnegative"),
+    ([], "empty"),
+])
+def test_exact_distance_curve_validates_grid(separable, grid, match):
+    with pytest.raises(core.InvalidBatchError, match=match):
+        oracle.exact_distance_curve(separable, lambda_grid=grid)
+    with pytest.raises(core.InvalidBatchError, match=match):
+        core.distance_curve(oracle.exact_batch(separable), lambda_grid=grid)
