@@ -134,8 +134,10 @@ class NGramModel:
         if not _is_count(self.order) or self.order < 1:
             raise ValueError(f"order must be an int >= 1, got {self.order!r}")
         alpha = self.smoothing_alpha
-        if not (math.isfinite(alpha) and alpha >= 0):
+        if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+                and math.isfinite(alpha) and alpha >= 0):
             raise ValueError(f"smoothing_alpha must be finite and >= 0, got {alpha!r}")
+        self.smoothing_alpha = float(alpha)
         if not all(isinstance(ctx, str) and isinstance(table, dict)
                    and all(isinstance(s, str) and _is_count(n) for s, n in table.items())
                    for ctx, table in self.counts.items()):
@@ -207,8 +209,8 @@ class NGramModel:
             raise BackendError(f"{path}: unsupported model version")
         try:
             return cls(
-                order=int(doc["order"]),
-                smoothing_alpha=float(doc["alpha"]),
+                order=doc["order"],
+                smoothing_alpha=doc["alpha"],
                 vocabulary=tuple(doc["vocabulary"]),
                 counts={ctx: dict(sym) for ctx, sym in doc["counts"].items()},
             )

@@ -32,6 +32,9 @@ FAILURE_BUDGET = 0.10
 
 SCORE_KINDS = ("auc", "d_at_c", "traj", "cond_lik")
 
+#: The ``CompareConfig`` fields choice mode sets unless told otherwise.
+CHOICE_DEFAULTS = {"samples_per_input": 10, "max_tokens": 10}
+
 #: The ``CompareConfig`` fields a report echoes.
 _ECHOED_CONFIG = ("samples_per_input", "max_tokens", "temperature", "seed",
                   "pcode_mode", "loss_mode")
@@ -309,6 +312,8 @@ def run_similarity_bench(
     backend_id: str = "?",
 ) -> BenchReport:
     """Spearman correlation (x100) of pair scores against human scores."""
+    if len(records) < 2:
+        raise BenchError(f"Spearman needs at least two pairs, got {len(records)}")
     config = config or pipeline.CompareConfig()
 
     def score_record(rec: PairRecord, backend) -> dict:
@@ -332,11 +337,10 @@ def run_choice_bench(
 ) -> BenchReport:
     """Binary-choice accuracy: does the positive look more similar?
 
-    Choice mode defaults to 10 samples of at most 10 tokens per input.
-    Ties count as half a hit.
+    Without a config, choice mode uses ``CHOICE_DEFAULTS``: 10 samples of at
+    most 10 tokens per input. Ties count as half a hit.
     """
-    if config is None:
-        config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10)
+    config = config or pipeline.CompareConfig(**CHOICE_DEFAULTS)
 
     def score_record(rec: ChoiceRecord, backend) -> dict:
         s_pos = pair_score(rec.context, rec.positive, backend, config, score, capacity)

@@ -24,6 +24,12 @@ LN2 = math.log(2.0)
 #: error instead of failing to allocate.
 MAX_LAMBDA_POINTS = 10**6
 
+#: Largest value a count flag (--samples, --max-tokens, --atoms, ...) may take.
+#: Memory grows with the count: on the bundled n-gram model, compare with 10^5
+#: samples of 20 tokens peaks at about 160 MB. A larger count is refused as a
+#: usage error before anything is allocated.
+MAX_COUNT = 10**5
+
 
 class UsageError(ValueError):
     """Bad flags or unusable configuration; maps to exit code 2."""
@@ -49,13 +55,26 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 
 def _count(text: str) -> int:
-    """An argparse type for count flags: an integer >= 1."""
+    """An argparse type for count flags: an integer in [1, MAX_COUNT]."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_COUNT}, got {value}")
+    return value
+
+
+def _temperature(text: str) -> float:
+    """An argparse type for --temperature: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
     return value
 
 
@@ -156,12 +175,15 @@ def _cmd_bench(args) -> int:
     if args.kind == "pairs":
         load, run = bench.load_pairs, bench.run_similarity_bench
     else:
-        config_kwargs.setdefault("samples_per_input", 10)
-        config_kwargs.setdefault("max_tokens", 10)
+        config_kwargs = {**bench.CHOICE_DEFAULTS, **config_kwargs}
         load, run = bench.load_choices, bench.run_choice_bench
     loaded = load(args.data)
-    report = run(loaded.records, backend, config=pipeline.CompareConfig(**config_kwargs),
-                 score=score, capacity=args.capacity, backend_id=args.backend)
+    try:
+        report = run(loaded.records, backend,
+                     config=pipeline.CompareConfig(**config_kwargs), score=score,
+                     capacity=args.capacity, backend_id=args.backend)
+    except bench.BenchError as exc:
+        raise bench.BenchError(f"{args.data}: {exc}") from exc
     print(f"{report.metric_name} {report.metric:.4f}")
     for lineno, reason in loaded.skipped:
         print(f"skipped line {lineno}: {reason}", file=sys.stderr)
@@ -196,7 +218,7 @@ def _cmd_ncd_demo(args) -> int:
 
 
 def _cmd_train_ngram(args) -> int:
-    if not os.path.isfile(args.corpus):
+    if not os.path.exists(args.corpus):
         raise UsageError(f"corpus not found: {args.corpus}")
     with open(args.corpus, encoding="utf-8") as fh:
         corpus = fh.read()
@@ -251,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--max-tokens", type=_count, default=20)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_temperature, default=1.0)
     p.add_argument("--lambda", dest="lambda_grid", default="0:100:200")
     p.add_argument("--cmax", default="auto")
     p.add_argument("--pcode", choices=("proposal", "lm"), default="proposal")

@@ -1,9 +1,10 @@
 """Exact brute-force computations over finite hypothesis tables.
 
 Ground truth for the importance-sampling estimators in :mod:`ccdae.core`:
-everything here enumerates the full table and normalizes explicitly, with
-no shared estimator code, so the two routes stay independent. Only the
-curve tail (c_max check, interpolation, AUC) is shared with the estimator.
+everything here enumerates the full table, normalizes explicitly and takes
+the KL as an explicit sum, with no shared estimator code, so the two routes
+stay independent. Only the curve tail (c_max check, interpolation, AUC) and
+the block size of the lambda trace are shared with the estimator.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DistanceCurve, LabelledHypotheses, ScoredBatch, _validate_grid,
-                   curve_from_traces, default_lambda_grid)
+from .core import (_BLOCK_ELEMENTS, DistanceCurve, LabelledHypotheses, ScoredBatch,
+                   _validate_grid, curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -89,13 +90,8 @@ class FiniteHypothesisTable:
     # repr() so the round trip is bit-exact.
 
     def dumps(self) -> str:
-        lines = [
-            " ".join(self.labels),
-            " ".join(repr(float(v)) for v in self.code_lengths),
-        ]
-        for row in self.loss:
-            lines.append(" ".join(repr(float(v)) for v in row))
-        return "\n".join(lines) + "\n"
+        rows = [" ".join(repr(float(v)) for v in row) for row in (self.code_lengths, *self.loss)]
+        return "\n".join([" ".join(self.labels), *rows]) + "\n"
 
     @classmethod
     def loads(cls, text: str) -> "FiniteHypothesisTable":
@@ -172,38 +168,57 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
     )
 
 
-def exact_gibbs(table: FiniteHypothesisTable, sample: int, lam: float) -> np.ndarray:
-    """Normalized q_j proportional to exp(-code_length_j - lam*loss_j)."""
+def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray) -> tuple:
+    """Gibbs rows q[k] proportional to exp(-code_lengths - lams[k]*loss[sample])
+    and KL(q[k] || exp(-code_lengths)) >= 0, with log q = shifted logits - log Z
+    (no log of q, so a q that underflows to 0 adds exactly 0 to the KL).
+    """
+    u = -table.code_lengths - lams[:, None] * table.loss[sample]
+    u -= u.max(axis=1, keepdims=True)
+    # a logit that overflowed to -inf has q == 0: keep its log q finite so it adds 0
+    np.maximum(u, np.finfo(float).min, out=u)
+    q = np.exp(u)
+    z = q.sum(axis=1, keepdims=True)
+    q /= z
+    u -= np.log(z)
+    u += table.code_lengths
+    return q, np.maximum(np.vecdot(q, u), 0.0)
+
+
+def _gibbs_point(table: FiniteHypothesisTable, sample: int, lam: float) -> tuple:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    logw = -table.code_lengths - lam * table.loss[sample]
-    logw = logw - logw.max()
-    w = np.exp(logw)
-    return w / w.sum()
+    q, kl = _gibbs_rows(table, sample, np.array([float(lam)]))
+    return q[0], float(kl[0])
 
 
-def exact_expected_loss(table: FiniteHypothesisTable, sample: int, lam: float) -> float:
-    q = exact_gibbs(table, sample, lam)
-    return float(q @ table.loss[sample])
+def exact_gibbs(table: FiniteHypothesisTable, sample: int, lam: float) -> np.ndarray:
+    """Normalized q_j proportional to exp(-code_length_j - lam*loss_j)."""
+    return _gibbs_point(table, sample, lam)[0]
+
+
+def exact_capacity(table: FiniteHypothesisTable, sample: int, lam: float) -> float:
+    """KL(q || exp(-code_lengths)) in nats; >= 0 for sub-probability codes."""
+    return _gibbs_point(table, sample, lam)[1]
 
 
 def exact_cross_expected_loss(
     table: FiniteHypothesisTable, source: int, target: int, lam: float
 ) -> float:
-    q = exact_gibbs(table, source, lam)
-    return float(q @ table.loss[target])
+    return float(exact_gibbs(table, source, lam) @ table.loss[target])
 
 
-def exact_capacity(table: FiniteHypothesisTable, sample: int, lam: float) -> float:
-    """KL(q || exp(-code_lengths)) in nats; >= 0 for sub-probability codes."""
-    q = exact_gibbs(table, sample, lam)
-    nz = q > 0
-    kl = float(np.sum(q[nz] * (np.log(q[nz]) + table.code_lengths[nz])))
-    return max(kl, 0.0)
+def exact_expected_loss(table: FiniteHypothesisTable, sample: int, lam: float) -> float:
+    return exact_cross_expected_loss(table, sample, sample, lam)
 
 
 def _feasible(table: FiniteHypothesisTable, capacity: float) -> np.ndarray:
-    return np.flatnonzero(table.code_lengths <= capacity + 1e-12)
+    """Hypotheses with code length <= capacity; a Dirac's KL is its code length."""
+    feas = np.flatnonzero(table.code_lengths <= capacity + 1e-12)
+    if feas.size == 0:
+        raise NoFeasibleDescriptionError(
+            f"no hypothesis (or Dirac) with code length <= {capacity:.6g}")
+    return feas
 
 
 def solve_discrete_description(
@@ -213,15 +228,8 @@ def solve_discrete_description(
 
     Ties break toward smaller code length, then lower index.
     """
-    feas = _feasible(table, capacity)
-    if feas.size == 0:
-        raise NoFeasibleDescriptionError(
-            f"no hypothesis with code length <= {capacity:.6g}"
-        )
-    keys = sorted(
-        feas, key=lambda j: (table.loss[sample][j], table.code_lengths[j], j)
-    )
-    return int(keys[0])
+    return int(min(_feasible(table, capacity),
+                   key=lambda j: (table.loss[sample][j], table.code_lengths[j], j)))
 
 
 def structure_function(
@@ -229,10 +237,6 @@ def structure_function(
 ) -> float:
     """Two-part code value: min over feasible h of loss + code length."""
     feas = _feasible(table, capacity)
-    if feas.size == 0:
-        raise NoFeasibleDescriptionError(
-            f"no hypothesis with code length <= {capacity:.6g}"
-        )
     return float(np.min(table.loss[sample][feas] + table.code_lengths[feas]))
 
 
@@ -244,12 +248,7 @@ def dirac_restricted_optimum(
     A Dirac on h_j has KL(delta || p_code) = code_length_j, so this is
     the same feasible set as the discrete problem; returned is the loss.
     """
-    feas = _feasible(table, capacity)
-    if feas.size == 0:
-        raise NoFeasibleDescriptionError(
-            f"no Dirac with KL <= {capacity:.6g}"
-        )
-    return float(np.min(table.loss[sample][feas]))
+    return float(np.min(table.loss[sample][_feasible(table, capacity)]))
 
 
 def exact_intersection_distance(
@@ -270,17 +269,17 @@ def exact_distance_curve(
     capacity_grid_size: int = 100,
     c_max: float | None = None,
 ) -> DistanceCurve:
-    """Exact counterpart of :func:`ccdae.core.distance_curve`."""
+    """Exact counterpart of :func:`ccdae.core.distance_curve`, in blocks of lambdas."""
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
+    per_block = max(1, _BLOCK_ELEMENTS // table.n_hypotheses)
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
-    for k, lam in enumerate(grid):
-        for s, (i, j) in enumerate((pair, pair[::-1])):
-            q = exact_gibbs(table, i, float(lam))
-            nz = q > 0
-            kl = float(np.sum(q[nz] * (np.log(q[nz]) + table.code_lengths[nz])))
-            cap[s, k] = max(kl, 0.0)
-            beta[s, k] = float(q @ table.loss[i])
-            cross[s, k] = float(q @ table.loss[j])
+    for s, (i, j) in enumerate((pair, pair[::-1])):
+        for start in range(0, grid.size, per_block):
+            block = slice(start, start + per_block)
+            q, cap[s, block] = _gibbs_rows(table, i, grid[block])
+            # vecdot rounds as one dot per lambda does; a matmul would not.
+            beta[s, block] = np.vecdot(q, table.loss[i])
+            cross[s, block] = np.vecdot(q, table.loss[j])
     return curve_from_traces(
         cap, beta, cross, grid, capacity_grid_size, c_max, mode="generative"
     )

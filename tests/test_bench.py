@@ -152,6 +152,17 @@ def test_similarity_bench_constructed_monotone(ngram_backend, quick_config):
     assert rep2.metric == pytest.approx(-100.0)
 
 
+def test_similarity_bench_refuses_one_pair_before_scoring(monkeypatch, quick_config):
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("a pair was scored")
+
+    monkeypatch.setattr(bench, "pair_score", no_scoring)
+    one = [PairRecord(id="r1", text_a="rain", text_b="iron", human_score=1.0)]
+    for records in (one, []):
+        with pytest.raises(BenchError, match="Spearman needs at least two pairs"):
+            bench.run_similarity_bench(records, None, quick_config)
+
+
 def test_similarity_bench_failure_budget(ngram_backend, quick_config):
     records = [
         PairRecord(id="ok", text_a="rain", text_b="iron", human_score=1.0),
@@ -170,7 +181,9 @@ def test_bench_loops_let_program_errors_through(ngram_backend, quick_config,
         raise ZeroDivisionError("bug in core")
 
     monkeypatch.setattr(pipeline, "distance_curve", broken)
-    pairs = [PairRecord(id="0", text_a="rain", text_b="iron", human_score=1.0)]
+    # two pairs: the similarity bench refuses one before it scores anything
+    pairs = [PairRecord(id="0", text_a="rain", text_b="iron", human_score=1.0),
+             PairRecord(id="1", text_a="rain", text_b="dust", human_score=2.0)]
     with pytest.raises(ZeroDivisionError):
         bench.run_similarity_bench(pairs, ngram_backend, quick_config)
     choices = [ChoiceRecord(id="0", context="rain", positive="dust", negative="iron")]

@@ -170,12 +170,51 @@ def test_count_flag_not_an_integer_exits_2(capsys, model_path):
     assert "argument --samples: invalid int value: 'two'" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("compare", "rain", "iron", "--samples"),
+    ("compare", "rain", "iron", "--max-tokens"),
+    ("bench", "pairs", str(DATA / "pairs.tsv"), "--samples"),
+    ("bench", "choice", str(DATA / "choices.tsv"), "--max-tokens"),
+    ("describe", "rain", "iron", "--atoms"),
+    ("describe", "rain", "iron", "--beam"),
+    ("describe", "rain", "iron", "--max-atoms"),
+    ("describe", "rain", "iron", "--max-tokens"),
+])
+def test_count_flags_above_bound_exit_2_before_any_backend(capsys, monkeypatch,
+                                                           model_path, argv):
+    def no_backend(args):
+        raise AssertionError("the backend was built")
+
+    monkeypatch.setattr(cli, "_make_backend", no_backend)
+    count = cli.MAX_COUNT + 1
+    code, out, err = run(capsys, "--model", model_path, *argv, str(count))
+    assert code == 2
+    assert out == ""
+    assert f"argument {argv[-1]}: must be <= {cli.MAX_COUNT}, got {count}" in err
+    assert cli._count(str(cli.MAX_COUNT)) == cli.MAX_COUNT
+
+
 @pytest.mark.parametrize("temperature", ["0", "-1", "nan", "inf"])
-def test_bad_temperature_exits_1(capsys, model_path, temperature):
-    code, _, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
-                       "--temperature", temperature)
+def test_bad_temperature_exits_2(capsys, model_path, temperature):
+    code, out, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
+                         "--temperature", temperature)
+    assert code == 2
+    assert out == ""
+    assert (f"argument --temperature: must be finite and positive, got {temperature}"
+            in err)
+
+
+@pytest.mark.parametrize("fields", [
+    {"order": True}, {"order": 2.9}, {"order": 2.0}, {"order": "3"}, {"order": None},
+    {"alpha": True}, {"alpha": "0.5"}, {"alpha": None}, {"alpha": [0.5]},
+], ids=lambda f: "-".join(f"{k}={v!r}" for k, v in f.items()))
+def test_model_file_fields_must_have_their_types(capsys, tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(_ngram_doc(**fields))
+    code, out, err = run(capsys, "--model", str(path), "compare", "a", "b")
     assert code == 1
-    assert err == "error: temperature must be finite and positive\n"
+    assert out == ""
+    assert err.startswith(f"error: {path}: malformed model file")
 
 
 def test_bad_cmax(capsys, fixture_path):
@@ -364,6 +403,15 @@ def test_runtime_needs_no_scipy(data_dir, tmp_path):
     assert proc.stdout.startswith("spearman_x100 ")
 
 
+def test_bench_pairs_with_one_record_names_the_file(capsys, model_path, tmp_path):
+    data = tmp_path / "pairs.tsv"
+    data.write_text("id\ttext_a\ttext_b\tscore\nr1\train\tiron\t1.0\n")
+    code, out, err = run(capsys, "--model", model_path, "bench", "pairs", str(data))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {data}: Spearman needs at least two pairs, got 1\n"
+
+
 def test_bench_missing_data_file(capsys, model_path):
     code, _, _ = run(capsys, "--model", model_path, "bench", "pairs",
                      "/no/such/data.tsv")
@@ -417,6 +465,12 @@ def test_train_ngram_empty_corpus(capsys, tmp_path):
     corpus.write_text("\n\n")
     code, _, err = run(capsys, "train-ngram", str(corpus))
     assert code == 2
+    assert err == "error: empty corpus\n"
+    # a path that exists but is not a regular file is read too
+    code, _, err = run(capsys, "--out", str(tmp_path / "m.json"), "train-ngram",
+                       os.devnull)
+    assert code == 2
+    assert err == "error: empty corpus\n"
 
 
 def test_train_ngram_negative_alpha(capsys, tmp_path):
@@ -431,6 +485,7 @@ def test_train_ngram_negative_alpha(capsys, tmp_path):
 def test_train_ngram_missing_corpus(capsys):
     code, _, err = run(capsys, "train-ngram", "/no/such/corpus.txt")
     assert code == 2
+    assert err == "error: corpus not found: /no/such/corpus.txt\n"
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,11 @@ def test_exact_capacity_values(pair_table):
 
 def test_discrete_empty_feasible_set():
     t = FiniteHypothesisTable(code_lengths=[1.0, 3.0], loss=[[5.0, 1.0]])
-    with pytest.raises(NoFeasibleDescriptionError):
-        oracle.solve_discrete_description(t, 0, 0.5)
+    for solver in (oracle.solve_discrete_description, oracle.structure_function,
+                   oracle.dirac_restricted_optimum):
+        with pytest.raises(NoFeasibleDescriptionError,
+                           match=r"no hypothesis \(or Dirac\) with code length <= 0.5$"):
+            solver(t, 0, 0.5)
 
 
 def test_discrete_infinite_capacity_global_minimizer():
@@ -152,6 +155,53 @@ def test_exact_curve_separable_positive(separable):
     curve = oracle.exact_distance_curve(separable)
     assert curve.distance[-1] > 1.0
     assert np.all(curve.distance >= -1e-12)
+
+
+def test_blocked_curve_equals_curve_of_one_point_views(monkeypatch):
+    # 1,000 hypotheses on the default 200-point grid: 65 lambdas per block,
+    # so the last of the four blocks is partial
+    rng = np.random.default_rng(11)
+    logits = rng.normal(0.0, 1.5, 1000)
+    table = FiniteHypothesisTable(
+        code_lengths=-(logits - np.logaddexp.reduce(logits)),
+        loss=rng.gamma(2.0, 1.0, (2, 1000)))
+    grid = core.default_lambda_grid()
+    assert core._BLOCK_ELEMENTS // table.n_hypotheses == 65
+    cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
+    for s, (i, j) in enumerate(((0, 1), (1, 0))):
+        for k, lam in enumerate(grid):
+            cap[s, k] = oracle.exact_capacity(table, i, lam)
+            beta[s, k] = oracle.exact_expected_loss(table, i, lam)
+            cross[s, k] = oracle.exact_cross_expected_loss(table, i, j, lam)
+    want = core.curve_from_traces(cap, beta, cross, grid, mode="generative")
+    # and with one lambda per block
+    curves = [oracle.exact_distance_curve(table)]
+    monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1)
+    curves.append(oracle.exact_distance_curve(table))
+    for got in curves:
+        for name in ("capacity_grid", "delta_2_to_1", "delta_1_to_2", "distance",
+                     "lambda_grid"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=0, atol=1e-12)
+        assert got.auc == pytest.approx(want.auc, rel=0, abs=1e-12)
+        assert got.c_max == pytest.approx(want.c_max, rel=0, abs=1e-12)
+        assert got.mode == want.mode
+
+
+def test_capacity_equals_masked_log_reference(all_tables):
+    # the KL with log q taken as np.log(q), skipping q == 0
+    for table in all_tables.values():
+        for lam in (0.0, 0.5, 1.0, 10.0, 1e3, 1e6):
+            q = oracle.exact_gibbs(table, 0, lam)
+            nz = q > 0
+            ref = max(float(np.sum(q[nz] * (np.log(q[nz]) + table.code_lengths[nz]))),
+                      0.0)
+            assert oracle.exact_capacity(table, 0, lam) == pytest.approx(
+                ref, rel=1e-12, abs=1e-12)
+    # lam * loss overflows to -inf logits for the worse hypothesis only
+    t = FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=[[1.0, 2.0]])
+    with np.errstate(over="ignore"):
+        assert oracle.exact_capacity(t, 0, 1e308) == LN2
 
 
 def test_exact_curve_cmax_out_of_range_is_typed(separable):
