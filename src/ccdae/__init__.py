@@ -22,7 +22,6 @@ from .backends import (
 from .core import (
     CapacityCurve,
     DistanceCurve,
-    Hypothesis,
     ScoredBatch,
     auc,
     capacity_estimate,
@@ -56,7 +55,6 @@ __all__ = [
     "train_ngram",
     "CapacityCurve",
     "DistanceCurve",
-    "Hypothesis",
     "ScoredBatch",
     "auc",
     "capacity_estimate",

@@ -101,6 +101,19 @@ def _is_count(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
+def _check_denominator(context: str, total: int, width: float) -> None:
+    """A context's row divides by its count total plus alpha * |V|, which
+    must be a positive float: an overflow makes every probability 0, and
+    a zero divides by zero."""
+    try:
+        den = total + width
+    except OverflowError:  # a count total too large for a float
+        den = math.inf
+    if not 0 < den < math.inf:
+        raise ValueError(f"context {context!r}: count total plus smoothing is "
+                         f"{den!r}, not a positive finite float")
+
+
 class _ContextRow(NamedTuple):
     """One context's next-symbol distribution, indexed like the vocabulary."""
 
@@ -120,7 +133,8 @@ class NGramModel:
     only on the context before it: ``context(prefix + s) ==
     context(context(prefix) + s)``. Each context is compiled into a
     :class:`_ContextRow` the first time it is used, so ``counts`` must not
-    change after construction.
+    change after construction. The vocabulary holds distinct strings, EOS
+    among them, and every counted symbol.
     """
 
     order: int
@@ -138,16 +152,27 @@ class NGramModel:
                 and math.isfinite(alpha) and alpha >= 0):
             raise ValueError(f"smoothing_alpha must be finite and >= 0, got {alpha!r}")
         self.smoothing_alpha = float(alpha)
-        if not all(isinstance(ctx, str) and isinstance(table, dict)
-                   and all(isinstance(s, str) and _is_count(n) for s, n in table.items())
-                   for ctx, table in self.counts.items()):
-            raise ValueError("counts must be non-negative ints keyed by strings")
-        orphan = next((ctx for ctx in self.counts
-                       if len(ctx) > 1 and ctx[:-1] not in self.counts), None)
-        if orphan is not None:
-            raise ValueError(f"counts must be prefix-closed: context {orphan!r} "
-                             f"is stored but its prefix {orphan[:-1]!r} is not")
-        self._index = {sym: i for i, sym in enumerate(self.vocabulary)}
+        vocab = self.vocabulary
+        if not (isinstance(vocab, (list, tuple)) and EOS in vocab
+                and all(isinstance(sym, str) for sym in vocab)):
+            raise ValueError(f"vocabulary must be a list of strings with {EOS!r}")
+        self.vocabulary = tuple(vocab)
+        self._index = {sym: i for i, sym in enumerate(vocab)}
+        if len(self._index) != len(vocab):
+            raise ValueError("vocabulary must not repeat a symbol")
+        width = self.smoothing_alpha * len(vocab)
+        for ctx, table in self.counts.items():
+            # a key in the index is a vocabulary symbol, so a string
+            if not (isinstance(ctx, str) and isinstance(table, dict) and all(
+                    s in self._index and _is_count(n) for s, n in table.items())):
+                raise ValueError(f"counts of context {ctx!r} must be non-negative "
+                                 "ints keyed by vocabulary symbols")
+            if len(ctx) > 1 and ctx[:-1] not in self.counts:
+                raise ValueError(f"counts must be prefix-closed: context {ctx!r} "
+                                 f"is stored but its prefix {ctx[:-1]!r} is not")
+            _check_denominator(ctx, sum(table.values()), width)
+        if "" not in self.counts:
+            _check_denominator("", 0, width)
         self._rows = {}
 
     @property
@@ -211,7 +236,7 @@ class NGramModel:
             return cls(
                 order=doc["order"],
                 smoothing_alpha=doc["alpha"],
-                vocabulary=tuple(doc["vocabulary"]),
+                vocabulary=doc["vocabulary"],
                 counts={ctx: dict(sym) for ctx, sym in doc["counts"].items()},
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -30,6 +30,12 @@ MAX_LAMBDA_POINTS = 10**6
 #: usage error before anything is allocated.
 MAX_COUNT = 10**5
 
+#: Largest image side ncd-demo's --dims may give. The disk pattern's index grid
+#: alone takes 16 * side**2 bytes (64 MiB here); a run at this side peaks at
+#: about 165 MB and takes about 2 s. A larger side is refused as a usage error
+#: before anything is allocated.
+MAX_SIDE = 2048
+
 
 class UsageError(ValueError):
     """Bad flags or unusable configuration; maps to exit code 2."""
@@ -85,8 +91,8 @@ def _parse_cmax(text: str) -> float | None:
         value = float(text)
     except ValueError as exc:
         raise UsageError(f"--cmax must be 'auto' or a number, got {text!r}") from exc
-    if value <= 0:
-        raise UsageError("--cmax must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise UsageError(f"--cmax must be finite and positive, got {text!r}")
     return value
 
 
@@ -207,6 +213,9 @@ def _cmd_ncd_demo(args) -> int:
         raise UsageError(f"bad --dims {args.dims!r}: {exc}") from exc
     if not sides:
         raise UsageError("--dims must list at least one side length")
+    if not all(1 <= s <= MAX_SIDE for s in sides):
+        raise UsageError(f"--dims side lengths must be in [1, {MAX_SIDE}], "
+                         f"got {args.dims!r}")
     points = baselines.noise_experiment(
         p=args.p, dimensions=[s * s for s in sides], seed=args.seed,
         use_joint_bound=args.joint_bound,

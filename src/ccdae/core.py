@@ -23,8 +23,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "Hypothesis",
-    "LabelledHypotheses",
     "ScoredBatch",
     "CapacityCurve",
     "DistanceCurve",
@@ -56,68 +54,14 @@ class InvalidBatchError(ValueError):
     """Raised when a ScoredBatch (or an argument) violates a precondition."""
 
 
-@dataclass(frozen=True)
-class Hypothesis:
-    """One candidate description with its coding and proposal log-probs.
-
-    ``log_pcode`` and ``log_proposal`` are totals in nats; both are <= 0
-    whenever the backing models are normalized. ``terminated`` records
-    whether the description ended with an explicit end-of-sequence event
-    (its log-prob is then part of the totals).
-    """
-
-    tokens: tuple[str, ...]
-    text: str
-    log_pcode: float
-    log_proposal: float
-    terminated: bool = True
-
-    def __post_init__(self) -> None:
-        if len(self.tokens) == 0:
-            raise InvalidBatchError("hypothesis has no tokens")
-
-
-def _columns(hypotheses: Sequence[Hypothesis]) -> tuple[np.ndarray, np.ndarray]:
-    """The log_pcode and log_proposal columns of a hypothesis sequence."""
-    if isinstance(hypotheses, LabelledHypotheses):
-        return hypotheses.log_pcode, hypotheses.log_proposal
-    return (np.array([h.log_pcode for h in hypotheses], dtype=float),
-            np.array([h.log_proposal for h in hypotheses], dtype=float))
-
-
-class LabelledHypotheses(Sequence):
-    """Single-token hypotheses held as columns; an entry is built when read.
-
-    Entry j is ``Hypothesis(tokens=(labels[j],), text=labels[j],
-    log_pcode=float(log_pcode[j]), log_proposal=float(log_proposal[j]))``.
-    A :class:`ScoredBatch` takes its columns from here as they are, so a
-    batch over a finite table never builds a ``Hypothesis`` it is not asked
-    for.
-    """
-
-    def __init__(self, labels, log_pcode: np.ndarray, log_proposal: np.ndarray):
-        self.labels = labels
-        self.log_pcode = np.asarray(log_pcode, dtype=float)
-        self.log_proposal = np.asarray(log_proposal, dtype=float)
-        if not self.log_pcode.shape == self.log_proposal.shape == (len(labels),):
-            raise InvalidBatchError("one log_pcode and log_proposal per label")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return [self[k] for k in range(*j.indices(len(self)))]
-        label = self.labels[j]
-        return Hypothesis(tokens=(label,), text=label,
-                          log_pcode=float(self.log_pcode[j]),
-                          log_proposal=float(self.log_proposal[j]))
-
-
 @dataclass
 class ScoredBatch:
     """Per-pair evaluation matrix for a set of sampled hypotheses.
 
+    A batch is its columns, one entry per hypothesis: ``texts`` holds the
+    descriptions, and ``log_pcode`` and ``log_proposal`` their coding and
+    proposal log-probs, totals in nats kept as float64 arrays (both are
+    <= 0 whenever the backing models are normalized).
     ``loss`` has one row per compared sample and one column per
     hypothesis; entries are total reconstruction losses in nats (they may
     be negative in encoder-only mode, where the loss is a log-ratio).
@@ -126,44 +70,41 @@ class ScoredBatch:
     ``counts`` proportional to the proposal probabilities reproduces exact
     expectations ("exact mode"). ``log_conditionals`` optionally stores
     log p(h|x_i) rows for baselines that need the raw conditionals.
-
-    The kernel reads the columns ``log_pcode`` and ``log_proposal``, float64
-    arrays with one entry per hypothesis, built once here. ``hypotheses``
-    may be a list, or a :class:`LabelledHypotheses` whose columns are used
-    as they are and whose ``Hypothesis`` objects are built only when read,
-    as the oracle's batches are.
     """
 
-    hypotheses: Sequence[Hypothesis]
+    texts: Sequence[str]
+    log_pcode: np.ndarray
+    log_proposal: np.ndarray
     loss: np.ndarray
     mode: str = "encoder_only"
     counts: np.ndarray | None = None
     log_conditionals: np.ndarray | None = None
     dropped: int = 0
-    log_pcode: np.ndarray = field(init=False, repr=False)
-    log_proposal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.loss = np.asarray(self.loss, dtype=float)
         if self.loss.ndim != 2:
             raise InvalidBatchError("loss must be a 2-D matrix")
-        if self.loss.shape[1] != len(self.hypotheses):
+        if self.loss.shape[1] != len(self.texts):
             raise InvalidBatchError("loss column count != hypothesis count")
-        if len(self.hypotheses) < 2:
+        if len(self.texts) < 2:
             raise InvalidBatchError("batch needs at least 2 hypotheses")
         if not np.all(np.isfinite(self.loss)):
             raise InvalidBatchError("loss matrix contains non-finite entries")
-        self.log_pcode, self.log_proposal = _columns(self.hypotheses)
+        self.log_pcode = np.asarray(self.log_pcode, dtype=float)
+        self.log_proposal = np.asarray(self.log_proposal, dtype=float)
+        if not self.log_pcode.shape == self.log_proposal.shape == (len(self.texts),):
+            raise InvalidBatchError("one log_pcode and log_proposal per hypothesis")
         if not (np.all(np.isfinite(self.log_pcode))
                 and np.all(np.isfinite(self.log_proposal))):
             raise InvalidBatchError("hypothesis log-probs contain non-finite entries")
         if self.mode not in ("generative", "encoder_only"):
             raise InvalidBatchError(f"unknown loss mode {self.mode!r}")
         if self.counts is None:
-            self.counts = np.ones(len(self.hypotheses))
+            self.counts = np.ones(len(self.texts))
         else:
             self.counts = np.asarray(self.counts, dtype=float)
-            if self.counts.shape != (len(self.hypotheses),) or not np.all(
+            if self.counts.shape != (len(self.texts),) or not np.all(
                 np.isfinite(self.counts) & (self.counts > 0)
             ):
                 raise InvalidBatchError(
@@ -177,33 +118,36 @@ class ScoredBatch:
     @classmethod
     def from_columns(
         cls,
-        hypotheses: Sequence[Hypothesis],
+        texts: Sequence[str],
+        log_pcode: np.ndarray,
+        log_proposal: np.ndarray,
         loss: np.ndarray,
         mode: str = "encoder_only",
         counts: np.ndarray | None = None,
         log_conditionals: np.ndarray | None = None,
     ) -> "ScoredBatch":
-        """Build a batch, dropping hypotheses with any non-finite loss.
+        """Build a batch, dropping hypotheses with any non-finite score.
 
         A single -inf log-prob would poison every softmax, so offending
         columns are removed up front and counted in ``dropped``.
         """
         loss = np.asarray(loss, dtype=float)
-        log_pcode, log_proposal = _columns(hypotheses)
+        log_pcode = np.asarray(log_pcode, dtype=float)
+        log_proposal = np.asarray(log_proposal, dtype=float)
         keep = (np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode)
                 & np.isfinite(log_proposal))
         n_drop = int((~keep).sum())
         if n_drop:
             warnings.warn(f"dropping {n_drop} hypotheses with non-finite scores")
-        hypotheses = [h for h, k in zip(hypotheses, keep) if k]
-        loss = loss[:, keep]
         if counts is not None:
             counts = np.asarray(counts, dtype=float)[keep]
         if log_conditionals is not None:
             log_conditionals = np.asarray(log_conditionals, dtype=float)[:, keep]
         return cls(
-            hypotheses=hypotheses,
-            loss=loss,
+            texts=[t for t, k in zip(texts, keep) if k],
+            log_pcode=log_pcode[keep],
+            log_proposal=log_proposal[keep],
+            loss=loss[:, keep],
             mode=mode,
             counts=counts,
             log_conditionals=log_conditionals,
@@ -212,7 +156,7 @@ class ScoredBatch:
 
     @property
     def n_hypotheses(self) -> int:
-        return len(self.hypotheses)
+        return len(self.texts)
 
     @property
     def n_draws(self) -> float:
@@ -221,7 +165,9 @@ class ScoredBatch:
     def swapped(self) -> "ScoredBatch":
         """The same batch with the two sample rows exchanged."""
         return ScoredBatch(
-            hypotheses=self.hypotheses,
+            texts=self.texts,
+            log_pcode=self.log_pcode,
+            log_proposal=self.log_proposal,
             loss=self.loss[::-1].copy(),
             mode=self.mode,
             counts=self.counts,

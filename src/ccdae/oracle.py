@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BLOCK_ELEMENTS, DistanceCurve, LabelledHypotheses, ScoredBatch,
-                   _validate_grid, curve_from_traces, default_lambda_grid)
+from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _validate_grid,
+                   curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -139,11 +139,9 @@ def proposal_batch(
     draws = rng.choice(table.n_hypotheses, size=n_draws, p=proposal)
     idx, counts = np.unique(draws, return_counts=True)
     return ScoredBatch(
-        hypotheses=LabelledHypotheses(
-            [table.labels[j] for j in idx.tolist()],
-            -table.code_lengths[idx],
-            np.log(proposal[idx]),
-        ),
+        texts=[table.labels[j] for j in idx.tolist()],
+        log_pcode=-table.code_lengths[idx],
+        log_proposal=np.log(proposal[idx]),
         loss=table.loss[:, idx],
         mode="generative",
         counts=counts.astype(float),
@@ -160,8 +158,9 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
     mass = np.exp(-table.code_lengths)
     proposal = mass / mass.sum()
     return ScoredBatch(
-        hypotheses=LabelledHypotheses(
-            table.labels, -table.code_lengths, np.log(proposal)),
+        texts=table.labels,
+        log_pcode=-table.code_lengths,
+        log_proposal=np.log(proposal),
         loss=table.loss.copy(),
         mode="generative",
         counts=proposal,

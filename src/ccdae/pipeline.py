@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     DistanceCurve,
-    Hypothesis,
     InvalidBatchError,
     ScoredBatch,
     _gibbs_trace,
@@ -176,20 +175,18 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
             else backend.score_tokens("", s.tokens, s.terminated, prompt="").total
             for s in unique
         ]
-    hypotheses = [
-        Hypothesis(tokens=s.tokens, text=s.text, log_pcode=float(pc),
-                   log_proposal=float(pi), terminated=s.terminated)
-        for s, pc, pi in zip(unique, log_pcode, log_pi)
-    ]
+    texts = [s.text for s in unique]
 
     if config.loss_mode == "encoder_only":
         loss = log_pi[None, :] - cond
     else:
-        loss = -np.array([[backend.cond_logprob(h.text, str(x)).total
-                           for h in hypotheses] for x in (x1, x2)])
+        loss = -np.array([[backend.cond_logprob(t, str(x)).total for t in texts]
+                          for x in (x1, x2)])
 
     return ScoredBatch.from_columns(
-        hypotheses,
+        texts,
+        log_pcode,
+        log_pi,
         loss,
         mode=config.loss_mode,
         counts=np.array([n for _, n in merged.values()], dtype=float),
@@ -208,7 +205,7 @@ def effective_sample_size(batch: ScoredBatch, lam: float, target: int) -> float:
 
 def _rank_explanations(batch: ScoredBatch, w0: np.ndarray, w1: np.ndarray):
     mix = 0.5 * (w0 + w1)
-    texts = [h.text for h in batch.hypotheses]
+    texts = batch.texts
 
     def ranked(values):
         order = sorted(range(len(texts)), key=lambda j: (-values[j], texts[j]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccdae import backends, oracle
-from ccdae.core import Hypothesis, ScoredBatch
+from ccdae.core import ScoredBatch
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ccdae" / "data"
 
@@ -45,12 +45,8 @@ def make_uniform_batch(losses, counts=None, log_pcode=None, log_proposal=None):
     n = losses.shape[1]
     lp = np.full(n, -math.log(n)) if log_pcode is None else np.asarray(log_pcode)
     lq = lp if log_proposal is None else np.asarray(log_proposal)
-    hyps = [
-        Hypothesis(tokens=(f"h{j}",), text=f"h{j}", log_pcode=float(lp[j]),
-                   log_proposal=float(lq[j]))
-        for j in range(n)
-    ]
-    return ScoredBatch(hypotheses=hyps, loss=losses, mode="generative",
+    return ScoredBatch(texts=[f"h{j}" for j in range(n)], log_pcode=lp,
+                       log_proposal=lq, loss=losses, mode="generative",
                        counts=counts)
 
 
@@ -65,13 +61,10 @@ def make_encoder_batch(logp1, logp2):
     logp2 = np.asarray(logp2, dtype=float)
     logpi = np.logaddexp(logp1, logp2) - math.log(2.0)
     loss = np.vstack([logpi - logp1, logpi - logp2])
-    hyps = [
-        Hypothesis(tokens=(f"h{j}",), text=f"h{j}", log_pcode=float(logpi[j]),
-                   log_proposal=float(logpi[j]))
-        for j in range(logp1.size)
-    ]
     return ScoredBatch(
-        hypotheses=hyps,
+        texts=[f"h{j}" for j in range(logp1.size)],
+        log_pcode=logpi,
+        log_proposal=logpi,
         loss=loss,
         mode="encoder_only",
         counts=np.exp(logpi),

@@ -8,7 +8,7 @@ import pytest
 import requests
 from conftest import DATA, StubSession
 
-from ccdae import backends, cli
+from ccdae import backends, baselines, cli
 
 
 def run(capsys, *argv):
@@ -222,6 +222,38 @@ def test_bad_cmax(capsys, fixture_path):
                        "compare", "img_sunset", "cap_positive",
                        "--cmax", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("fields", [
+    {"alpha": 1e308},
+    {"counts": {"": {"a": 10**400, "</s>": 1}}},
+    {"alpha": 0, "counts": {"": {"a": 0, "</s>": 0}}},
+    {"alpha": 0, "counts": {"a": {"a": 1, "</s>": 1}}},
+    {"counts": {"": {"a": 3, "b": 1, "</s>": 1}}},
+    {"vocabulary": ["</s>", "a", "a"]},
+    {"vocabulary": ["a"]},
+    {"vocabulary": "a"},
+    {"vocabulary": ["</s>", 1]},
+], ids=["alpha-overflows", "count-overflows", "zero-row", "alpha-0-no-root",
+        "symbol-not-in-vocabulary", "repeated-symbol", "no-eos",
+        "vocabulary-string", "vocabulary-not-strings"])
+def test_unusable_model_file_exits_1(capsys, tmp_path, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(_ngram_doc(**fields))
+    code, out, err = run(capsys, "--model", str(path), "compare", "a", "aa")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: malformed model file")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmax", ["nan", "inf", "-inf"])
+def test_non_finite_cmax_exits_2(capsys, model_path, cmax):
+    code, out, err = run(capsys, "--model", model_path, "compare", "rain", "iron",
+                         f"--cmax={cmax}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --cmax must be finite and positive, got {cmax!r}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +473,40 @@ def test_ncd_demo_bad_p(capsys):
 def test_ncd_demo_bad_dims(capsys):
     code, _, _ = run(capsys, "ncd-demo", "--dims", "64,notanumber")
     assert code == 2
+
+
+def _stub_noise_experiment(monkeypatch):
+    """Record the dimensions ncd-demo asks for, allocating nothing."""
+    asked = []
+
+    def stub(p, dimensions, seed, use_joint_bound):
+        asked.extend(dimensions)
+        return [baselines.NoiseExperimentPoint(dimension=d, p=p, ncd=0.5,
+                                               predicted=0.5, z_s_bits=8)
+                for d in dimensions]
+
+    monkeypatch.setattr(baselines, "noise_experiment", stub)
+    return asked
+
+
+@pytest.mark.parametrize("dims", ["-64", "0", "64,0", str(cli.MAX_SIDE + 1),
+                                  str(10**9)])
+def test_ncd_demo_side_out_of_range_exits_2(capsys, monkeypatch, dims):
+    asked = _stub_noise_experiment(monkeypatch)
+    code, out, err = run(capsys, "ncd-demo", f"--dims={dims}")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: --dims side lengths must be in [1, {cli.MAX_SIDE}], "
+                   f"got {dims!r}\n")
+    assert asked == []
+
+
+def test_ncd_demo_side_bounds_are_inclusive(capsys, monkeypatch, tmp_path):
+    asked = _stub_noise_experiment(monkeypatch)
+    code, _, _ = run(capsys, "--out", str(tmp_path / "n.csv"), "ncd-demo",
+                     "--dims", f"1,{cli.MAX_SIDE}")
+    assert code == 0
+    assert asked == [1, cli.MAX_SIDE**2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ccdae import core, oracle
-from ccdae.core import Hypothesis, InvalidBatchError, ScoredBatch
+from ccdae.core import InvalidBatchError, ScoredBatch
 
 from conftest import make_encoder_batch, make_uniform_batch
 
@@ -214,43 +213,39 @@ def test_intersection_equals_mean_gap():
 
 
 def test_batch_drops_nonfinite_columns():
-    from ccdae.core import Hypothesis, ScoredBatch
-
-    hyps = [
-        Hypothesis(tokens=("a",), text="a", log_pcode=-1.0, log_proposal=-1.0),
-        Hypothesis(tokens=("b",), text="b", log_pcode=-1.0, log_proposal=-1.0),
-        Hypothesis(tokens=("c",), text="c", log_pcode=-1.0, log_proposal=-1.0),
-    ]
     with pytest.warns(UserWarning):
         batch = ScoredBatch.from_columns(
-            hyps, [[1.0, np.inf, 2.0], [1.0, 0.0, 2.0]]
+            ["a", "b", "c"], [-1.0] * 3, [-1.0] * 3,
+            [[1.0, np.inf, 2.0], [1.0, 0.0, 2.0]]
         )
     assert batch.n_hypotheses == 2
     assert batch.dropped == 1
+    assert batch.texts == ["a", "c"]
 
 
 def test_batch_requires_two_hypotheses():
-    from ccdae.core import Hypothesis, ScoredBatch
-
-    h = Hypothesis(tokens=("a",), text="a", log_pcode=-1.0, log_proposal=-1.0)
     with pytest.raises(InvalidBatchError):
-        ScoredBatch(hypotheses=[h], loss=[[1.0]])
+        ScoredBatch(texts=["a"], log_pcode=[-1.0], log_proposal=[-1.0],
+                    loss=[[1.0]])
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (4,), (1, 3), (3, 1)])
+@pytest.mark.parametrize("field", ["log_pcode", "log_proposal"])
+def test_batch_rejects_columns_not_one_per_hypothesis(field, shape):
+    columns = {"log_pcode": np.full(3, -1.0), "log_proposal": np.full(3, -2.0)}
+    columns[field] = np.full(shape, -1.0)
+    with pytest.raises(InvalidBatchError, match="per hypothesis"):
+        ScoredBatch(texts=["a", "b", "c"], loss=[[1.0, 2.0, 3.0]] * 2, **columns)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 @pytest.mark.parametrize("field", ["log_pcode", "log_proposal", "counts"])
 def test_batch_rejects_nonfinite_inputs(field, value):
-    hyps = [
-        Hypothesis(tokens=(t,), text=t, log_pcode=-1.0, log_proposal=-2.0)
-        for t in "abc"
-    ]
-    counts = [1.0, 2.0, 1.0]
-    if field == "counts":
-        counts[1] = value
-    else:
-        hyps[1] = dataclasses.replace(hyps[1], **{field: value})
+    columns = {"log_pcode": [-1.0] * 3, "log_proposal": [-2.0] * 3,
+               "counts": [1.0, 2.0, 1.0]}
+    columns[field][1] = value
     with pytest.raises(InvalidBatchError, match="finite"):
-        ScoredBatch(hypotheses=hyps, loss=[[1.0, 2.0, 3.0]] * 2, counts=counts)
+        ScoredBatch(texts=["a", "b", "c"], loss=[[1.0, 2.0, 3.0]] * 2, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +317,8 @@ def test_property_intersection_identity(losses1, losses2, lam):
 
 def _reference_point(batch, lam, target):
     """One lambda of the trace, one hypothesis list and logsumexp at a time."""
-    extra = np.array([h.log_pcode - h.log_proposal for h in batch.hypotheses])
+    extra = np.array([float(pc) - float(pq) for pc, pq
+                      in zip(batch.log_pcode, batch.log_proposal)])
     u = -lam * batch.loss[target] + extra + np.log(batch.counts)
     w = np.exp(u - logsumexp(u))
     w = w / w.sum()
@@ -356,13 +352,10 @@ def _reference_distance(batch, grid, capacity_grid_size=100):
 def _random_batch(rng, n_hyp, loss_scale=5.0):
     log_pcode = rng.uniform(-20.0, 0.0, n_hyp)
     log_proposal = rng.uniform(-20.0, 0.0, n_hyp)
-    hyps = [
-        Hypothesis(tokens=(f"h{j}",), text=f"h{j}", log_pcode=float(log_pcode[j]),
-                   log_proposal=float(log_proposal[j]))
-        for j in range(n_hyp)
-    ]
     return ScoredBatch(
-        hypotheses=hyps,
+        texts=[f"h{j}" for j in range(n_hyp)],
+        log_pcode=log_pcode,
+        log_proposal=log_proposal,
         loss=rng.normal(0.0, loss_scale, (2, n_hyp)),  # mixed signs
         counts=rng.integers(1, 6, n_hyp).astype(float),
     )
@@ -454,9 +447,11 @@ def _previous_logsumexp_rows(u):
 
 
 def _previous_gibbs_trace(batch, grid, target, keep_weights=False):
-    """The kernel before the columnar batch and the one logits buffer, verbatim."""
+    """The kernel before the columnar batch and the one logits buffer, verbatim
+    but for reading the per-hypothesis log-probs from the batch's columns."""
     core._check_target(batch, target)
-    extra = np.array([h.log_pcode - h.log_proposal for h in batch.hypotheses])
+    extra = np.array([float(pc) - float(pq) for pc, pq
+                      in zip(batch.log_pcode, batch.log_proposal)])
     log_counts = np.log(batch.counts)
     per_block = max(1, core._BLOCK_ELEMENTS // batch.n_hypotheses)
     expected = np.empty((batch.loss.shape[0], grid.size))
@@ -484,9 +479,10 @@ def _hex(values):
 
 def _tied_batch(rng, n_hyp):
     """Integer losses and a constant correction, so logits tie at the maximum."""
-    hyps = [Hypothesis(tokens=(f"h{j}",), text=f"h{j}", log_pcode=-1.5,
-                       log_proposal=-0.5) for j in range(n_hyp)]
-    return ScoredBatch(hypotheses=hyps, loss=rng.integers(0, 3, (2, n_hyp)),
+    return ScoredBatch(texts=[f"h{j}" for j in range(n_hyp)],
+                       log_pcode=np.full(n_hyp, -1.5),
+                       log_proposal=np.full(n_hyp, -0.5),
+                       loss=rng.integers(0, 3, (2, n_hyp)),
                        counts=rng.integers(1, 3, n_hyp).astype(float))
 
 
@@ -546,26 +542,14 @@ def test_logsumexp_rows_bits_equal_previous(width):
 
 def test_batch_columns_from_hypothesis_list():
     rng = np.random.default_rng(2)
-    batch = _random_batch(rng, 50)
-    assert _hex(batch.log_pcode) == _hex([h.log_pcode for h in batch.hypotheses])
-    assert _hex(batch.log_proposal) == _hex(
-        [h.log_proposal for h in batch.hypotheses])
+    log_pcode = rng.uniform(-20.0, 0.0, 50).tolist()
+    log_proposal = rng.uniform(-20.0, 0.0, 50).tolist()
+    batch = ScoredBatch(texts=[f"h{j}" for j in range(50)], log_pcode=log_pcode,
+                        log_proposal=log_proposal, loss=rng.normal(0.0, 5.0, (2, 50)))
+    assert batch.log_pcode.dtype == batch.log_proposal.dtype == np.float64
+    assert _hex(batch.log_pcode) == _hex(log_pcode)
+    assert _hex(batch.log_proposal) == _hex(log_proposal)
     swapped = batch.swapped()
-    assert swapped.hypotheses is batch.hypotheses
-    assert _hex(swapped.log_pcode) == _hex(batch.log_pcode)
-
-
-def test_labelled_hypotheses_reads_like_a_list():
-    hyps = core.LabelledHypotheses(("a", "b", "c"), [-1.0, -2.0, -3.0],
-                                   [-0.5, -1.5, -2.5])
-    want = [Hypothesis(tokens=(t,), text=t, log_pcode=pc, log_proposal=pq)
-            for t, pc, pq in zip("abc", (-1.0, -2.0, -3.0), (-0.5, -1.5, -2.5))]
-    assert len(hyps) == 3
-    assert list(hyps) == want
-    assert hyps[-1] == want[-1]
-    assert hyps[1:] == want[1:]
-    assert type(hyps[0].log_pcode) is float
-    with pytest.raises(IndexError):
-        hyps[3]
-    with pytest.raises(InvalidBatchError):
-        core.LabelledHypotheses(("a", "b"), [-1.0], [-1.0, -2.0])
+    assert swapped.texts is batch.texts
+    assert swapped.log_pcode is batch.log_pcode
+    assert swapped.log_proposal is batch.log_proposal

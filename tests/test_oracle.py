@@ -289,11 +289,11 @@ def test_proposal_batch_counts_and_determinism():
     b = oracle.proposal_batch(t, 500, seed=3)
     assert a.n_draws == 500
     assert np.array_equal(a.counts, b.counts)
-    assert [h.text for h in a.hypotheses] == [h.text for h in b.hypotheses]
+    assert a.texts == b.texts
 
 
 # ---------------------------------------------------------------------------
-# oracle batches are columnar: the same values, no Hypothesis until read
+# oracle batches take the table's columns: the same values as per hypothesis
 
 
 def _benchmark_like_table(size, seed=0):
@@ -317,46 +317,15 @@ def test_batch_columns_equal_per_hypothesis_expressions(size):
 
     batch = oracle.proposal_batch(table, 20000, seed=size)
     idx = np.unique(np.random.default_rng(size).choice(size, 20000, p=proposal))
-    want = [core.Hypothesis(tokens=(table.labels[j],), text=table.labels[j],
-                            log_pcode=float(-table.code_lengths[j]),
-                            log_proposal=float(np.log(proposal[j])))
-            for j in idx]
-    assert _hex(batch.log_pcode) == _hex(h.log_pcode for h in want)
-    assert _hex(batch.log_proposal) == _hex(h.log_proposal for h in want)
-    assert list(batch.hypotheses) == want
+    assert batch.texts == [table.labels[j] for j in idx]
+    assert _hex(batch.log_pcode) == _hex(float(-table.code_lengths[j]) for j in idx)
+    assert _hex(batch.log_proposal) == _hex(float(np.log(proposal[j])) for j in idx)
 
     batch = oracle.exact_batch(table)
     log_pcode, log_proposal = -table.code_lengths, np.log(proposal)
-    want = [core.Hypothesis(tokens=(label,), text=label,
-                            log_pcode=float(log_pcode[j]),
-                            log_proposal=float(log_proposal[j]))
-            for j, label in enumerate(table.labels)]
-    assert _hex(batch.log_pcode) == _hex(h.log_pcode for h in want)
-    assert _hex(batch.log_proposal) == _hex(h.log_proposal for h in want)
-    assert list(batch.hypotheses) == want
-
-
-def test_oracle_paths_build_no_hypothesis_until_read(monkeypatch):
-    built = []
-    post_init = core.Hypothesis.__post_init__
-
-    def counting(self):
-        built.append(self.text)
-        post_init(self)
-
-    monkeypatch.setattr(core.Hypothesis, "__post_init__", counting)
-    table = _benchmark_like_table(300)
-    grid = np.linspace(0.0, 20.0, 30)
-    batches = [oracle.proposal_batch(table, 2000, seed=1), oracle.exact_batch(table)]
-    for batch in batches + [b.swapped() for b in batches]:
-        core.distance_curve(batch, grid)
-        core.trace_rate_curve(batch, grid, 1)
-        core.gibbs_weights(batch, 1.0, 0)
-        core.intersection_distance(batch, 1.0)
-    oracle.exact_distance_curve(table, lambda_grid=grid)
-    assert built == []
-    assert batches[1].hypotheses[5].text == table.labels[5]
-    assert built == [table.labels[5]]
+    assert list(batch.texts) == list(table.labels)
+    assert _hex(batch.log_pcode) == _hex(float(log_pcode[j]) for j in range(size))
+    assert _hex(batch.log_proposal) == _hex(float(log_proposal[j]) for j in range(size))
 
 
 @pytest.mark.parametrize("grid, match", [

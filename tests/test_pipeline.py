@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ccdae import backends, pipeline
-from ccdae.core import Hypothesis, InvalidBatchError, ScoredBatch
+from ccdae.core import InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
 from conftest import make_uniform_batch
@@ -64,7 +64,7 @@ def test_mixture_bound(ngram_backend, quick_config):
     batch = pipeline.build_batch("rain", "iron", ngram_backend, quick_config)
     assert batch.log_conditionals is not None
     la, lb = batch.log_conditionals
-    lpi = np.array([h.log_proposal for h in batch.hypotheses])
+    lpi = batch.log_proposal
     hi = np.maximum(la, lb)
     assert np.all(lpi <= hi + 1e-9)
     assert np.all(lpi >= hi - LN2 - 1e-9)
@@ -73,7 +73,7 @@ def test_mixture_bound(ngram_backend, quick_config):
 def test_batch_swap_invariance(ngram_backend, quick_config):
     a = pipeline.build_batch("rain", "iron", ngram_backend, quick_config)
     b = pipeline.build_batch("iron", "rain", ngram_backend, quick_config)
-    assert [h.text for h in a.hypotheses] == [h.text for h in b.hypotheses]
+    assert a.texts == b.texts
     assert np.array_equal(a.counts, b.counts)
     # loss rows follow the argument order, not the canonical order
     assert np.array_equal(a.loss[0], b.loss[1])
@@ -119,19 +119,26 @@ def test_lm_code_scores_zero_length_draws():
         batch = pipeline.build_batch("x", "y", backends.NGramBackend(model),
                                      config)
     assert batch.dropped == 0
-    empty = [h for h in batch.hypotheses if h.text == ""]
+    empty = [j for j, t in enumerate(batch.texts) if t == ""]
     assert len(empty) == 1
-    assert empty[0].log_pcode == model.symbol_logprob("", backends.EOS)
+    assert batch.log_pcode[empty[0]] == model.symbol_logprob("", backends.EOS)
 
 
 def test_lm_code_truncated_draws_have_no_eos_event(ngram_backend):
     config = CompareConfig(samples_per_input=10, max_tokens=5, pcode_mode="lm_code")
-    batch = pipeline.build_batch("rain", "iron", ngram_backend, config)
-    truncated = [h for h in batch.hypotheses if h.text and not h.terminated]
+    recorder = _RecordingBackend(ngram_backend)
+    batch = pipeline.build_batch("rain", "iron", recorder, config)
+    # the batch's hypotheses are the distinct draws in first-seen order
+    merged = {}
+    for s in recorder.draws:
+        merged.setdefault((s.text, s.tokens, s.terminated), s)
+    unique = list(merged.values())
+    assert batch.dropped == 0 and batch.texts == [s.text for s in unique]
+    truncated = [j for j, s in enumerate(unique) if s.text and not s.terminated]
     assert truncated
-    for h in truncated:
-        assert h.log_pcode == ngram_backend.score_tokens(
-            "", h.tokens, False, prompt="").total
+    for j in truncated:
+        assert batch.log_pcode[j] == ngram_backend.score_tokens(
+            "", unique[j].tokens, False, prompt="").total
 
 
 def _reference_batch(x1, x2, backend, config):
@@ -151,7 +158,7 @@ def _reference_batch(x1, x2, backend, config):
         key = (s.text, s.tokens, s.terminated)
         merged[key] = merged.get(key, 0) + 1
         samples[key] = s
-    hypotheses, counts, cond = [], [], [[], []]
+    texts, log_pcodes, log_pis, counts, cond = [], [], [], [], [[], []]
     for key, mult in merged.items():
         s = samples[key]
         la = backend.score_tokens(str(x1), s.tokens, s.terminated,
@@ -166,9 +173,9 @@ def _reference_batch(x1, x2, backend, config):
         else:
             log_pcode = backend.score_tokens("", s.tokens, s.terminated,
                                              prompt="").total
-        hypotheses.append(Hypothesis(tokens=s.tokens, text=s.text,
-                                     log_pcode=log_pcode, log_proposal=log_pi,
-                                     terminated=s.terminated))
+        texts.append(s.text)
+        log_pcodes.append(log_pcode)
+        log_pis.append(log_pi)
         counts.append(mult)
         cond[0].append(la)
         cond[1].append(lb)
@@ -178,10 +185,11 @@ def _reference_batch(x1, x2, backend, config):
         loss = log_phat[None, :] - cond
     else:
         loss = np.empty_like(cond)
-        for j, h in enumerate(hypotheses):
-            loss[0, j] = -backend.cond_logprob(h.text, str(x1)).total
-            loss[1, j] = -backend.cond_logprob(h.text, str(x2)).total
-    return ScoredBatch.from_columns(hypotheses, loss, mode=config.loss_mode,
+        for j, text in enumerate(texts):
+            loss[0, j] = -backend.cond_logprob(text, str(x1)).total
+            loss[1, j] = -backend.cond_logprob(text, str(x2)).total
+    return ScoredBatch.from_columns(texts, log_pcodes, log_pis, loss,
+                                    mode=config.loss_mode,
                                     counts=np.array(counts, dtype=float),
                                     log_conditionals=cond)
 
@@ -212,10 +220,13 @@ def test_build_batch_equals_reference(ngram_backend, table_backend, case,
                 pipeline.build_batch(x1, x2, backend, config)
             continue
         got = pipeline.build_batch(x1, x2, backend, config)
-        assert got.hypotheses == want.hypotheses
+        assert got.texts == want.texts
         assert got.mode == want.mode and got.dropped == want.dropped
         for name in ("counts", "loss", "log_conditionals"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for name in ("log_pcode", "log_proposal"):
+            assert ([v.hex() for v in getattr(got, name).tolist()]
+                    == [v.hex() for v in getattr(want, name).tolist()]), name
 
 
 class _RecordingBackend:
@@ -223,11 +234,15 @@ class _RecordingBackend:
 
     def __init__(self, backend):
         self.backend = backend
-        self.texts = []
+        self.draws = []
+
+    @property
+    def texts(self):
+        return [d.text for d in self.draws]
 
     def sample_descriptions(self, *args, **kwargs):
         draws = self.backend.sample_descriptions(*args, **kwargs)
-        self.texts += [d.text for d in draws]
+        self.draws += draws
         return draws
 
     def __getattr__(self, name):
@@ -352,7 +367,7 @@ def test_explain_lambda_zero_matches_proposal_ranking(ngram_backend, quick_confi
     batch = pipeline.build_batch("rain", "iron", ngram_backend, quick_config)
     shared, _ = pipeline.explain(batch, 0.0)
     # with proposal-mix code at lam=0, weights are the draw frequencies
-    counts = {h.text: c for h, c in zip(batch.hypotheses, batch.counts)}
+    counts = dict(zip(batch.texts, batch.counts))
     top = max(counts, key=lambda t: (counts[t], t))
     assert shared[0][0] in {t for t in counts if counts[t] == counts[top]}
 
