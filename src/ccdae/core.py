@@ -12,9 +12,12 @@ optimal), so the gap is nonnegative when expectations are exact.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import math
+import os
+import threading
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -270,7 +273,7 @@ class _Trace(NamedTuple):
     weights: np.ndarray | None  # (L, H), only when asked for
 
 
-def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """log(sum(exp(u), axis=1)) of a 2-D block of finite logits, as a column.
 
     Each row's maxima are held out of the sum and added back through
@@ -279,12 +282,13 @@ def _logsumexp_rows(u: np.ndarray) -> np.ndarray:
     pairwise summation groups the terms alike, are those of the reference
     logsumexp in the tests, which this equals bit for bit. The shifted
     block is exped in place and the maxima's slots are then zeroed, which
-    is what exp(-inf) gives there.
+    is what exp(-inf) gives there. ``out``, if given, holds the shifted block
+    (same shape as ``u``) instead of a new array.
     """
     top = u.max(axis=1, keepdims=True)
     at_top = u == top
     m = at_top.sum(axis=1, keepdims=True, dtype=float)
-    e = np.subtract(u, top)
+    e = np.subtract(u, top, out=out)
     np.exp(e, out=e)
     e[at_top] = 0.0
     s = e.sum(axis=1, keepdims=True)
@@ -300,7 +304,8 @@ def _gibbs_trace(
     + log counts), stabilized inside logsumexp. A block holds at most
     ``_BLOCK_ELEMENTS`` logits, so memory stays flat however wide the batch.
     The logits are built in one buffer, added in the order written above,
-    and that buffer then holds the weights.
+    and that buffer then holds the weights; a second buffer holds the
+    shifted logits inside logsumexp. Both are reused from block to block.
     """
     _check_target(batch, target)
     extra = batch.log_pcode - batch.log_proposal
@@ -310,7 +315,7 @@ def _gibbs_trace(
     expected = np.empty((batch.loss.shape[0], grid.size))
     log_z = np.empty(grid.size)
     weights = np.empty((grid.size, batch.n_hypotheses)) if keep_weights else None
-    buf = np.empty((min(per_block, grid.size), batch.n_hypotheses))
+    buf, shifted = np.empty((2, min(per_block, grid.size), batch.n_hypotheses))
     for start in range(0, grid.size, per_block):
         block = slice(start, start + per_block)
         lams = grid[block, None]
@@ -318,7 +323,7 @@ def _gibbs_trace(
         np.multiply(-lams, loss, out=u)
         u += extra
         u += log_counts
-        lse = _logsumexp_rows(u)
+        lse = _logsumexp_rows(u, out=shifted[: lams.shape[0]])
         w = u  # the logits are spent: the weights overwrite them
         w -= lse
         np.exp(w, out=w)
@@ -332,6 +337,57 @@ def _gibbs_trace(
     capacity = -grid * expected[target] - log_z
     capacity[(-_CAPACITY_CLAMP <= capacity) & (capacity < 0.0)] = 0.0
     return _Trace(capacity, expected, log_z, weights)
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
+
+
+_worker_lock = threading.Lock()
+_worker = None  # (pid, executor) of _pair's worker thread, made on first use
+
+
+def _executor():
+    """The one-thread pool that runs the second half of :func:`_pair`.
+
+    A forked child does not inherit the parent's thread, so it makes its own.
+    """
+    global _worker
+    with _worker_lock:
+        if _worker is None or _worker[0] != os.getpid():
+            # imported here, not at the top: only multi-block work needs it
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = (os.getpid(),
+                       ThreadPoolExecutor(1, thread_name_prefix="ccdae-pair"))
+        return _worker[1]
+
+
+def _pair(fn, fan_out: bool) -> tuple:
+    """``(fn(0), fn(1))``, the two halves at once when ``fan_out`` is set.
+
+    The two halves must share nothing mutable but disjoint parts of the
+    caller's arrays. With ``fan_out`` and more than one usable CPU,
+    ``fn(1)`` runs on a worker thread in a copy of the caller's context
+    (numpy's error state is a context variable) while ``fn(0)`` runs
+    here; numpy releases the GIL inside the kernels' array operations, so
+    they overlap. The caller returns only once the worker is done, even
+    when ``fn(0)`` raises, and then the first exception is raised. The
+    worker must call nothing that tracing wraps: its spans are per thread.
+    """
+    if not (fan_out and _usable_cpus() > 1):
+        return fn(0), fn(1)
+    future = _executor().submit(contextvars.copy_context().run, fn, 1)
+    try:
+        first = fn(0)
+    except BaseException:
+        future.exception()  # wait for the worker; fn(0)'s error is the first
+        raise
+    return first, future.result()
 
 
 def _gibbs_point(batch: ScoredBatch, lam: float, target: int) -> _Trace:
@@ -454,7 +510,8 @@ def distance_curve(
     if batch.loss.shape[0] < 2:
         raise InvalidBatchError("distance_curve needs both sample rows scored")
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
-    t0, t1 = (_gibbs_trace(batch, grid, i) for i in (0, 1))
+    t0, t1 = _pair(lambda i: _gibbs_trace(batch, grid, i),
+                   batch.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
     return curve_from_traces(
         (t0.capacity, t1.capacity), (t0.expected[0], t1.expected[1]),
         (t0.expected[1], t1.expected[0]), grid, capacity_grid_size, c_max, batch.mode,

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _validate_grid,
-                   curve_from_traces, default_lambda_grid)
+from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _pair,
+                   _validate_grid, curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -167,16 +167,21 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
     )
 
 
-def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray) -> tuple:
+def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray,
+                u: np.ndarray, q: np.ndarray) -> tuple:
     """Gibbs rows q[k] proportional to exp(-code_lengths - lams[k]*loss[sample])
     and KL(q[k] || exp(-code_lengths)) >= 0, with log q = shifted logits - log Z
     (no log of q, so a q that underflows to 0 adds exactly 0 to the KL).
+
+    ``u`` and ``q`` are the caller's buffers of shape (len(lams), H): ``u``
+    ends up holding log q + code_lengths, and ``q`` is returned.
     """
-    u = -table.code_lengths - lams[:, None] * table.loss[sample]
+    np.multiply(lams[:, None], table.loss[sample], out=q)
+    np.subtract(-table.code_lengths, q, out=u)
     u -= u.max(axis=1, keepdims=True)
     # a logit that overflowed to -inf has q == 0: keep its log q finite so it adds 0
     np.maximum(u, np.finfo(float).min, out=u)
-    q = np.exp(u)
+    np.exp(u, out=q)
     z = q.sum(axis=1, keepdims=True)
     q /= z
     u -= np.log(z)
@@ -187,7 +192,8 @@ def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray) -> 
 def _gibbs_point(table: FiniteHypothesisTable, sample: int, lam: float) -> tuple:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    q, kl = _gibbs_rows(table, sample, np.array([float(lam)]))
+    u, q = (np.empty((1, table.n_hypotheses)) for _ in range(2))
+    q, kl = _gibbs_rows(table, sample, np.array([float(lam)]), u, q)
     return q[0], float(kl[0])
 
 
@@ -272,13 +278,21 @@ def exact_distance_curve(
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
     per_block = max(1, _BLOCK_ELEMENTS // table.n_hypotheses)
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
-    for s, (i, j) in enumerate((pair, pair[::-1])):
+
+    def trace(s: int) -> None:
+        # direction s writes row s of cap, beta and cross, and nothing else
+        i, j = (pair, pair[::-1])[s]
+        u, q = (np.empty((min(per_block, grid.size), table.n_hypotheses))
+                for _ in range(2))
         for start in range(0, grid.size, per_block):
             block = slice(start, start + per_block)
-            q, cap[s, block] = _gibbs_rows(table, i, grid[block])
+            lams = grid[block]
+            w, cap[s, block] = _gibbs_rows(table, i, lams, u[: lams.size], q[: lams.size])
             # vecdot rounds as one dot per lambda does; a matmul would not.
-            beta[s, block] = np.vecdot(q, table.loss[i])
-            cross[s, block] = np.vecdot(q, table.loss[j])
+            beta[s, block] = np.vecdot(w, table.loss[i])
+            cross[s, block] = np.vecdot(w, table.loss[j])
+
+    _pair(trace, table.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
     return curve_from_traces(
         cap, beta, cross, grid, capacity_grid_size, c_max, mode="generative"
     )

@@ -50,6 +50,16 @@ def make_uniform_batch(losses, counts=None, log_pcode=None, log_proposal=None):
                        counts=counts)
 
 
+def benchmark_table(size, seed=0):
+    """A random table built as the ``tables`` benchmark workload builds one."""
+    rng = np.random.default_rng([seed, size])
+    logits = rng.normal(0.0, 1.5, size)
+    return oracle.FiniteHypothesisTable(
+        code_lengths=-(logits - np.logaddexp.reduce(logits)),
+        loss=0.5 * rng.gamma(2.0, 1.0, size) + 0.5 * rng.gamma(2.0, 1.0, (2, size)),
+    )
+
+
 def make_encoder_batch(logp1, logp2):
     """Exact encoder-only batch for two conditionals over a shared support.
 

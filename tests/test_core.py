@@ -1,4 +1,8 @@
+import contextvars
 import math
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from ccdae import core, oracle
+from ccdae import bench, core, oracle
 from ccdae.core import InvalidBatchError, ScoredBatch
+from ccdae.pipeline import CompareConfig
 
-from conftest import make_encoder_batch, make_uniform_batch
+from conftest import benchmark_table, make_encoder_batch, make_uniform_batch
 
 LN2 = math.log(2.0)
 
@@ -553,3 +558,146 @@ def test_batch_columns_from_hypothesis_list():
     assert swapped.texts is batch.texts
     assert swapped.log_pcode is batch.log_pcode
     assert swapped.log_proposal is batch.log_proposal
+
+
+# ---------------------------------------------------------------------------
+# the two Gibbs families of a pair are traced at once, on two threads
+
+
+def _curve_and_traces(batch, grid, cpus):
+    """distance_curve with ``cpus`` usable CPUs, and each target's trace
+    with the thread that made it."""
+    traces = {}
+    kernel = core._gibbs_trace
+
+    def recording(batch, grid, target, keep_weights=False):
+        trace = kernel(batch, grid, target, keep_weights)
+        traces[target] = trace, threading.current_thread()
+        return trace
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_usable_cpus", lambda: cpus)
+        mp.setattr(core, "_gibbs_trace", recording)
+        return core.distance_curve(batch, grid), traces
+
+
+@pytest.mark.parametrize("size", [1000, 3160, 10_000])
+# the default grid fills its last block at 3,160 hypotheses; 137 lambdas never do
+@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 40.0, 137)],
+                         ids=["default-grid", "partial-block-grid"])
+@pytest.mark.parametrize("kind", ["exact", "proposal"])
+def test_fanned_out_trace_bits_equal_serial(size, grid, kind):
+    table = benchmark_table(size)
+    batch = (oracle.exact_batch(table) if kind == "exact"
+             else oracle.proposal_batch(table, 20_000, seed=size))
+    serial, serial_traces = _curve_and_traces(batch, grid, cpus=1)
+    fanned, fanned_traces = _curve_and_traces(batch, grid, cpus=2)
+    here = threading.current_thread()
+    assert serial_traces[0][1] is serial_traces[1][1] is here
+    assert fanned_traces[0][1] is here and fanned_traces[1][1] is not here
+    for target in (0, 1):
+        got, want = fanned_traces[target][0], serial_traces[target][0]
+        assert _hex(got.capacity) == _hex(want.capacity)
+        assert _hex(got.expected) == _hex(want.expected)
+        assert _hex(got.log_partition) == _hex(want.log_partition)
+    assert fanned.auc.hex() == serial.auc.hex()
+    assert _hex(fanned.distance) == _hex(serial.distance)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("raising", [{0}, {1}, {0, 1}], ids=["caller", "worker", "both"])
+def test_pair_waits_for_its_worker_and_raises_the_first_error(monkeypatch, capfd,
+                                                              raising):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)
+    finished = []
+
+    def failing(batch, grid, target, keep_weights=False):
+        if target == 1:
+            time.sleep(0.2)  # the worker's half ends well after the caller's
+        finished.append((target, threading.current_thread()))
+        if target in raising:
+            raise _Boom(target)
+        return None
+
+    monkeypatch.setattr(core, "_gibbs_trace", failing)
+    with pytest.raises(_Boom) as err:
+        core.distance_curve(_random_batch(np.random.default_rng(1), 5))
+    assert err.value.args == (min(raising),)
+    # both halves had ended before the error reached the caller
+    assert sorted(target for target, _ in finished) == [0, 1]
+    assert dict(finished)[1] is not threading.current_thread()
+    assert capfd.readouterr().err == ""
+    # and the worker is still there for the next pair
+    assert core._pair(lambda i: i, True) == (0, 1)
+
+
+def _no_executor():
+    raise AssertionError("single-block work started the worker thread")
+
+
+def test_single_block_work_stays_on_the_calling_thread(monkeypatch, ngram_backend):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_executor", _no_executor)
+    # a pair of the benchmark's similarity workload: a batch of a few hypotheses
+    score = bench.pair_score("rain", "snow", ngram_backend, CompareConfig(seed=0))
+    assert math.isfinite(score)
+    core.distance_curve(oracle.exact_batch(benchmark_table(5)))
+    oracle.exact_distance_curve(benchmark_table(5))
+    # the widest batch whose default trace fits in one block
+    width = core._BLOCK_ELEMENTS // core.default_lambda_grid().size
+    core.distance_curve(oracle.exact_batch(benchmark_table(width)))
+
+
+def test_one_usable_cpu_never_fans_out(monkeypatch):
+    monkeypatch.setattr(core, "_executor", _no_executor)
+    table = benchmark_table(1000)
+    batch = oracle.exact_batch(table)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert core._usable_cpus() == 1
+    core.distance_curve(batch)
+    oracle.exact_distance_curve(table)
+    # where the platform has no sched_getaffinity, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert core._usable_cpus() == 1
+        core.distance_curve(batch)
+
+
+_REQUEST = contextvars.ContextVar("request", default=None)
+
+
+def test_pair_runs_its_worker_in_the_callers_context(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+
+    def half(i):
+        return i, _REQUEST.get(), np.geterr()["over"], threading.current_thread()
+
+    token = _REQUEST.set("caller")
+    try:
+        with np.errstate(over="raise"):
+            first, second = core._pair(half, True)
+    finally:
+        _REQUEST.reset(token)
+    assert first[:3] == (0, "caller", "raise")
+    assert second[:3] == (1, "caller", "raise")
+    assert first[3] is threading.current_thread()
+    assert second[3] is not threading.current_thread()
+
+
+def test_a_forked_child_makes_its_own_worker(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    parent_pool = core._executor()
+    assert core._executor() is parent_pool
+    # a child of fork has the parent's pool object but not its thread
+    monkeypatch.setattr(os, "getpid", lambda: -1)
+    child_pool = core._executor()
+    try:
+        assert child_pool is not parent_pool
+        assert core._pair(lambda i: i, True) == (0, 1)
+    finally:
+        child_pool.shutdown()

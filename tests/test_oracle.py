@@ -1,10 +1,13 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from ccdae import core, oracle
 from ccdae.oracle import FiniteHypothesisTable, NoFeasibleDescriptionError
+
+from conftest import benchmark_table
 
 LN2 = math.log(2.0)
 
@@ -296,22 +299,13 @@ def test_proposal_batch_counts_and_determinism():
 # oracle batches take the table's columns: the same values as per hypothesis
 
 
-def _benchmark_like_table(size, seed=0):
-    rng = np.random.default_rng([seed, size])
-    logits = rng.normal(0.0, 1.5, size)
-    return FiniteHypothesisTable(
-        code_lengths=-(logits - np.logaddexp.reduce(logits)),
-        loss=0.5 * rng.gamma(2.0, 1.0, size) + 0.5 * rng.gamma(2.0, 1.0, (2, size)),
-    )
-
-
 def _hex(values):
     return [float(v).hex() for v in values]
 
 
 @pytest.mark.parametrize("size", [1000, 3160, 10000])
 def test_batch_columns_equal_per_hypothesis_expressions(size):
-    table = _benchmark_like_table(size)
+    table = benchmark_table(size)
     mass = np.exp(-table.code_lengths)
     proposal = mass / mass.sum()
 
@@ -341,3 +335,70 @@ def test_exact_distance_curve_validates_grid(separable, grid, match):
         oracle.exact_distance_curve(separable, lambda_grid=grid)
     with pytest.raises(core.InvalidBatchError, match=match):
         core.distance_curve(oracle.exact_batch(separable), lambda_grid=grid)
+
+
+# ---------------------------------------------------------------------------
+# the two directions are traced at once, in reused buffers
+
+
+def _previous_gibbs_rows(table, sample, lams):
+    """The routine before it took the caller's buffers, verbatim."""
+    u = -table.code_lengths - lams[:, None] * table.loss[sample]
+    u -= u.max(axis=1, keepdims=True)
+    np.maximum(u, np.finfo(float).min, out=u)
+    q = np.exp(u)
+    z = q.sum(axis=1, keepdims=True)
+    q /= z
+    u -= np.log(z)
+    u += table.code_lengths
+    return q, np.maximum(np.vecdot(q, u), 0.0)
+
+
+def test_gibbs_rows_fill_the_callers_buffers_with_the_same_bits():
+    table = benchmark_table(3160)
+    lams = np.concatenate([core.default_lambda_grid()[:20], [1e300]])
+    u, q = (np.empty((lams.size, table.n_hypotheses)) for _ in range(2))
+    with np.errstate(over="ignore"):
+        got, kl = oracle._gibbs_rows(table, 1, lams, u, q)
+        want, want_kl = _previous_gibbs_rows(table, 1, lams)
+    assert np.shares_memory(got, q)
+    assert got.tobytes() == want.tobytes()
+    assert _hex(kl) == _hex(want_kl)
+
+
+def _exact_curve_and_traces(table, grid, cpus):
+    """exact_distance_curve with ``cpus`` usable CPUs, the traced capacity,
+    expected and cross losses, and the threads that traced each sample."""
+    seen, threads = {}, set()
+    rows = oracle._gibbs_rows
+
+    def recording_rows(table, sample, lams, u, q):
+        threads.add((sample, threading.current_thread()))
+        return rows(table, sample, lams, u, q)
+
+    def recording_tail(cap, beta, cross, *args, **kwargs):
+        seen.update(cap=cap, beta=beta, cross=cross)
+        return core.curve_from_traces(cap, beta, cross, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_usable_cpus", lambda: cpus)
+        mp.setattr(oracle, "_gibbs_rows", recording_rows)
+        mp.setattr(oracle, "curve_from_traces", recording_tail)
+        return oracle.exact_distance_curve(table, lambda_grid=grid), seen, threads
+
+
+@pytest.mark.parametrize("size", [1000, 3160, 10_000])
+@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 40.0, 137)],
+                         ids=["default-grid", "partial-block-grid"])
+def test_fanned_out_exact_curve_bits_equal_serial(size, grid):
+    table = benchmark_table(size)
+    serial, serial_seen, serial_threads = _exact_curve_and_traces(table, grid, 1)
+    fanned, fanned_seen, fanned_threads = _exact_curve_and_traces(table, grid, 2)
+    here = threading.current_thread()
+    assert serial_threads == {(0, here), (1, here)}
+    assert (0, here) in fanned_threads and (1, here) not in fanned_threads
+    assert len(fanned_threads) == 2
+    for name in ("cap", "beta", "cross"):
+        assert _hex(fanned_seen[name].ravel()) == _hex(serial_seen[name].ravel())
+    assert fanned.auc.hex() == serial.auc.hex()
+    assert _hex(fanned.distance) == _hex(serial.distance)
