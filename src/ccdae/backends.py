@@ -1,9 +1,11 @@
 """Description-scoring backends.
 
-Three implementations share one contract: unconditional code log-prob of
-a description, conditional log-prob given a context, and seeded sampling
-of descriptions. A prompt is passed per call; ``None`` and ``""`` both
-mean no prompt.
+Three implementations share one contract of four calls: seeded sampling
+of one context's descriptions (``sample_descriptions``), rescoring a
+draw's tokens (``score_tokens``), the conditional log-prob of a
+description given a context (``cond_logprob``) and its unconditional code
+log-prob (``code_logprob``). A prompt is passed per call; ``None`` and
+``""`` both mean no prompt.
 
 * ``NGramBackend`` — a character n-gram model with additive smoothing;
   self-contained stand-in for a large conditional text model.
@@ -296,18 +298,18 @@ def _uniforms(rng, block: int):
 
 
 class _State:
-    """A node of the sampler's automaton: one back-off context per ensemble
-    member, at one temperature.
+    """A node of the sampler's automaton: one back-off context at one
+    temperature.
 
-    ``logp`` holds the renormalised ensemble log-probs and ``cdf`` the
+    ``logp`` holds the context's renormalised log-probs and ``cdf`` the
     cumulative distribution a step draws from; ``next[i]`` is the state
     after vocabulary symbol ``i``, filled in the first time it is drawn.
     """
 
-    __slots__ = ("contexts", "temperature", "logp", "cdf", "next")
+    __slots__ = ("context", "temperature", "logp", "cdf", "next")
 
-    def __init__(self, contexts, temperature, logp, cdf):
-        self.contexts = contexts
+    def __init__(self, context, temperature, logp, cdf):
+        self.context = context
         self.temperature = temperature
         self.logp = logp
         self.cdf = cdf
@@ -331,7 +333,7 @@ class NGramBackend:
 
     def __init__(self, model: NGramModel):
         self.model = model
-        self._states: dict[tuple, _State] = {}
+        self._states: dict[tuple[str, float], _State] = {}
         self._moves: dict[tuple[str, int], str] = {}
 
     @staticmethod
@@ -381,47 +383,48 @@ class NGramBackend:
     def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
         return self.cond_logprob("", description, prompt="", terminated=terminated)
 
-    def _state(self, contexts: tuple[str, ...], temperature: float) -> _State:
-        """The automaton state of ``contexts`` at ``temperature``, built once.
+    def _state(self, context: str, temperature: float) -> _State:
+        """The automaton state of ``context`` at ``temperature``, built once.
 
         Built from the model alone. The CDF is built as
         ``Generator.choice(p=probs)`` builds it, so ``bisect_right(cdf,
         rng.random())`` makes that call's draw and leaves the same state.
         """
-        key = (contexts, temperature)
+        key = (context, temperature)
         state = self._states.get(key)
         if state is None:
-            logp = np.mean([np.log(self.model.row(c).probs) for c in contexts],
-                           axis=0)
-            logp = logp - np.logaddexp.reduce(logp)  # renormalized ensemble
+            logp = np.log(self.model.row(context).probs)
+            # renormalised: the row's probs need not sum to 1 to the last ulp
+            logp = logp - np.logaddexp.reduce(logp)
             tilt = logp / temperature
             tilt = tilt - tilt.max()
             probs = np.exp(tilt)
             probs /= probs.sum()
             cdf = probs.cumsum()
             cdf /= cdf[-1]
-            state = self._states[key] = _State(contexts, temperature,
+            state = self._states[key] = _State(context, temperature,
                                                logp.tolist(), cdf.tolist())
         return state
 
     def _follow(self, state: _State, index: int) -> _State:
         """The state after symbol ``index``; links it into ``state.next``."""
-        moved = tuple(self._move(c, index) for c in state.contexts)
+        moved = self._move(state.context, index)
         state.next[index] = self._state(moved, state.temperature)
         return state.next[index]
 
-    def _sample(self, contexts, count, max_tokens, temperature, seed, prompt):
-        """``count`` draws from the renormalized mean of the contexts' models.
+    def sample_descriptions(
+        self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
+    ) -> list[SampledDescription]:
+        """``count`` draws from the model conditioned on the prompted context.
 
-        Each draw walks the automaton from the prompted contexts' state; a
+        Each draw walks the automaton from the prompted context's state; a
         step takes the next uniform and bisects the state's CDF.
         """
         _check_sampling_args(count, max_tokens, temperature)
         uniforms = _uniforms(np.random.default_rng(seed),
                              min(count * max_tokens, _UNIFORM_BLOCK))
-        start = self._state(
-            tuple(self.model.context(self._prefix(c, prompt)) for c in contexts),
-            temperature)
+        start = self._state(self.model.context(self._prefix(context, prompt)),
+                            temperature)
         vocab = self.model.vocabulary
         out = []
         for _ in range(count):
@@ -448,19 +451,6 @@ class NGramBackend:
                     terminated=False))
         return out
 
-    def sample_descriptions(
-        self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
-    ) -> list[SampledDescription]:
-        return self._sample([context], count, max_tokens, temperature, seed, prompt)
-
-    def ensemble_sample(
-        self, context_a, context_b, count, max_tokens=20, temperature=1.0, seed=0,
-        prompt=None,
-    ) -> list[SampledDescription]:
-        """Sample from the renormalized mean of the two conditionals."""
-        return self._sample([context_a, context_b], count, max_tokens, temperature,
-                            seed, prompt)
-
 
 def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> None:
     if count < 1:
@@ -475,6 +465,14 @@ def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> Non
 # table (fixture) backend
 
 
+def _logprob(value) -> float:
+    """A fixture log-prob: a float that is finite and <= 0."""
+    v = float(value)
+    if not (math.isfinite(v) and v <= 0):
+        raise ValueError(f"log-prob {value!r} is not finite and <= 0")
+    return v
+
+
 def _split(text: str) -> tuple[str, ...]:
     """A table description's tokens: its words, or the text itself if none."""
     return tuple(text.split() or [text])
@@ -486,22 +484,23 @@ class TableBackend:
     The fixture maps context ids to the descriptions available under that
     context (each with per-token log-probs), plus unconditional code
     log-probs. Descriptions absent from a context fall back to a per-token
-    floor so cross-context scoring never produces -inf. No two descriptions
-    may have equal texts or equal tokens, since a draw is rescored by them.
+    floor so cross-context scoring never produces -inf. Every log-prob, the
+    floor among them, is finite and <= 0. No two descriptions may have
+    equal texts or equal tokens, since a draw is rescored by them.
     """
 
     def __init__(self, doc: dict):
         if not isinstance(doc, dict) or doc.get("magic") != _MAGIC_TABLE:
             raise BackendError("not a table-backend fixture")
         try:
-            self.floor = float(doc.get("floor", -20.0))
+            self.floor = _logprob(doc.get("floor", -20.0))
             self.descriptions: dict[str, str] = dict(doc["descriptions"])
             self.cond: dict[str, dict[str, list[float]]] = {
-                ctx: {d: list(map(float, v)) for d, v in row.items()}
+                ctx: {d: list(map(_logprob, v)) for d, v in row.items()}
                 for ctx, row in doc["cond"].items()
             }
             self.code: dict[str, list[float]] = {
-                d: list(map(float, v)) for d, v in doc.get("code", {}).items()
+                d: list(map(_logprob, v)) for d, v in doc.get("code", {}).items()
             }
             self._by_text = {text: did for did, text in self.descriptions.items()}
             self._by_tokens: dict[tuple[str, ...], str] = {}
@@ -560,38 +559,15 @@ class TableBackend:
         n = len(self._tokens(description))
         return LogProbResult.from_tokens([self.floor] * n)
 
-    def _context_items(self, context: str):
-        row = self.cond.get(context)
-        if row is None:
-            raise BackendError(f"context {context!r} not in fixture")
-        return sorted(row.items())
-
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
     ) -> list[SampledDescription]:
         _check_sampling_args(count, max_tokens, temperature)
-        items = self._context_items(context)
-        totals = np.array([sum(v) for _, v in items])
-        return self._draw(items, totals, count, temperature, seed)
-
-    def ensemble_sample(
-        self, context_a, context_b, count, max_tokens=20, temperature=1.0, seed=0,
-        prompt=None,
-    ) -> list[SampledDescription]:
-        _check_sampling_args(count, max_tokens, temperature)
-        ids = sorted(
-            set(dict(self._context_items(context_a)))
-            | set(dict(self._context_items(context_b)))
-        )
-        totals = np.array([0.5 * (self.cond_logprob(context_a, did).total
-                                  + self.cond_logprob(context_b, did).total)
-                           for did in ids])
-        totals = totals - np.logaddexp.reduce(totals)  # renormalized mixture
-        rows = [(did, [t]) for did, t in zip(ids, totals)]
-        return self._draw(rows, totals, count, temperature, seed)
-
-    def _draw(self, items, total_logprobs, count, temperature, seed):
-        tilt = np.asarray(total_logprobs, dtype=float) / temperature
+        row = self.cond.get(context)
+        if row is None:
+            raise BackendError(f"context {context!r} not in fixture")
+        items = sorted(row.items())
+        tilt = np.array([sum(v) for _, v in items]) / temperature
         tilt = tilt - tilt.max()
         probs = np.exp(tilt)
         probs /= probs.sum()
@@ -747,7 +723,3 @@ class RemoteBackend:
             ]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.endpoint + "/v1/sample", 200, exc) from exc
-
-    def ensemble_sample(self, context_a, context_b, count, max_tokens=20,
-                        temperature=1.0, seed=0, prompt=None):
-        raise BackendError("remote protocol does not expose ensemble sampling")

@@ -259,8 +259,9 @@ class DistanceCurve:
         }
 
 
-def _check_target(batch: ScoredBatch, target: int) -> None:
-    if not 0 <= target < batch.loss.shape[0]:
+def _check_target(n_samples: int, target: int) -> None:
+    """Refuse a sample index outside 0..n_samples-1 (no negative wrap)."""
+    if not 0 <= target < n_samples:
         raise InvalidBatchError(f"sample index {target} out of range")
 
 
@@ -307,7 +308,7 @@ def _gibbs_trace(
     and that buffer then holds the weights; a second buffer holds the
     shifted logits inside logsumexp. Both are reused from block to block.
     """
-    _check_target(batch, target)
+    _check_target(batch.loss.shape[0], target)
     extra = batch.log_pcode - batch.log_proposal
     log_counts = np.log(batch.counts)
     loss = batch.loss[target]
@@ -424,7 +425,7 @@ def cross_expected_loss(
     batch: ScoredBatch, lam: float, source: int, target: int
 ) -> float:
     """Expected loss on ``target`` under the Gibbs weights of ``source``."""
-    _check_target(batch, target)
+    _check_target(batch.loss.shape[0], target)
     return float(_gibbs_point(batch, lam, source).expected[target, 0])
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_ATOM_PROMPT",
     "generate_atoms",
     "beam_compose",
-    "encoder_proxy_scorer",
     "best_single_description_curve",
     "curve_csv",
     "describe_pair",
@@ -43,12 +42,12 @@ class Atom:
     """One short description fragment."""
 
     text: str
-    source: str = "sample_1"  # sample_1 | sample_2 | ensemble
+    source: str = "sample_1"  # sample_1 | sample_2
 
     def __post_init__(self) -> None:
         if not self.text or "\n" in self.text:
             raise ValueError("atom text must be a nonempty single line")
-        if self.source not in ("sample_1", "sample_2", "ensemble"):
+        if self.source not in ("sample_1", "sample_2"):
             raise ValueError(f"unknown atom source {self.source!r}")
 
 
@@ -64,15 +63,6 @@ class BeamEntry:
     def __post_init__(self) -> None:
         if len(set(self.atoms_used)) != len(self.atoms_used):
             raise ValueError("an atom may appear at most once per entry")
-
-
-def _add_atoms(seen: dict[str, None], samples) -> None:
-    """Add each draw's lines, bullet markers stripped, to ``seen`` once."""
-    for s in samples:
-        for line in (s.text or "".join(s.tokens)).splitlines():
-            line = _BULLET_RE.sub("", line).strip()
-            if line:
-                seen.setdefault(line, None)
 
 
 def generate_atoms(
@@ -106,33 +96,13 @@ def generate_atoms(
         )
         round_no += 1
         before = len(seen)
-        _add_atoms(seen, samples)
+        for s in samples:  # each draw's lines, bullet markers stripped
+            for line in (s.text or "".join(s.tokens)).splitlines():
+                line = _BULLET_RE.sub("", line).strip()
+                if line:
+                    seen.setdefault(line, None)
         stale_rounds = 0 if len(seen) > before else stale_rounds + 1
     return [Atom(text=t, source=source) for t in list(seen)[:count]]
-
-
-def ensemble_atoms(
-    backend, context_a: str, context_b: str, count: int = 40,
-    prompt: str = DEFAULT_ATOM_PROMPT, max_tokens: int = 40,
-    temperature: float = 1.0, seed: int = 0,
-) -> list[Atom]:
-    """Atoms sampled from the two-context ensemble distribution."""
-    samples = backend.ensemble_sample(
-        str(context_a), str(context_b), count, max_tokens=max_tokens,
-        temperature=temperature, seed=seed, prompt=prompt,
-    )
-    seen: dict[str, None] = {}
-    _add_atoms(seen, samples)
-    return [Atom(text=t, source="ensemble") for t in list(seen)[:count]]
-
-
-def encoder_proxy_scorer(backend, context: str, prompt: str | None = None):
-    """Default proxy: the backend's own conditional score of the text."""
-
-    def score(text: str) -> float:
-        return backend.cond_logprob(str(context), text, prompt=prompt).total
-
-    return score
 
 
 def beam_compose(

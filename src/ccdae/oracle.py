@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _pair,
-                   _validate_grid, curve_from_traces, default_lambda_grid)
+from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_target,
+                   _pair, _validate_grid, curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -190,6 +190,7 @@ def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray,
 
 
 def _gibbs_point(table: FiniteHypothesisTable, sample: int, lam: float) -> tuple:
+    _check_target(table.n_samples, sample)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     u, q = (np.empty((1, table.n_hypotheses)) for _ in range(2))
@@ -210,6 +211,7 @@ def exact_capacity(table: FiniteHypothesisTable, sample: int, lam: float) -> flo
 def exact_cross_expected_loss(
     table: FiniteHypothesisTable, source: int, target: int, lam: float
 ) -> float:
+    _check_target(table.n_samples, target)
     return float(exact_gibbs(table, source, lam) @ table.loss[target])
 
 
@@ -233,6 +235,7 @@ def solve_discrete_description(
 
     Ties break toward smaller code length, then lower index.
     """
+    _check_target(table.n_samples, sample)
     return int(min(_feasible(table, capacity),
                    key=lambda j: (table.loss[sample][j], table.code_lengths[j], j)))
 
@@ -241,6 +244,7 @@ def structure_function(
     table: FiniteHypothesisTable, sample: int, capacity: float
 ) -> float:
     """Two-part code value: min over feasible h of loss + code length."""
+    _check_target(table.n_samples, sample)
     feas = _feasible(table, capacity)
     return float(np.min(table.loss[sample][feas] + table.code_lengths[feas]))
 
@@ -253,12 +257,15 @@ def dirac_restricted_optimum(
     A Dirac on h_j has KL(delta || p_code) = code_length_j, so this is
     the same feasible set as the discrete problem; returned is the loss.
     """
+    _check_target(table.n_samples, sample)
     return float(np.min(table.loss[sample][_feasible(table, capacity)]))
 
 
 def exact_intersection_distance(
     table: FiniteHypothesisTable, pair: tuple[int, int], lam: float
 ) -> float:
+    for sample in pair:
+        _check_target(table.n_samples, sample)
     i, j = pair
     qi = exact_gibbs(table, i, lam)
     qj = exact_gibbs(table, j, lam)
@@ -275,6 +282,8 @@ def exact_distance_curve(
     c_max: float | None = None,
 ) -> DistanceCurve:
     """Exact counterpart of :func:`ccdae.core.distance_curve`, in blocks of lambdas."""
+    for sample in pair:
+        _check_target(table.n_samples, sample)
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
     per_block = max(1, _BLOCK_ELEMENTS // table.n_hypotheses)
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))

@@ -103,8 +103,6 @@ def test_sampling_rejects_bad_temperature(ngram_backend, table_backend, temperat
                              (remote, "rain")):
         with pytest.raises(ValueError, match="temperature must be finite"):
             backend.sample_descriptions(context, 3, temperature=temperature)
-    with pytest.raises(ValueError, match="temperature must be finite"):
-        ngram_backend.ensemble_sample("rain", "iron", 3, temperature=temperature)
     assert stub.posts == 0
 
 
@@ -142,12 +140,6 @@ def test_sampled_logprobs_match_rescoring(ab_backend):
     for s in ab_backend.sample_descriptions("ab", 20, max_tokens=6, seed=9):
         rescored = ab_backend.score_tokens("ab", s.tokens, s.terminated)
         assert rescored.total == pytest.approx(s.total_logprob, abs=1e-9)
-
-
-def test_ensemble_equal_contexts_matches_single(ab_backend):
-    single = ab_backend.sample_descriptions("a", 8, max_tokens=4, seed=11)
-    double = ab_backend.ensemble_sample("a", "a", 8, max_tokens=4, seed=11)
-    assert [s.text for s in single] == [s.text for s in double]
 
 
 def test_prompt_precedes_context_with_newline():
@@ -224,7 +216,7 @@ def test_bisect_draw_matches_generator_choice(ngram_backend):
     for ci, ctx in enumerate(sorted(model.counts)):
         for ti, temperature in enumerate((0.5, 1.0, 2.0)):
             _, probs = _reference_step(model, [ctx], temperature)
-            cdf = ngram_backend._state((model.context(ctx),), temperature).cdf
+            cdf = ngram_backend._state(model.context(ctx), temperature).cdf
             a = np.random.default_rng([ci, ti])
             b = np.random.default_rng([ci, ti])
             for _ in range(4):
@@ -267,11 +259,6 @@ def test_sampler_equals_reference(ngram_backend, seed, temperature, max_tokens, 
         prompt=prompt)
     assert got == _reference_sample(ngram_backend, [prefix("rain")], 12,
                                     max_tokens, temperature, seed)
-    got = ngram_backend.ensemble_sample(
-        "snow", "iron", 12, max_tokens=max_tokens, temperature=temperature,
-        seed=seed, prompt=prompt)
-    assert got == _reference_sample(ngram_backend, [prefix("snow"), prefix("iron")],
-                                    12, max_tokens, temperature, seed)
 
 
 def test_sampler_reaches_zero_length_draws():
@@ -297,24 +284,23 @@ def test_uniform_blocks_equal_scalar_draws(sizes):
 ORDER1 = train_ngram("the cat sat\nthe dog ran\n", order=1)
 
 
-@pytest.mark.parametrize("model, contexts, count, max_tokens, prompt, block", [
+@pytest.mark.parametrize("model, context, count, max_tokens, prompt, block", [
     # about 8,000 uniforms: more than one block of the default size
-    (None, ["rain"], 400, 20, None, None),
-    (None, ["snow", "iron"], 30, 25, "describe", 7),
-    (None, ["rain", "zzz"], 30, 12, "Ω~\t\n", 5),
-    (ORDER1, ["rain"], 60, 8, None, 50),
-    (ORDER1, ["a", "Ω"], 30, 8, "x", 3),
-], ids=["many-blocks", "ensemble-prompt", "off-vocab-prompt", "order1",
-        "order1-ensemble"])
+    (None, "rain", 400, 20, None, None),
+    (None, "snow", 30, 25, "describe", 7),
+    (None, "zzz", 30, 12, "Ω~\t\n", 5),
+    (ORDER1, "rain", 60, 8, None, 50),
+    (ORDER1, "Ω", 30, 8, "x", 3),
+], ids=["many-blocks", "prompt", "off-vocab-prompt", "order1", "order1-prompt"])
 def test_sampler_equals_reference_across_blocks(ngram_backend, monkeypatch, model,
-                                                contexts, count, max_tokens, prompt,
+                                                context, count, max_tokens, prompt,
                                                 block):
     be = ngram_backend if model is None else NGramBackend(model)
     if block is not None:
         monkeypatch.setattr(backends, "_UNIFORM_BLOCK", block)
-    got = be._sample(contexts, count, max_tokens, 1.0, 3, prompt)
-    prefixes = [f"{prompt}\n{c}" if prompt else c for c in contexts]
-    assert got == _reference_sample(be, prefixes, count, max_tokens, 1.0, 3)
+    got = be.sample_descriptions(context, count, max_tokens, 1.0, 3, prompt)
+    prefix = f"{prompt}\n{context}" if prompt else context
+    assert got == _reference_sample(be, [prefix], count, max_tokens, 1.0, 3)
     used = sum(len(s.per_token_logprobs) for s in got)
     assert used > (block or backends._UNIFORM_BLOCK)
 
@@ -356,18 +342,18 @@ def test_automaton_is_bounded_by_the_contexts_it_visits():
     be = NGramBackend(model)
     visited = set()
     for seed in range(12):
-        for contexts, prompt in ((["rain"], None), (["snow", "iron"], "describe"),
-                                 (["", "zzz~"], "Ω")):
+        for context, prompt in (("rain", None), ("snow", "describe"),
+                                ("iron", "describe"), ("", "Ω"), ("zzz~", "Ω")):
             for temperature in (0.5, 1.0):
-                prefixes = [f"{prompt}\n{c}" if prompt else c for c in contexts]
-                for s in be._sample(contexts, 10, 15, temperature, seed, prompt):
+                prefix = f"{prompt}\n{context}" if prompt else context
+                for s in be.sample_descriptions(context, 10, 15, temperature, seed,
+                                                prompt):
                     # the states of every step, and the one after a truncation
                     for k in range(len(s.text) + 1):
-                        visited.add((tuple(model.context(p + s.text[:k])
-                                           for p in prefixes), temperature))
+                        visited.add((model.context(prefix + s.text[:k]), temperature))
     assert 0 < len(be._states) <= len(visited)
     stored = set(model.counts) | {""}
-    assert all(set(contexts) <= stored for contexts, _ in be._states)
+    assert all(context in stored for context, _ in be._states)
     assert all(ctx in stored and 0 <= i < model.vocab_size for ctx, i in be._moves)
     # scoring arbitrary tokens does not grow the transition memo
     moves = len(be._moves)
@@ -391,57 +377,6 @@ def test_table_lookup_verbatim(table_backend):
 def test_table_floor_fallback(table_backend):
     r = table_backend.cond_logprob("img_sunset", "unknown words here")
     assert r.per_token == (-20.0, -20.0, -20.0)
-
-
-def test_table_ensemble_disjoint_one_hot_mixture(tmp_path):
-    doc = {
-        "magic": "CCDAE-TABLE",
-        "floor": -20.0,
-        "descriptions": {"u": "u", "v": "v"},
-        "cond": {
-            "c1": {"u": [-0.001], "v": [-40.0]},
-            "c2": {"u": [-40.0], "v": [-0.001]},
-        },
-        "code": {},
-    }
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps(doc))
-    be = TableBackend.load(path)
-    draws = be.ensemble_sample("c1", "c2", 2000, seed=0)
-    freq = Counter(s.text for s in draws)
-    assert abs(freq["u"] / 2000 - 0.5) < 0.05
-
-
-def _reference_table_ensemble(be, context_a, context_b, count, temperature, seed):
-    """``TableBackend.ensemble_sample`` as it was written before its rows
-    were built in one pass."""
-    ids = sorted(set(dict(be._context_items(context_a)))
-                 | set(dict(be._context_items(context_b))))
-    rows = []
-    totals = []
-    for did in ids:
-        la = be.cond_logprob(context_a, did).total
-        lb = be.cond_logprob(context_b, did).total
-        mean = 0.5 * (la + lb)
-        rows.append((did, [mean]))
-        totals.append(mean)
-    totals = np.array(totals)
-    totals = totals - np.logaddexp.reduce(totals)
-    rows = [(did, [t]) for (did, _), t in zip(rows, totals)]
-    return be._draw(rows, totals, count, temperature, seed)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 123])
-@pytest.mark.parametrize("contexts, temperature", [
-    (("img_sunset", "cap_positive"), 1.0),
-    (("cap_positive", "cap_negative"), 0.5),
-    (("img_sunset", "img_sunset"), 2.0),
-])
-def test_table_ensemble_equals_reference(table_backend, contexts, temperature, seed):
-    got = table_backend.ensemble_sample(*contexts, 25, temperature=temperature,
-                                        seed=seed)
-    assert got == _reference_table_ensemble(table_backend, *contexts, 25,
-                                            temperature, seed)
 
 
 @pytest.mark.parametrize("doc", [

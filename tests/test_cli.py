@@ -118,6 +118,29 @@ def test_malformed_backend_file_exits_1(capsys, tmp_path, flags, doc):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(floor=math.nan),
+    lambda doc: doc.update(floor=math.inf),
+    lambda doc: doc.update(floor=5),
+    lambda doc: doc["cond"]["img_sunset"]["d_sun"].__setitem__(0, 0.5),
+    lambda doc: doc["code"]["d_sun"].__setitem__(0, "NaN"),
+], ids=["floor-nan", "floor-inf", "floor-positive", "cond-positive", "code-nan"])
+def test_table_fixture_logprobs_must_be_finite_and_not_positive(
+        capsys, tmp_path, fixture_path, edit):
+    with open(fixture_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--backend", "table", "--fixture", str(path),
+                         "--out", str(tmp_path / "d.csv"),
+                         "describe", "img_sunset", "cap_positive")
+    assert code == 1
+    assert err.startswith(f"error: {path}: malformed table-backend fixture: ")
+    assert "not finite and <= 0" in err
+    assert out == "" and not (tmp_path / "d.csv").exists()
+
+
 def test_bad_lambda_grid(capsys, fixture_path):
     code, _, err = run(capsys, "--backend", "table", "--fixture", fixture_path,
                        "compare", "img_sunset", "cap_positive",

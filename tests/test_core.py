@@ -454,7 +454,7 @@ def _previous_logsumexp_rows(u):
 def _previous_gibbs_trace(batch, grid, target, keep_weights=False):
     """The kernel before the columnar batch and the one logits buffer, verbatim
     but for reading the per-hypothesis log-probs from the batch's columns."""
-    core._check_target(batch, target)
+    core._check_target(batch.loss.shape[0], target)
     extra = np.array([float(pc) - float(pq) for pc, pq
                       in zip(batch.log_pcode, batch.log_proposal)])
     log_counts = np.log(batch.counts)

@@ -27,10 +27,6 @@ class _StubBackend:
         block = self.blocks[min(seed, len(self.blocks) - 1)]
         return [_Sample(text=block)] * n
 
-    def ensemble_sample(self, a, b, n, max_tokens=40, temperature=1.0,
-                        seed=0, prompt=None):
-        return self.sample_descriptions(a + b, n, seed=seed)
-
 
 # ---------------------------------------------------------------------------
 # atoms
@@ -43,7 +39,9 @@ def test_atom_validation():
         Atom(text="two\nlines")
     with pytest.raises(ValueError):
         Atom(text="ok", source="elsewhere")
-    assert Atom(text="ok", source="ensemble").source == "ensemble"
+    with pytest.raises(ValueError, match="unknown atom source"):
+        Atom(text="ok", source="ensemble")
+    assert Atom(text="ok", source="sample_2").source == "sample_2"
 
 
 def test_beam_entry_rejects_repeated_atoms():
@@ -84,21 +82,6 @@ def test_generate_atoms_accumulates_across_rounds():
 def test_generate_atoms_rejects_bad_count():
     with pytest.raises(ValueError):
         descgen.generate_atoms(_StubBackend(blocks=["- a\n"]), "ctx", count=0)
-
-
-def test_ensemble_atoms_source():
-    be = _StubBackend(blocks=["- joint view\n"])
-    atoms = descgen.ensemble_atoms(be, "c1", "c2", count=3)
-    assert [a.text for a in atoms] == ["joint view"]
-    assert atoms[0].source == "ensemble"
-
-
-def test_encoder_proxy_scorer_matches_backend(ngram_backend):
-    scorer = descgen.encoder_proxy_scorer(ngram_backend, "rain")
-    text = "skies look clear"
-    assert scorer(text) == pytest.approx(
-        ngram_backend.cond_logprob("rain", text).total
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,32 @@ def test_exact_distance_curve_validates_grid(separable, grid, match):
         core.distance_curve(oracle.exact_batch(separable), lambda_grid=grid)
 
 
+@pytest.mark.parametrize("call", [
+    lambda t, i: oracle.exact_gibbs(t, i, 1.0),
+    lambda t, i: oracle.exact_capacity(t, i, 1.0),
+    lambda t, i: oracle.exact_expected_loss(t, i, 1.0),
+    lambda t, i: oracle.exact_cross_expected_loss(t, i, 0, 1.0),
+    lambda t, i: oracle.exact_cross_expected_loss(t, 0, i, 1.0),
+    lambda t, i: oracle.solve_discrete_description(t, i, 10.0),
+    lambda t, i: oracle.structure_function(t, i, 10.0),
+    lambda t, i: oracle.dirac_restricted_optimum(t, i, 10.0),
+    lambda t, i: oracle.exact_intersection_distance(t, (0, i), 1.0),
+    lambda t, i: oracle.exact_intersection_distance(t, (i, 0), 1.0),
+    lambda t, i: oracle.exact_distance_curve(t, (0, i)),
+    lambda t, i: oracle.exact_distance_curve(t, (i, 1)),
+], ids=["gibbs", "capacity", "expected-loss", "cross-source", "cross-target",
+        "discrete", "structure", "dirac", "intersection-j", "intersection-i",
+        "curve-j", "curve-i"])
+@pytest.mark.parametrize("index", [-1, 2])
+def test_oracle_refuses_sample_index_out_of_range(separable, call, index):
+    # a negative index must not wrap to the last row
+    with pytest.raises(core.InvalidBatchError,
+                       match=f"sample index {index} out of range"):
+        call(separable, index)
+    call(separable, 1)
+    call(separable, 0)
+
+
 # ---------------------------------------------------------------------------
 # the two directions are traced at once, in reused buffers
 
