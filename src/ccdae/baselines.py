@@ -133,17 +133,16 @@ def _pack(bits: np.ndarray) -> bytes:
 
 
 def noise_experiment(
-    pattern_spec: Callable[[int], np.ndarray] = disk_pattern,
     p: float = 0.1,
     dimensions: Sequence[int] = (64**2, 128**2, 256**2, 512**2),
     seed: int = 0,
-    compressor: Compressor = deflate_size_bits,
     use_joint_bound: bool = False,
 ) -> list[NoiseExperimentPoint]:
     """NCD between two noisy measurements of the same pattern, per size.
 
-    For each dimension D: render the pattern s, draw two Bernoulli(p)
-    masks, XOR them onto s, pack 8 pixels per byte, and measure NCD.
+    For each dimension D: render the disk pattern s, draw two Bernoulli(p)
+    masks, XOR them onto s, pack 8 pixels per byte, and measure NCD under
+    deflate at level 9.
     Predicted value is 1 - Z(s)/(D*H(p)) clamped to [0, 1], with H(p) in
     bits to match compressed sizes.
     """
@@ -153,19 +152,18 @@ def noise_experiment(
     h_bits = bernoulli_entropy(p) / math.log(2.0)
     points = []
     for dim in dimensions:
-        s = pattern_spec(dim)
+        s = disk_pattern(dim)
         n_x = (rng.random(dim) < p).astype(np.uint8)
         n_y = (rng.random(dim) < p).astype(np.uint8)
         x = _pack(s ^ n_x)
         y = _pack(s ^ n_y)
-        z_s = compressor(_pack(s))
+        z_s = deflate_size_bits(_pack(s))
         if use_joint_bound:
-            z_x = compressor(x)
-            z_y = compressor(y)
-            result = ncd(x, y, compressor,
-                         z_xy=ncd_joint_lower_bound(z_x, z_y, z_s))
+            z_x = deflate_size_bits(x)
+            z_y = deflate_size_bits(y)
+            result = ncd(x, y, z_xy=ncd_joint_lower_bound(z_x, z_y, z_s))
         else:
-            result = ncd(x, y, compressor)
+            result = ncd(x, y)
         if h_bits > 0:
             predicted = min(1.0, max(0.0, 1.0 - z_s / (dim * h_bits)))
         else:

@@ -18,7 +18,6 @@ import io
 import math
 import os
 import threading
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -117,45 +116,6 @@ class ScoredBatch:
             self.log_conditionals = np.asarray(self.log_conditionals, dtype=float)
             if self.log_conditionals.shape != self.loss.shape:
                 raise InvalidBatchError("log_conditionals shape mismatch")
-
-    @classmethod
-    def from_columns(
-        cls,
-        texts: Sequence[str],
-        log_pcode: np.ndarray,
-        log_proposal: np.ndarray,
-        loss: np.ndarray,
-        mode: str = "encoder_only",
-        counts: np.ndarray | None = None,
-        log_conditionals: np.ndarray | None = None,
-    ) -> "ScoredBatch":
-        """Build a batch, dropping hypotheses with any non-finite score.
-
-        A single -inf log-prob would poison every softmax, so offending
-        columns are removed up front and counted in ``dropped``.
-        """
-        loss = np.asarray(loss, dtype=float)
-        log_pcode = np.asarray(log_pcode, dtype=float)
-        log_proposal = np.asarray(log_proposal, dtype=float)
-        keep = (np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode)
-                & np.isfinite(log_proposal))
-        n_drop = int((~keep).sum())
-        if n_drop:
-            warnings.warn(f"dropping {n_drop} hypotheses with non-finite scores")
-        if counts is not None:
-            counts = np.asarray(counts, dtype=float)[keep]
-        if log_conditionals is not None:
-            log_conditionals = np.asarray(log_conditionals, dtype=float)[:, keep]
-        return cls(
-            texts=[t for t, k in zip(texts, keep) if k],
-            log_pcode=log_pcode[keep],
-            log_proposal=log_proposal[keep],
-            loss=loss[:, keep],
-            mode=mode,
-            counts=counts,
-            log_conditionals=log_conditionals,
-            dropped=n_drop,
-        )
 
     @property
     def n_hypotheses(self) -> int:
@@ -260,7 +220,13 @@ class DistanceCurve:
 
 
 def _check_target(n_samples: int, target: int) -> None:
-    """Refuse a sample index outside 0..n_samples-1 (no negative wrap)."""
+    """Refuse a sample index that is not an integer in 0..n_samples-1.
+
+    A bool, a float or a string is refused rather than cast, and a negative
+    index does not wrap.
+    """
+    if isinstance(target, bool) or not isinstance(target, (int, np.integer)):
+        raise InvalidBatchError(f"sample index {target!r} is not an integer")
     if not 0 <= target < n_samples:
         raise InvalidBatchError(f"sample index {target} out of range")
 

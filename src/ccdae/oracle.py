@@ -118,23 +118,18 @@ class FiniteHypothesisTable:
 
 
 def proposal_batch(
-    table: FiniteHypothesisTable,
-    n_draws: int,
-    seed: int = 0,
-    proposal: np.ndarray | None = None,
+    table: FiniteHypothesisTable, n_draws: int, seed: int = 0
 ) -> ScoredBatch:
     """i.i.d. proposal draws from a finite table, merged into a ScoredBatch.
 
-    The default proposal is the normalized code distribution. Duplicate
-    draws merge into count weights, so the batch feeds the importance
-    sampling estimators exactly as pooled sampled descriptions would.
+    The proposal is the normalized code distribution. Duplicate draws merge
+    into count weights, so the batch feeds the importance sampling
+    estimators exactly as pooled sampled descriptions would.
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    if proposal is None:
-        mass = np.exp(-table.code_lengths)
-        proposal = mass / mass.sum()
-    proposal = np.asarray(proposal, dtype=float)
+    mass = np.exp(-table.code_lengths)
+    proposal = mass / mass.sum()
     rng = np.random.default_rng(seed)
     draws = rng.choice(table.n_hypotheses, size=n_draws, p=proposal)
     idx, counts = np.unique(draws, return_counts=True)

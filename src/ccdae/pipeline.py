@@ -15,6 +15,7 @@ import functools
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,6 +130,13 @@ def _rank_seed(seed: int, rank: int) -> int:
     return int(np.random.default_rng([seed, rank]).integers(2**31))
 
 
+def _too_few_descriptions(n_draws: int, n_distinct: int, dropped: int = 0):
+    unscorable = f", {dropped} dropped as unscorable" if dropped else ""
+    return InvalidBatchError(
+        f"{n_draws} draws gave {n_distinct} distinct description(s){unscorable}; "
+        "a distance needs at least 2 distinct descriptions, so sample more per input")
+
+
 def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredBatch:
     """Sample the proposal mixture and score every pooled hypothesis.
 
@@ -136,7 +144,10 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     pooled set is ordered (first-canonical draws, second-canonical draws)
     so the batch is invariant under swapping the inputs up to exchanging
     the two loss rows. Duplicate descriptions merge into one hypothesis
-    carrying their draw multiplicity.
+    carrying their draw multiplicity. A hypothesis with a non-finite score
+    would poison every softmax, so it is dropped with a warning and counted
+    in ``dropped``; fewer than 2 distinct descriptions raise
+    :class:`InvalidBatchError`.
     """
     config = config or CompareConfig()
     xa, xb, _ = _canonical_order(x1, x2)
@@ -157,6 +168,8 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     merged: dict[tuple, list] = {}
     for s in draws:
         merged.setdefault((s.text, s.tokens, s.terminated), [s, 0])[1] += 1
+    if len(merged) < 2:
+        raise _too_few_descriptions(len(draws), len(merged))
     unique = [s for s, _ in merged.values()]
 
     cond = np.array([
@@ -170,27 +183,33 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     else:
         # a zero-length draw's one token is the bare EOS event, scored as
         # the code model's conditional on an empty context and prompt
-        log_pcode = [
+        log_pcode = np.asarray([
             backend.code_logprob(s.text, terminated=s.terminated).total if s.text
             else backend.score_tokens("", s.tokens, s.terminated, prompt="").total
             for s in unique
-        ]
-    texts = [s.text for s in unique]
+        ], dtype=float)
 
     if config.loss_mode == "encoder_only":
         loss = log_pi[None, :] - cond
     else:
-        loss = -np.array([[backend.cond_logprob(t, str(x)).total for t in texts]
+        loss = -np.array([[backend.cond_logprob(s.text, str(x)).total for s in unique]
                           for x in (x1, x2)])
 
-    return ScoredBatch.from_columns(
-        texts,
-        log_pcode,
-        log_pi,
-        loss,
+    keep = np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode) & np.isfinite(log_pi)
+    dropped = int((~keep).sum())
+    if dropped:
+        warnings.warn(f"dropping {dropped} hypotheses with non-finite scores")
+        if keep.sum() < 2:
+            raise _too_few_descriptions(len(draws), len(merged), dropped)
+    return ScoredBatch(
+        texts=[s.text for s, k in zip(unique, keep) if k],
+        log_pcode=log_pcode[keep],
+        log_proposal=log_pi[keep],
+        loss=loss[:, keep],
         mode=config.loss_mode,
-        counts=np.array([n for _, n in merged.values()], dtype=float),
-        log_conditionals=cond,
+        counts=np.array([n for _, n in merged.values()], dtype=float)[keep],
+        log_conditionals=cond[:, keep],
+        dropped=dropped,
     )
 
 

@@ -295,6 +295,15 @@ def test_compare_self_zero(capsys, fixture_path, tmp_path):
     assert os.path.exists(str(tmp_path / "c.report.json"))
 
 
+def test_compare_with_collapsed_draws_names_the_cause(capsys, fixture_path):
+    # both inputs draw only d_sun at this sample size
+    code, _, err = run(capsys, "--backend", "table", "--fixture", fixture_path,
+                       "compare", "img_sunset", "cap_positive", "--samples", "6")
+    assert code == 1
+    assert err == ("error: 12 draws gave 1 distinct description(s); a distance "
+                   "needs at least 2 distinct descriptions, so sample more per input\n")
+
+
 def test_compare_matches_golden(capsys, data_dir, fixture_path, tmp_path):
     out = str(tmp_path / "curve.csv")
     code, stdout, _ = run(capsys, "--backend", "table", "--fixture",

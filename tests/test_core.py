@@ -217,15 +217,12 @@ def test_intersection_equals_mean_gap():
 # batch validation
 
 
-def test_batch_drops_nonfinite_columns():
-    with pytest.warns(UserWarning):
-        batch = ScoredBatch.from_columns(
-            ["a", "b", "c"], [-1.0] * 3, [-1.0] * 3,
-            [[1.0, np.inf, 2.0], [1.0, 0.0, 2.0]]
-        )
-    assert batch.n_hypotheses == 2
-    assert batch.dropped == 1
-    assert batch.texts == ["a", "c"]
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_batch_rejects_nonfinite_loss(value):
+    # build_batch drops such a column before it gets here
+    with pytest.raises(InvalidBatchError, match="non-finite"):
+        ScoredBatch(texts=["a", "b", "c"], log_pcode=[-1.0] * 3,
+                    log_proposal=[-1.0] * 3, loss=[[1.0, value, 2.0], [1.0, 0.0, 2.0]])
 
 
 def test_batch_requires_two_hypotheses():

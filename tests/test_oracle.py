@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 
 import numpy as np
@@ -337,7 +338,7 @@ def test_exact_distance_curve_validates_grid(separable, grid, match):
         core.distance_curve(oracle.exact_batch(separable), lambda_grid=grid)
 
 
-@pytest.mark.parametrize("call", [
+_INDEX_CALLS = [
     lambda t, i: oracle.exact_gibbs(t, i, 1.0),
     lambda t, i: oracle.exact_capacity(t, i, 1.0),
     lambda t, i: oracle.exact_expected_loss(t, i, 1.0),
@@ -350,9 +351,13 @@ def test_exact_distance_curve_validates_grid(separable, grid, match):
     lambda t, i: oracle.exact_intersection_distance(t, (i, 0), 1.0),
     lambda t, i: oracle.exact_distance_curve(t, (0, i)),
     lambda t, i: oracle.exact_distance_curve(t, (i, 1)),
-], ids=["gibbs", "capacity", "expected-loss", "cross-source", "cross-target",
-        "discrete", "structure", "dirac", "intersection-j", "intersection-i",
-        "curve-j", "curve-i"])
+]
+_INDEX_CALL_IDS = ["gibbs", "capacity", "expected-loss", "cross-source", "cross-target",
+                   "discrete", "structure", "dirac", "intersection-j",
+                   "intersection-i", "curve-j", "curve-i"]
+
+
+@pytest.mark.parametrize("call", _INDEX_CALLS, ids=_INDEX_CALL_IDS)
 @pytest.mark.parametrize("index", [-1, 2])
 def test_oracle_refuses_sample_index_out_of_range(separable, call, index):
     # a negative index must not wrap to the last row
@@ -360,6 +365,23 @@ def test_oracle_refuses_sample_index_out_of_range(separable, call, index):
                        match=f"sample index {index} out of range"):
         call(separable, index)
     call(separable, 1)
+    call(separable, 0)
+
+
+@pytest.mark.parametrize("call", _INDEX_CALLS + [
+    lambda t, i: core.gibbs_weights(oracle.exact_batch(t), 1.0, i),
+    lambda t, i: core.cross_expected_loss(oracle.exact_batch(t), 1.0, i, 0),
+    lambda t, i: core.cross_expected_loss(oracle.exact_batch(t), 1.0, 0, i),
+    lambda t, i: core.trace_rate_curve(oracle.exact_batch(t), [0.0, 1.0], i),
+], ids=_INDEX_CALL_IDS + ["core-gibbs", "core-cross-source", "core-cross-target",
+                          "core-trace"])
+@pytest.mark.parametrize("index", [0.5, 1.0, True, False, np.True_, "1"],
+                         ids=["0.5", "1.0", "True", "False", "np.True_", "str"])
+def test_sample_index_must_be_an_integer(separable, call, index):
+    with pytest.raises(core.InvalidBatchError,
+                       match=rf"sample index {re.escape(repr(index))} is not an integer"):
+        call(separable, index)
+    call(separable, np.int64(1))
     call(separable, 0)
 
 

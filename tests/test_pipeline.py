@@ -188,10 +188,40 @@ def _reference_batch(x1, x2, backend, config):
         for j, text in enumerate(texts):
             loss[0, j] = -backend.cond_logprob(text, str(x1)).total
             loss[1, j] = -backend.cond_logprob(text, str(x2)).total
-    return ScoredBatch.from_columns(texts, log_pcodes, log_pis, loss,
-                                    mode=config.loss_mode,
-                                    counts=np.array(counts, dtype=float),
-                                    log_conditionals=cond)
+    return _reference_from_columns(texts, log_pcodes, log_pis, loss,
+                                   mode=config.loss_mode,
+                                   counts=np.array(counts, dtype=float),
+                                   log_conditionals=cond)
+
+
+def _reference_from_columns(
+    texts, log_pcode, log_proposal, loss, mode="encoder_only", counts=None,
+    log_conditionals=None,
+):
+    """``ScoredBatch.from_columns``, the drop step before ``build_batch``
+    took it over, verbatim but for the class it builds."""
+    loss = np.asarray(loss, dtype=float)
+    log_pcode = np.asarray(log_pcode, dtype=float)
+    log_proposal = np.asarray(log_proposal, dtype=float)
+    keep = (np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode)
+            & np.isfinite(log_proposal))
+    n_drop = int((~keep).sum())
+    if n_drop:
+        warnings.warn(f"dropping {n_drop} hypotheses with non-finite scores")
+    if counts is not None:
+        counts = np.asarray(counts, dtype=float)[keep]
+    if log_conditionals is not None:
+        log_conditionals = np.asarray(log_conditionals, dtype=float)[:, keep]
+    return ScoredBatch(
+        texts=[t for t, k in zip(texts, keep) if k],
+        log_pcode=log_pcode[keep],
+        log_proposal=log_proposal[keep],
+        loss=loss[:, keep],
+        mode=mode,
+        counts=counts,
+        log_conditionals=log_conditionals,
+        dropped=n_drop,
+    )
 
 
 @pytest.mark.filterwarnings("ignore:dropping")  # both drop alike; checked below
@@ -343,6 +373,63 @@ def test_compare_degenerate_batch_errors(table_backend):
     config = CompareConfig(samples_per_input=5, max_tokens=5, temperature=1e-9)
     with pytest.raises(InvalidBatchError):
         pipeline.compare("img_sunset", "img_sunset", table_backend, config)
+
+
+class _FixedDrawsBackend:
+    """Draws ``texts`` in turn from every input; rescores each text at -1 per
+    character, except that the texts in ``unscorable`` score -inf under the
+    input "x1" (a zero-probability description)."""
+
+    def __init__(self, texts, unscorable=()):
+        self.cycle, self.unscorable = texts, set(unscorable)
+
+    def sample_descriptions(self, context, n, max_tokens=20, temperature=1.0,
+                            seed=0, prompt=None):
+        texts = [self.cycle[i % len(self.cycle)] for i in range(n)]
+        return [backends.SampledDescription(t, tuple(t), (-1.0,) * len(t), True)
+                for t in texts]
+
+    def score_tokens(self, context, tokens, terminated, prompt=None):
+        text = "".join(tokens)
+        if context == "x1" and text in self.unscorable:
+            return backends.LogProbResult.from_tokens([-math.inf])
+        return backends.LogProbResult.from_tokens([-1.0] * len(tokens))
+
+
+def test_build_batch_drops_unscorable_hypotheses():
+    backend = _FixedDrawsBackend(["aa", "b", "ccc"], unscorable={"b"})
+    config = CompareConfig(samples_per_input=3)
+    with pytest.warns(UserWarning, match="dropping 1 hypotheses"):
+        batch = pipeline.build_batch("x1", "x2", backend, config)
+    assert batch.dropped == 1
+    assert batch.texts == ["aa", "ccc"]
+    np.testing.assert_array_equal(batch.counts, [2.0, 2.0])
+    with pytest.warns(UserWarning, match="dropping 1 hypotheses"):
+        report = pipeline.compare("x1", "x2", backend, config)
+    assert report.diagnostics["dropped_hypotheses"] == 1
+    assert report.diagnostics["n_hypotheses"] == 2
+
+
+def test_build_batch_names_the_unscorable_when_fewer_than_2_are_left():
+    backend = _FixedDrawsBackend(["aa", "b"], unscorable={"b"})
+    with pytest.warns(UserWarning, match="dropping 1 hypotheses"):
+        with pytest.raises(InvalidBatchError,
+                           match=r"^6 draws gave 2 distinct description\(s\), 1 dropped "
+                                 "as unscorable; a distance needs at least 2"):
+            pipeline.build_batch("x1", "x2", backend, CompareConfig(samples_per_input=3))
+
+
+class _NoRescoring(_FixedDrawsBackend):
+    def score_tokens(self, *args, **kwargs):
+        raise AssertionError("collapsed draws must fail before any rescoring")
+
+
+def test_build_batch_refuses_collapsed_draws_before_rescoring():
+    with pytest.raises(InvalidBatchError,
+                       match=r"^8 draws gave 1 distinct description\(s\); a distance "
+                             "needs at least 2 distinct descriptions, so sample more"):
+        pipeline.build_batch("x1", "x2", _NoRescoring(["aa"]),
+                             CompareConfig(samples_per_input=4))
 
 
 # ---------------------------------------------------------------------------
