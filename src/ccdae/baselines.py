@@ -12,7 +12,7 @@ import io
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,12 +32,8 @@ __all__ = [
     "ncd_joint_lower_bound",
 ]
 
-#: byte string -> compressed size in bits
-Compressor = Callable[[bytes], int]
-
-
 def deflate_size_bits(data: bytes) -> int:
-    """Deflate at maximum effort; the bundled default compressor."""
+    """Compressed size in bits under deflate at maximum effort (level 9)."""
     return 8 * len(zlib.compress(data, 9))
 
 
@@ -47,7 +43,6 @@ class NcdResult:
     z_x: int
     z_y: int
     z_xy: int
-    compressor_id: str = "deflate9"
 
 
 @dataclass(frozen=True)
@@ -74,26 +69,22 @@ def cond_likelihood_score(x1: str, x2: str, backend) -> float:
     return 0.5 * (a + b)
 
 
-def ncd(a: bytes, b: bytes, compressor: Compressor = deflate_size_bits,
-        z_xy: int | None = None) -> NcdResult:
-    """Normalized compression distance of two byte strings.
+def ncd(a: bytes, b: bytes, z_xy: int | None = None) -> NcdResult:
+    """Normalized compression distance of two byte strings under deflate-9.
 
     ``z_xy`` can be supplied explicitly (e.g. from
-    :func:`ncd_joint_lower_bound`) when the compressor cannot jointly
-    compress; otherwise the concatenation is compressed directly.
+    :func:`ncd_joint_lower_bound`) when deflate's window is too short to
+    compress the pair jointly; otherwise the concatenation is compressed
+    directly.
     """
     if not a or not b:
         raise ValueError("inputs must be nonempty")
-    z_x = compressor(a)
-    z_y = compressor(b)
+    z_x = deflate_size_bits(a)
+    z_y = deflate_size_bits(b)
     if z_xy is None:
-        z_xy = compressor(a + b)
+        z_xy = deflate_size_bits(a + b)
     value = (z_xy - min(z_x, z_y)) / max(z_x, z_y)
-    cid = "deflate9" if compressor is deflate_size_bits else getattr(
-        compressor, "__name__", "custom"
-    )
-    return NcdResult(value=float(value), z_x=z_x, z_y=z_y, z_xy=z_xy,
-                     compressor_id=cid)
+    return NcdResult(value=float(value), z_x=z_x, z_y=z_y, z_xy=z_xy)
 
 
 def bernoulli_entropy(p: float) -> float:

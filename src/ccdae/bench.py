@@ -171,19 +171,21 @@ def pair_score(
     """One similarity-oriented score for a pair (higher = more similar).
 
     Distance-valued scores (auc, d_at_c, traj) are negated so every score
-    kind shares the similarity convention.
+    kind shares the similarity convention. The sampled kinds score one
+    ``build_batch``; auc and d_at_c trace it as ``pipeline.compare`` does,
+    without the explanations and diagnostics that only a report shows.
     """
     if score not in SCORE_KINDS:
         raise BenchError(f"unknown score kind {score!r}")
     if score == "cond_lik":
         return baselines.cond_likelihood_score(x1, x2, backend)
+    batch = pipeline.build_batch(x1, x2, backend, config)
     if score == "traj":
-        batch = pipeline.build_batch(x1, x2, backend, config)
         return -baselines.trajectory_distance(batch)
-    report = pipeline.compare(x1, x2, backend, config)
+    # called through the module, the one name that traces and tests patch
+    c = pipeline.distance_curve(batch, lambda_grid=config.grid(), c_max=config.c_max)
     if score == "auc":
-        return -report.auc
-    c = report.curve
+        return -c.auc
     cap = c.c_max if capacity is None else min(capacity, c.c_max)
     return -float(np.interp(cap, c.capacity_grid, c.distance))
 

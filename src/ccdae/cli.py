@@ -60,14 +60,25 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
     return tuple(np.linspace(start, stop, count))
 
 
-def _count(text: str) -> int:
-    """An argparse type for count flags: an integer in [1, MAX_COUNT]."""
+def _integer(text: str, low: int) -> int:
+    """An integer >= ``low``, or the argparse error that names the flag."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """An argparse type for --seed: a non-negative integer."""
+    return _integer(text, 0)
+
+
+def _count(text: str) -> int:
+    """An argparse type for count flags: an integer in [1, MAX_COUNT]."""
+    value = _integer(text, 1)
     if value > MAX_COUNT:
         raise argparse.ArgumentTypeError(f"must be <= {MAX_COUNT}, got {value}")
     return value
@@ -272,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", help="n-gram model file")
     parser.add_argument("--endpoint", help="remote server base URL")
     parser.add_argument("--fixture", help="table-backend fixture file")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--units", choices=("nats", "bits"), default="nats")
     parser.add_argument("--out", help="output file (default per command)")
     sub = parser.add_subparsers(dest="command", required=True)

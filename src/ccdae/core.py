@@ -48,6 +48,9 @@ def default_lambda_grid() -> np.ndarray:
 
 _CAPACITY_CLAMP = 1e-9
 
+#: Points of the capacity grid a distance curve is interpolated onto.
+_CAPACITY_POINTS = 100
+
 #: Logits per block of the lambda trace: 64 Ki float64s, 512 KiB.
 _BLOCK_ELEMENTS = 1 << 16
 
@@ -423,7 +426,6 @@ def curve_from_traces(
     beta,
     cross,
     lambda_grid: np.ndarray,
-    capacity_grid_size: int = 100,
     c_max: float | None = None,
     mode: str = "encoder_only",
 ) -> DistanceCurve:
@@ -433,17 +435,22 @@ def curve_from_traces(
     grid, the capacity of sample i's weights, their expected loss on
     sample i, and their expected loss on the other sample. Each curve is
     parameterized by its capacity and linearly interpolated onto
-    ``capacity_grid_size`` points spanning [0, c_max].
+    ``_CAPACITY_POINTS`` points spanning [0, c_max].
     """
     traced_max = min(capacity[0].max(), capacity[1].max())
     if c_max is None:
+        if traced_max < 0:
+            raise InvalidBatchError(
+                f"the traced capacity range ends at {traced_max:.6g} < 0, so there "
+                "is no capacity range [0, c_max] to compare the samples over"
+            )
         c_max = float(traced_max)
     elif c_max > traced_max * (1 + 1e-9) + 1e-12:
         raise InvalidBatchError(
             f"c_max={c_max:.6g} exceeds the traced capacity range "
             f"({traced_max:.6g}); extend the lambda grid or pass a smaller c_max"
         )
-    cgrid = np.linspace(0.0, c_max, capacity_grid_size)
+    cgrid = np.linspace(0.0, c_max, _CAPACITY_POINTS)
 
     def interp(i: int, val: np.ndarray) -> np.ndarray:
         # np.interp needs increasing x; estimator noise can break monotonicity.
@@ -470,7 +477,6 @@ def curve_from_traces(
 def distance_curve(
     batch: ScoredBatch,
     lambda_grid=None,
-    capacity_grid_size: int = 100,
     c_max: float | None = None,
 ) -> DistanceCurve:
     """Trace both Gibbs families and interpolate the gap curves."""
@@ -481,7 +487,7 @@ def distance_curve(
                    batch.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
     return curve_from_traces(
         (t0.capacity, t1.capacity), (t0.expected[0], t1.expected[1]),
-        (t0.expected[1], t1.expected[0]), grid, capacity_grid_size, c_max, batch.mode,
+        (t0.expected[1], t1.expected[0]), grid, c_max, batch.mode,
     )
 
 

@@ -58,7 +58,7 @@ class BeamEntry:
     atoms_used: tuple[int, ...]
     text: str
     proxy_score: float
-    code_length: float = float("nan")
+    code_length: float
 
     def __post_init__(self) -> None:
         if len(set(self.atoms_used)) != len(self.atoms_used):
@@ -69,16 +69,16 @@ def generate_atoms(
     backend,
     context: str,
     count: int = 40,
-    prompt: str = DEFAULT_ATOM_PROMPT,
     source: str = "sample_1",
     max_tokens: int = 40,
-    temperature: float = 1.0,
     seed: int = 0,
 ) -> list[Atom]:
     """Sample bullet-point descriptions and split them into unique atoms.
 
-    Sampling continues (with fresh seeds) until ``count`` distinct atoms
-    are collected or the backend stops producing new material.
+    Each round draws ``count`` descriptions under ``DEFAULT_ATOM_PROMPT`` at
+    temperature 1. Sampling continues (with fresh seeds) until ``count``
+    distinct atoms are collected or the backend stops producing new
+    material.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -90,9 +90,9 @@ def generate_atoms(
             str(context),
             count,
             max_tokens=max_tokens,
-            temperature=temperature,
+            temperature=1.0,
             seed=seed + round_no,
-            prompt=prompt,
+            prompt=DEFAULT_ATOM_PROMPT,
         )
         round_no += 1
         before = len(seen)
@@ -108,34 +108,27 @@ def generate_atoms(
 def beam_compose(
     atoms: Sequence[Atom],
     proxy_scorer: Callable[[str], float],
+    code_length_fn: Callable[[str], float],
     beam_width: int = 8,
     max_atoms: int = 10,
-    negative_prompt_penalty: float = 0.0,
-    negative_scorer: Callable[[str], float] | None = None,
-    code_length_fn: Callable[[str], float] | None = None,
 ) -> list[list[BeamEntry]]:
     """Beam search over comma-joined atom sequences.
 
     Returns one list of at most ``beam_width`` entries per composed length
-    L = 1..max_atoms, each sorted by descending penalized score with a
-    (score, text) lexicographic tie-break. The penalized score is
-    ``proxy_scorer(text) - negative_prompt_penalty * negative_scorer(text)``.
+    L = 1..max_atoms, each sorted by descending ``proxy_scorer(text)`` with
+    a (score, text) lexicographic tie-break. Each entry carries
+    ``code_length_fn(text)`` as its code length.
     """
     if not atoms:
         raise ValueError("atom list must be nonempty")
     if beam_width < 1 or max_atoms < 1:
         raise ValueError("beam_width and max_atoms must be >= 1")
-    if negative_prompt_penalty and negative_scorer is None:
-        raise ValueError("negative_prompt_penalty requires a negative_scorer")
 
     def scored(used: tuple[int, ...]) -> BeamEntry:
         text = ATOM_JOINER.join(atoms[j].text for j in used)
-        s = float(proxy_scorer(text))
-        if negative_prompt_penalty and negative_scorer is not None:
-            s -= negative_prompt_penalty * float(negative_scorer(text))
-        code = float(code_length_fn(text)) if code_length_fn else float("nan")
-        return BeamEntry(atoms_used=used, text=text, proxy_score=s,
-                         code_length=code)
+        return BeamEntry(atoms_used=used, text=text,
+                         proxy_score=float(proxy_scorer(text)),
+                         code_length=float(code_length_fn(text)))
 
     def top(entries: list[BeamEntry]) -> list[BeamEntry]:
         entries.sort(key=lambda e: (-e.proxy_score, e.text))
@@ -161,14 +154,14 @@ def beam_compose(
 def best_single_description_curve(
     entries: Sequence[BeamEntry],
     loss_fn: Callable[[str], tuple[float, float]],
-    capacity_grid: Sequence[float] | None = None,
 ) -> list[dict]:
     """Best feasible description per capacity level, for display.
 
     ``loss_fn(text)`` returns the two reconstruction losses of a
-    description. For each capacity C the feasible set is the entries with
-    code_length <= C; rows report the per-sample loss minimizers and the
-    summed-loss minimizer, or empty strings when nothing is feasible.
+    description. The capacity levels are the entries' distinct code
+    lengths, in increasing order. At each level C the feasible set is the
+    entries with code_length <= C, never empty; rows report the per-sample
+    loss minimizers and the summed-loss minimizer.
     """
     entries = list(entries)
     if not entries:
@@ -178,27 +171,19 @@ def best_single_description_curve(
     losses = [loss_fn(e.text) for e in entries]
     if any(math.isnan(v) for pair in losses for v in pair):
         raise ValueError("loss_fn returned NaN")
-    if capacity_grid is None:
-        capacity_grid = sorted({float(e.code_length) for e in entries})
-
-    def best(feasible: list[int], key) -> int | None:
-        if not feasible:
-            return None
-        return min(feasible,
-                   key=lambda j: (key(j), entries[j].code_length, entries[j].text))
-
     rows = []
-    for cap in capacity_grid:
+    for cap in sorted({float(e.code_length) for e in entries}):
         feas = [j for j, e in enumerate(entries) if e.code_length <= cap + 1e-12]
-        row = {"capacity": float(cap)}
+        row = {"capacity": cap}
         for name, label, key in (
             ("x1", "best_h_x1", lambda j: losses[j][0]),
             ("x2", "best_h_x2", lambda j: losses[j][1]),
             ("common", "best_common", lambda j: losses[j][0] + losses[j][1]),
         ):
-            j = best(feas, key)
-            row[label] = "" if j is None else entries[j].text
-            row[f"loss_{name}"] = float("nan") if j is None else float(key(j))
+            j = min(feas,
+                    key=lambda i: (key(i), entries[i].code_length, entries[i].text))
+            row[label] = entries[j].text
+            row[f"loss_{name}"] = float(key(j))
         rows.append(row)
     return rows
 

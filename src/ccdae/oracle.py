@@ -273,7 +273,6 @@ def exact_distance_curve(
     table: FiniteHypothesisTable,
     pair: tuple[int, int] = (0, 1),
     lambda_grid=None,
-    capacity_grid_size: int = 100,
     c_max: float | None = None,
 ) -> DistanceCurve:
     """Exact counterpart of :func:`ccdae.core.distance_curve`, in blocks of lambdas."""
@@ -297,9 +296,7 @@ def exact_distance_curve(
             cross[s, block] = np.vecdot(w, table.loss[j])
 
     _pair(trace, table.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
-    return curve_from_traces(
-        cap, beta, cross, grid, capacity_grid_size, c_max, mode="generative"
-    )
+    return curve_from_traces(cap, beta, cross, grid, c_max, mode="generative")
 
 
 def universal_augment(

@@ -25,6 +25,7 @@ from .core import (
     InvalidBatchError,
     ScoredBatch,
     _gibbs_trace,
+    _validate_grid,
     default_lambda_grid,
     distance_curve,
     gibbs_weights,
@@ -67,6 +68,13 @@ class CompareConfig:
             raise ValueError(f"unknown pcode_mode {self.pcode_mode!r}")
         if self.loss_mode not in ("encoder_only", "generative"):
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
+        if self.lambda_grid is not None:
+            _validate_grid(self.lambda_grid)
+        if self.c_max is not None and not (math.isfinite(self.c_max) and self.c_max >= 0):
+            raise ValueError(f"c_max must be None or finite and >= 0, got {self.c_max}")
+        integer = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
+        if not (integer and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def grid(self) -> np.ndarray:
         if self.lambda_grid is None:

@@ -79,18 +79,6 @@ def test_ncd_self_structured_small():
     assert 0.0 < r.value <= 0.15
 
 
-def test_ncd_self_large_with_stronger_compressor():
-    import lzma
-
-    def lzma_bits(data: bytes) -> int:
-        return 8 * len(lzma.compress(data, preset=6))
-
-    a = b"the quick brown fox jumps over the lazy dog. " * 1456  # ~64 KiB
-    r = baselines.ncd(a, a, compressor=lzma_bits)
-    assert 0.0 < r.value <= 0.15
-    assert r.compressor_id == "lzma_bits"
-
-
 def test_ncd_random_pair_large():
     rng = np.random.default_rng(0)
     r1 = rng.integers(0, 256, 65536, dtype=np.uint8).tobytes()

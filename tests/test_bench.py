@@ -134,6 +134,19 @@ def test_pair_score_kinds(ngram_backend, quick_config):
                          score="bogus")
 
 
+@pytest.mark.parametrize("capacity", [None, 0.5])
+def test_pair_score_equals_compare_bit_for_bit(data_dir, ngram_backend, capacity):
+    config = pipeline.CompareConfig(seed=0)
+    for rec in bench.load_pairs(data_dir / "pairs.tsv").records:
+        c = pipeline.compare(rec.text_a, rec.text_b, ngram_backend, config).curve
+        cap = c.c_max if capacity is None else min(capacity, c.c_max)
+        d_at_c = float(np.interp(cap, c.capacity_grid, c.distance))
+        for kind, want in (("auc", c.auc), ("d_at_c", d_at_c)):
+            got = bench.pair_score(rec.text_a, rec.text_b, ngram_backend, config,
+                                   kind, capacity)
+            assert got.hex() == (-want).hex(), (rec.id, kind)
+
+
 def test_similarity_bench_constructed_monotone(ngram_backend, quick_config):
     contexts = ["rain", "dust", "iron"]
     records = []

@@ -227,6 +227,24 @@ def test_bad_temperature_exits_2(capsys, model_path, temperature):
             in err)
 
 
+@pytest.mark.parametrize("argv", [
+    ("compare", "rain", "snow"),
+    ("bench", "pairs", str(DATA / "pairs.tsv")),
+    ("describe", "rain", "iron"),
+    ("ncd-demo", "--dims", "8"),
+])
+def test_negative_seed_exits_2_before_any_backend(capsys, monkeypatch, model_path,
+                                                  argv):
+    def no_backend(args):
+        raise AssertionError("the backend was built")
+
+    monkeypatch.setattr(cli, "_make_backend", no_backend)
+    code, out, err = run(capsys, "--model", model_path, "--seed", "-1", *argv)
+    assert code == 2
+    assert out == ""
+    assert "argument --seed: must be >= 0, got -1" in err
+
+
 @pytest.mark.parametrize("fields", [
     {"order": True}, {"order": 2.9}, {"order": 2.0}, {"order": "3"}, {"order": None},
     {"alpha": True}, {"alpha": "0.5"}, {"alpha": None}, {"alpha": [0.5]},

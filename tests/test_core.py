@@ -174,6 +174,19 @@ def test_distance_cmax_out_of_range_error():
         core.distance_curve(batch, np.linspace(0, 5, 20), c_max=10.0)
 
 
+def test_negative_traced_cmax_is_named():
+    # the proposal outweighs the code prior on every draw, so one sample's
+    # capacity stays below zero along the whole grid
+    rng = np.random.default_rng(3)
+    batch = ScoredBatch(texts=[f"h{j}" for j in range(4)],
+                        log_pcode=rng.normal(-3.0, 2.0, 4),
+                        log_proposal=rng.normal(-1.0, 2.0, 4),
+                        loss=rng.gamma(2.0, 1.0, (2, 4)), mode="generative")
+    with pytest.raises(InvalidBatchError,
+                       match=r"^the traced capacity range ends at -1\.48988 < 0"):
+        core.distance_curve(batch)
+
+
 def test_auc_triangle():
     assert core.auc([0, 1, 2], [0, 1, 2], 2) == pytest.approx(2.0, abs=1e-12)
 
@@ -291,7 +304,7 @@ def test_property_exact_mode_monotone_and_nonneg(logits1, logits2):
         betas = curve.expected_losses
         assert np.all(np.diff(caps) >= -1e-9)
         assert np.all(np.diff(betas) <= 1e-9)
-    dcurve = core.distance_curve(batch, grid, capacity_grid_size=40)
+    dcurve = core.distance_curve(batch, grid)
     assert np.all(dcurve.delta_2_to_1 >= -1e-9)
     assert np.all(dcurve.delta_1_to_2 >= -1e-9)
     assert np.all(dcurve.distance >= -1e-9)
@@ -332,14 +345,14 @@ def _reference_point(batch, lam, target):
     return w, c, beta, logz
 
 
-def _reference_distance(batch, grid, capacity_grid_size=100):
+def _reference_distance(batch, grid):
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
     for i in (0, 1):
         for k, lam in enumerate(grid):
             w, cap[i, k], beta[i, k], _ = _reference_point(batch, float(lam), i)
             cross[i, k] = float(w @ batch.loss[1 - i])
     c_max = float(min(cap[0].max(), cap[1].max()))
-    cgrid = np.linspace(0.0, c_max, capacity_grid_size)
+    cgrid = np.linspace(0.0, c_max, 100)
 
     def interp(x, y):
         order = np.argsort(x, kind="stable")

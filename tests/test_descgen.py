@@ -46,7 +46,7 @@ def test_atom_validation():
 
 def test_beam_entry_rejects_repeated_atoms():
     with pytest.raises(ValueError):
-        BeamEntry(atoms_used=(0, 1, 0), text="x", proxy_score=0.0)
+        BeamEntry(atoms_used=(0, 1, 0), text="x", proxy_score=0.0, code_length=1.0)
 
 
 def test_generate_atoms_strips_bullets_and_dedups():
@@ -92,20 +92,21 @@ def _atoms(*texts):
     return [Atom(text=t) for t in texts]
 
 
+def _length(text):
+    return float(len(text))
+
+
 def test_beam_validation():
     atoms = _atoms("a", "b")
     with pytest.raises(ValueError):
-        descgen.beam_compose([], lambda t: 0.0)
+        descgen.beam_compose([], lambda t: 0.0, _length)
     with pytest.raises(ValueError):
-        descgen.beam_compose(atoms, lambda t: 0.0, beam_width=0)
-    with pytest.raises(ValueError):
-        descgen.beam_compose(atoms, lambda t: 0.0,
-                             negative_prompt_penalty=1.0)
+        descgen.beam_compose(atoms, lambda t: 0.0, _length, beam_width=0)
 
 
 def test_beam_single_length_argmax():
     atoms = _atoms("short", "much longer atom", "mid one")
-    beams = descgen.beam_compose(atoms, lambda t: -len(t), max_atoms=1)
+    beams = descgen.beam_compose(atoms, lambda t: -len(t), _length, max_atoms=1)
     assert len(beams) == 1
     assert beams[0][0].text == "short"
     assert beams[0][0].atoms_used == (0,)
@@ -113,7 +114,7 @@ def test_beam_single_length_argmax():
 
 def test_beam_lengths_and_no_repeats():
     atoms = _atoms("a", "b", "c")
-    beams = descgen.beam_compose(atoms, lambda t: -len(t), beam_width=4,
+    beams = descgen.beam_compose(atoms, lambda t: -len(t), _length, beam_width=4,
                                  max_atoms=10)
     assert len(beams) == 3  # capped at len(atoms)
     for length, beam in enumerate(beams, start=1):
@@ -128,7 +129,8 @@ def test_beam_wide_matches_exhaustive_search():
     def scorer(text):
         return math.sin(sum((i + 1) * ord(ch) for i, ch in enumerate(text)))
 
-    beams = descgen.beam_compose(atoms, scorer, beam_width=1000, max_atoms=3)
+    beams = descgen.beam_compose(atoms, scorer, _length, beam_width=1000,
+                                 max_atoms=3)
     for length, beam in enumerate(beams, start=1):
         best = max(
             (scorer(descgen.ATOM_JOINER.join(atoms[j].text for j in perm))
@@ -137,30 +139,16 @@ def test_beam_wide_matches_exhaustive_search():
         assert beam[0].proxy_score == pytest.approx(best, abs=1e-12)
 
 
-def test_beam_negative_prompt_penalty():
-    atoms = _atoms("aa", "bbbb")
-    plain = descgen.beam_compose(atoms, lambda t: float(len(t)), max_atoms=1)
-    # penalizing length twice as hard flips the preference
-    penalized = descgen.beam_compose(
-        atoms, lambda t: float(len(t)), max_atoms=1,
-        negative_prompt_penalty=2.0, negative_scorer=lambda t: float(len(t)),
-    )
-    assert plain[0][0].text == "bbbb"
-    assert penalized[0][0].text == "aa"
-    assert penalized[0][0].proxy_score == pytest.approx(-2.0)
-
-
 def test_beam_code_length_fn():
     atoms = _atoms("a", "bb")
-    beams = descgen.beam_compose(atoms, lambda t: 0.0, max_atoms=2,
-                                 code_length_fn=lambda t: float(len(t)))
+    beams = descgen.beam_compose(atoms, lambda t: 0.0, _length, max_atoms=2)
     assert beams[0][0].code_length in (1.0, 2.0)
-    assert all(not math.isnan(e.code_length) for b in beams for e in b)
+    assert all(e.code_length == len(e.text) for b in beams for e in b)
 
 
 def test_beam_deterministic_tie_break():
     atoms = _atoms("b", "a")
-    beams = descgen.beam_compose(atoms, lambda t: 0.0, max_atoms=1)
+    beams = descgen.beam_compose(atoms, lambda t: 0.0, _length, max_atoms=1)
     assert [e.text for e in beams[0]] == ["a", "b"]
 
 
@@ -176,7 +164,7 @@ def _entry(text, code):
 def test_curve_requires_code_lengths():
     with pytest.raises(ValueError):
         descgen.best_single_description_curve([], lambda t: (0.0, 0.0))
-    bad = BeamEntry(atoms_used=(0,), text="x", proxy_score=0.0)
+    bad = BeamEntry(atoms_used=(0,), text="x", proxy_score=0.0, code_length=math.nan)
     with pytest.raises(ValueError):
         descgen.best_single_description_curve([bad], lambda t: (0.0, 0.0))
 
@@ -194,15 +182,15 @@ def test_curve_single_entry():
 
 
 def test_curve_switchover_and_infeasible():
-    entries = [_entry("cheap", 1.0), _entry("sharp", 3.0)]
-    losses = {"cheap": (5.0, 4.0), "sharp": (1.0, 1.0)}
-    rows = descgen.best_single_description_curve(
-        entries, lambda t: losses[t], capacity_grid=[0.5, 1.0, 3.0]
-    )
-    assert rows[0]["best_h_x1"] == "" and math.isnan(rows[0]["loss_x1"])
-    assert rows[1]["best_h_x1"] == "cheap" and rows[1]["loss_x1"] == 5.0
-    assert rows[2]["best_h_x1"] == "sharp" and rows[2]["loss_x1"] == 1.0
-    assert rows[2]["best_common"] == "sharp" and rows[2]["loss_common"] == 2.0
+    # one row per distinct code length, so no row lies below the cheapest
+    # entry and every row has a feasible description
+    entries = [_entry("sharp", 3.0), _entry("cheap", 1.0), _entry("dull", 3.0)]
+    losses = {"cheap": (5.0, 4.0), "sharp": (1.0, 1.0), "dull": (9.0, 9.0)}
+    rows = descgen.best_single_description_curve(entries, lambda t: losses[t])
+    assert [r["capacity"] for r in rows] == [1.0, 3.0]
+    assert rows[0]["best_h_x1"] == "cheap" and rows[0]["loss_x1"] == 5.0
+    assert rows[1]["best_h_x1"] == "sharp" and rows[1]["loss_x1"] == 1.0
+    assert rows[1]["best_common"] == "sharp" and rows[1]["loss_common"] == 2.0
 
 
 def test_curve_losses_non_increasing_in_capacity():
@@ -228,10 +216,12 @@ def test_curve_common_minimizes_summed_loss():
 
 
 def test_curve_csv_header_and_nan_blank():
-    rows = descgen.best_single_description_curve(
-        [_entry("one", 2.0)], lambda t: (1.0, 2.0), capacity_grid=[1.0, 2.0]
-    )
-    text = descgen.curve_csv(rows)
+    rows = descgen.best_single_description_curve([_entry("one", 2.0)],
+                                                 lambda t: (1.0, 2.0))
+    blank = {"capacity": 1.0, "loss_x1": math.nan, "loss_x2": math.nan,
+             "loss_common": math.nan,
+             "best_h_x1": "", "best_h_x2": "", "best_common": ""}
+    text = descgen.curve_csv([blank, *rows])
     lines = text.splitlines()
     assert lines[0] == ("capacity,best_h_x1,loss_x1,best_h_x2,loss_x2,"
                         "best_common,loss_common")

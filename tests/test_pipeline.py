@@ -35,12 +35,36 @@ def test_config_validation():
 
 
 def test_compare_rejects_non_finite_lambda_grid(ngram_backend):
-    config = CompareConfig(samples_per_input=5, max_tokens=5,
-                           lambda_grid=(0.0, math.nan, 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="lambda grid must be finite"):
-            pipeline.compare("rain", "iron", ngram_backend, config)
+            pipeline.compare("rain", "iron", ngram_backend,
+                             CompareConfig(samples_per_input=5, max_tokens=5,
+                                           lambda_grid=(0.0, math.nan, 2.0)))
+
+
+class _RefusingBackend:
+    """Every backend call fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"backend.{name} was reached")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lambda_grid", (1.0, 0.5), "lambda grid must be nonnegative and increasing"),
+    ("lambda_grid", (), "lambda grid is empty"),
+    ("c_max", -1.0, "c_max must be None or finite and >= 0, got -1"),
+    ("c_max", math.nan, "c_max must be None or finite and >= 0, got nan"),
+    ("seed", -1, "seed must be a non-negative integer, got -1"),
+    ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+    ("seed", True, "seed must be a non-negative integer, got True"),
+], ids=["decreasing-grid", "empty-grid", "negative-cmax", "nan-cmax", "negative-seed",
+        "float-seed", "bool-seed"])
+def test_config_refuses_bad_grid_cmax_and_seed_before_any_backend_call(
+        field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        pipeline.compare("rain", "iron", _RefusingBackend(),
+                         CompareConfig(**{field: value}))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
