@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoredBatch
+from .core import ScoredBatch, _check_seed
 
 __all__ = [
     "NcdResult",
@@ -139,6 +139,7 @@ def noise_experiment(
     """
     if not 0.0 <= p <= 0.5:
         raise ValueError("p must be in [0, 0.5]")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     h_bits = bernoulli_entropy(p) / math.log(2.0)
     points = []

@@ -37,7 +37,7 @@ CHOICE_DEFAULTS = {"samples_per_input": 10, "max_tokens": 10}
 
 #: The ``CompareConfig`` fields a report echoes.
 _ECHOED_CONFIG = ("samples_per_input", "max_tokens", "temperature", "seed",
-                  "pcode_mode", "loss_mode")
+                  "pcode_mode")
 
 
 class BenchError(RuntimeError):

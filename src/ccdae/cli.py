@@ -216,8 +216,6 @@ def _cmd_bench(args) -> int:
 def _cmd_ncd_demo(args) -> int:
     if not 0.0 < args.p <= 0.5:
         raise UsageError("--p must be in (0, 0.5]")
-    if args.pattern != "disk":
-        raise UsageError(f"unknown pattern {args.pattern!r}")
     try:
         sides = [int(v) for v in args.dims.split(",") if v.strip()]
     except ValueError as exc:
@@ -314,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.1)
     p.add_argument("--dims", default="64,128,256,512",
                    help="comma-separated image side lengths")
-    p.add_argument("--pattern", default="disk")
     p.add_argument("--joint-bound", action="store_true",
                    help="substitute the joint-size lower bound for Z(xy)")
     p.set_defaults(func=_cmd_ncd_demo)

@@ -68,8 +68,8 @@ class ScoredBatch:
     proposal log-probs, totals in nats kept as float64 arrays (both are
     <= 0 whenever the backing models are normalized).
     ``loss`` has one row per compared sample and one column per
-    hypothesis; entries are total reconstruction losses in nats (they may
-    be negative in encoder-only mode, where the loss is a log-ratio).
+    hypothesis; entries are total reconstruction losses in nats (in a
+    sampled batch, the encoder-only log-ratio, which may be negative).
     ``counts`` carries the draw multiplicity of each merged hypothesis;
     fractional counts are allowed so that a full finite table with
     ``counts`` proportional to the proposal probabilities reproduces exact
@@ -81,7 +81,6 @@ class ScoredBatch:
     log_pcode: np.ndarray
     log_proposal: np.ndarray
     loss: np.ndarray
-    mode: str = "encoder_only"
     counts: np.ndarray | None = None
     log_conditionals: np.ndarray | None = None
     dropped: int = 0
@@ -103,8 +102,6 @@ class ScoredBatch:
         if not (np.all(np.isfinite(self.log_pcode))
                 and np.all(np.isfinite(self.log_proposal))):
             raise InvalidBatchError("hypothesis log-probs contain non-finite entries")
-        if self.mode not in ("generative", "encoder_only"):
-            raise InvalidBatchError(f"unknown loss mode {self.mode!r}")
         if self.counts is None:
             self.counts = np.ones(len(self.texts))
         else:
@@ -135,7 +132,6 @@ class ScoredBatch:
             log_pcode=self.log_pcode,
             log_proposal=self.log_proposal,
             loss=self.loss[::-1].copy(),
-            mode=self.mode,
             counts=self.counts,
             log_conditionals=None
             if self.log_conditionals is None
@@ -171,7 +167,6 @@ class DistanceCurve:
     auc: float
     c_max: float
     lambda_grid: np.ndarray = field(default_factory=lambda: np.array([]))
-    mode: str = "encoder_only"
 
     def swapped(self) -> "DistanceCurve":
         """Exchange the roles of the two samples (distance is unchanged)."""
@@ -183,7 +178,6 @@ class DistanceCurve:
             auc=self.auc,
             c_max=self.c_max,
             lambda_grid=self.lambda_grid,
-            mode=self.mode,
         )
 
     def scaled(self, factor: float) -> "DistanceCurve":
@@ -196,7 +190,6 @@ class DistanceCurve:
             auc=self.auc * factor * factor,
             c_max=self.c_max * factor,
             lambda_grid=self.lambda_grid,
-            mode=self.mode,
         )
 
     def to_csv(self) -> str:
@@ -214,7 +207,6 @@ class DistanceCurve:
             "auc": self.auc,
             "c_max": self.c_max,
             "lambda_grid": list(map(float, self.lambda_grid)),
-            "mode": self.mode,
             "capacity_grid": list(map(float, self.capacity_grid)),
             "delta_2_to_1": list(map(float, self.delta_2_to_1)),
             "delta_1_to_2": list(map(float, self.delta_1_to_2)),
@@ -241,6 +233,19 @@ class _Trace(NamedTuple):
     expected: np.ndarray  # (rows, L): expected loss of every sample row
     log_partition: np.ndarray  # (L,)
     weights: np.ndarray | None  # (L, H), only when asked for
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer (a bool is refused)."""
+    integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not (integer and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_c_max(c_max) -> None:
+    """Refuse a c_max that is neither None nor finite and >= 0."""
+    if c_max is not None and not (math.isfinite(c_max) and c_max >= 0):
+        raise InvalidBatchError(f"c_max must be None or finite and >= 0, got {c_max}")
 
 
 def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -427,7 +432,6 @@ def curve_from_traces(
     cross,
     lambda_grid: np.ndarray,
     c_max: float | None = None,
-    mode: str = "encoder_only",
 ) -> DistanceCurve:
     """Interpolate two traced rate curves onto a shared capacity grid.
 
@@ -437,6 +441,7 @@ def curve_from_traces(
     parameterized by its capacity and linearly interpolated onto
     ``_CAPACITY_POINTS`` points spanning [0, c_max].
     """
+    _check_c_max(c_max)
     traced_max = min(capacity[0].max(), capacity[1].max())
     if c_max is None:
         if traced_max < 0:
@@ -470,7 +475,6 @@ def curve_from_traces(
         auc=auc(cgrid, dist, c_max),
         c_max=float(c_max),
         lambda_grid=lambda_grid,
-        mode=mode,
     )
 
 
@@ -487,7 +491,7 @@ def distance_curve(
                    batch.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
     return curve_from_traces(
         (t0.capacity, t1.capacity), (t0.expected[0], t1.expected[1]),
-        (t0.expected[1], t1.expected[0]), grid, c_max, batch.mode,
+        (t0.expected[1], t1.expected[0]), grid, c_max,
     )
 
 

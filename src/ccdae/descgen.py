@@ -18,6 +18,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import _check_seed
+from .pipeline import _encoder_loss
+
 __all__ = [
     "Atom",
     "BeamEntry",
@@ -82,6 +85,7 @@ def generate_atoms(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_seed(seed)
     seen: dict[str, None] = {}
     stale_rounds = 0
     round_no = 0
@@ -245,9 +249,8 @@ def describe_pair(
         return la + lb
 
     def losses(text: str) -> tuple[float, float]:
-        la, lb = conditionals(text)
-        log_phat = np.logaddexp(la, lb) - math.log(2.0)
-        return float(log_phat - la), float(log_phat - lb)
+        _, loss = _encoder_loss(np.array(conditionals(text)))
+        return float(loss[0]), float(loss[1])
 
     per_length = beam_compose(
         pool_atoms, proxy, beam_width=beam_width, max_atoms=max_atoms,

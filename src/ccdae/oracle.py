@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_target,
-                   _pair, _validate_grid, curve_from_traces, default_lambda_grid)
+from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_seed,
+                   _check_target, _pair, _validate_grid, curve_from_traces,
+                   default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -128,6 +129,7 @@ def proposal_batch(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
+    _check_seed(seed)
     mass = np.exp(-table.code_lengths)
     proposal = mass / mass.sum()
     rng = np.random.default_rng(seed)
@@ -138,7 +140,6 @@ def proposal_batch(
         log_pcode=-table.code_lengths[idx],
         log_proposal=np.log(proposal[idx]),
         loss=table.loss[:, idx],
-        mode="generative",
         counts=counts.astype(float),
     )
 
@@ -157,7 +158,6 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
         log_pcode=-table.code_lengths,
         log_proposal=np.log(proposal),
         loss=table.loss.copy(),
-        mode="generative",
         counts=proposal,
     )
 
@@ -296,7 +296,7 @@ def exact_distance_curve(
             cross[s, block] = np.vecdot(w, table.loss[j])
 
     _pair(trace, table.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
-    return curve_from_traces(cap, beta, cross, grid, c_max, mode="generative")
+    return curve_from_traces(cap, beta, cross, grid, c_max)
 
 
 def universal_augment(

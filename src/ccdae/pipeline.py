@@ -4,8 +4,8 @@ Samples descriptions from both inputs, scores every pooled hypothesis
 under both, assembles a :class:`~ccdae.core.ScoredBatch`, runs the
 distance-curve math, and extracts shared/distinctive explanations.
 
-Losses default to encoder-only mode: the reconstruction loss is the log
-ratio log p_hat(h) - log p(h|x_i) with p_hat the equal mixture of the two
+The one loss is encoder-only: the loss of h on x_i is the log ratio
+log p_hat(h) - log p(h|x_i) with p_hat the equal mixture of the two
 conditionals; no unconditional data likelihood ever enters the data model.
 """
 
@@ -24,6 +24,8 @@ from .core import (
     DistanceCurve,
     InvalidBatchError,
     ScoredBatch,
+    _check_c_max,
+    _check_seed,
     _gibbs_trace,
     _validate_grid,
     default_lambda_grid,
@@ -54,7 +56,6 @@ class CompareConfig:
     temperature: float = 1.0
     seed: int = 0
     pcode_mode: str = "proposal_mix"  # proposal_mix | lm_code
-    loss_mode: str = "encoder_only"  # encoder_only | generative
     lambda_grid: tuple[float, ...] | None = None
     c_max: float | None = None
     prompt: str | None = None
@@ -66,15 +67,10 @@ class CompareConfig:
             raise ValueError("temperature must be finite and positive")
         if self.pcode_mode not in ("proposal_mix", "lm_code"):
             raise ValueError(f"unknown pcode_mode {self.pcode_mode!r}")
-        if self.loss_mode not in ("encoder_only", "generative"):
-            raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.lambda_grid is not None:
             _validate_grid(self.lambda_grid)
-        if self.c_max is not None and not (math.isfinite(self.c_max) and self.c_max >= 0):
-            raise ValueError(f"c_max must be None or finite and >= 0, got {self.c_max}")
-        integer = isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool)
-        if not (integer and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_c_max(self.c_max)
+        _check_seed(self.seed)
 
     def grid(self) -> np.ndarray:
         if self.lambda_grid is None:
@@ -145,6 +141,13 @@ def _too_few_descriptions(n_draws: int, n_distinct: int, dropped: int = 0):
         "a distance needs at least 2 distinct descriptions, so sample more per input")
 
 
+def _encoder_loss(cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(log p_hat, loss)`` from ``cond[i] = log p(h|x_i)``: p_hat is the
+    equal mixture of the two conditionals, and ``loss[i] = log p_hat - cond[i]``."""
+    log_phat = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
+    return log_phat, log_phat - cond
+
+
 def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredBatch:
     """Sample the proposal mixture and score every pooled hypothesis.
 
@@ -152,10 +155,14 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     pooled set is ordered (first-canonical draws, second-canonical draws)
     so the batch is invariant under swapping the inputs up to exchanging
     the two loss rows. Duplicate descriptions merge into one hypothesis
-    carrying their draw multiplicity. A hypothesis with a non-finite score
-    would poison every softmax, so it is dropped with a warning and counted
-    in ``dropped``; fewer than 2 distinct descriptions raise
-    :class:`InvalidBatchError`.
+    carrying their draw multiplicity, rescored under both inputs, with the
+    encoder-only loss. A hypothesis with a non-finite score would poison
+    every softmax, so it is dropped with a warning and counted in
+    ``dropped``; fewer than 2 distinct descriptions raise
+    :class:`InvalidBatchError`. The backend traffic is two
+    ``sample_descriptions`` calls, a ``score_tokens`` call per distinct
+    description and input, and under ``lm_code`` a code score per distinct
+    description.
     """
     config = config or CompareConfig()
     xa, xb, _ = _canonical_order(x1, x2)
@@ -185,7 +192,7 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
                               prompt=config.prompt).total for s in unique]
         for x in (x1, x2)
     ])
-    log_pi = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
+    log_pi, loss = _encoder_loss(cond)
     if config.pcode_mode == "proposal_mix":
         log_pcode = log_pi
     else:
@@ -196,12 +203,6 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
             else backend.score_tokens("", s.tokens, s.terminated, prompt="").total
             for s in unique
         ], dtype=float)
-
-    if config.loss_mode == "encoder_only":
-        loss = log_pi[None, :] - cond
-    else:
-        loss = -np.array([[backend.cond_logprob(s.text, str(x)).total for s in unique]
-                          for x in (x1, x2)])
 
     keep = np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode) & np.isfinite(log_pi)
     dropped = int((~keep).sum())
@@ -214,7 +215,6 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
         log_pcode=log_pcode[keep],
         log_proposal=log_pi[keep],
         loss=loss[:, keep],
-        mode=config.loss_mode,
         counts=np.array([n for _, n in merged.values()], dtype=float)[keep],
         log_conditionals=cond[:, keep],
         dropped=dropped,

@@ -46,8 +46,7 @@ def make_uniform_batch(losses, counts=None, log_pcode=None, log_proposal=None):
     lp = np.full(n, -math.log(n)) if log_pcode is None else np.asarray(log_pcode)
     lq = lp if log_proposal is None else np.asarray(log_proposal)
     return ScoredBatch(texts=[f"h{j}" for j in range(n)], log_pcode=lp,
-                       log_proposal=lq, loss=losses, mode="generative",
-                       counts=counts)
+                       log_proposal=lq, loss=losses, counts=counts)
 
 
 def benchmark_table(size, seed=0):
@@ -76,7 +75,6 @@ def make_encoder_batch(logp1, logp2):
         log_pcode=logpi,
         log_proposal=logpi,
         loss=loss,
-        mode="encoder_only",
         counts=np.exp(logpi),
         log_conditionals=np.vstack([logp1, logp2]),
     )

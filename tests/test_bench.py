@@ -418,8 +418,7 @@ def test_failed_request_is_retried_by_next_record(data_dir, ngram_backend):
     ("cond_lik", {}),
     ("d_at_c", {}),
     ("auc", {"pcode_mode": "lm_code"}),
-    ("auc", {"loss_mode": "generative"}),
-], ids=["traj", "condlik", "d_at_c", "lm_code", "generative"])
+], ids=["traj", "condlik", "d_at_c", "lm_code"])
 def test_reuse_matches_reference_for_every_score_kind(data_dir, ngram_backend, score,
                                                       fields, seed):
     for kind in ("pairs", "choice"):

@@ -32,8 +32,13 @@ def model_path(data_dir):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code, _, _ = run(capsys, "--bogus", "compare", "a", "b")
-    assert code == 2
+    # ncd-demo has no --pattern: the disk is its only pattern
+    for flag, argv in (("--bogus", ("--bogus", "compare", "a", "b")),
+                       ("--pattern", ("ncd-demo", "--pattern", "disk"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -4,10 +4,12 @@ Each workflow runs once on a bare backend and once through ``_Contract``,
 which exposes only those four calls; the results must agree bit for bit.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ccdae import baselines, bench, descgen, pipeline
+from ccdae import backends, baselines, bench, descgen, pipeline
 from ccdae.bench import ChoiceRecord, PairRecord
 
 
@@ -54,13 +56,11 @@ def _bits(value):
 def _compare(backend, a, b):
     out = []
     for pcode_mode in ("proposal_mix", "lm_code"):
-        for loss_mode in ("encoder_only", "generative"):
-            config = pipeline.CompareConfig(samples_per_input=8, max_tokens=10,
-                                            pcode_mode=pcode_mode,
-                                            loss_mode=loss_mode)
-            report = pipeline.compare(a, b, backend, config)
-            out.append((report.auc, report.curve, report.shared_descriptions,
-                        report.distinctive_descriptions))
+        config = pipeline.CompareConfig(samples_per_input=8, max_tokens=10,
+                                        pcode_mode=pcode_mode)
+        report = pipeline.compare(a, b, backend, config)
+        out.append((report.auc, report.curve, report.shared_descriptions,
+                    report.distinctive_descriptions))
     return out
 
 
@@ -109,3 +109,53 @@ def test_contract_wrapper_exposes_only_the_four_calls(ngram_backend):
                      "code_logprob"}
     with pytest.raises(AttributeError):
         _Contract(ngram_backend).model  # noqa: B018
+
+
+class _Counting(_Contract):
+    """``_Contract`` that counts its calls; a ``score_tokens`` call on the
+    empty context and prompt is the code score of an empty draw."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.calls = Counter()
+
+    def sample_descriptions(self, *args, **kwargs):
+        self.calls["sample_descriptions"] += 1
+        return super().sample_descriptions(*args, **kwargs)
+
+    def score_tokens(self, context, tokens, terminated=True, prompt=None):
+        code = context == "" and prompt == ""
+        self.calls["code_score" if code else "score_tokens"] += 1
+        return super().score_tokens(context, tokens, terminated, prompt=prompt)
+
+    def cond_logprob(self, *args, **kwargs):
+        self.calls["cond_logprob"] += 1
+        return super().cond_logprob(*args, **kwargs)
+
+    def code_logprob(self, *args, **kwargs):
+        self.calls["code_score"] += 1
+        return super().code_logprob(*args, **kwargs)
+
+
+@pytest.mark.parametrize("pcode_mode", ["proposal_mix", "lm_code"])
+@pytest.mark.parametrize("case", ["ngram", "table", "zero-length"])
+def test_build_batch_backend_traffic(request, case, pcode_mode):
+    if case == "zero-length":
+        # p(EOS | "") is about 0.5 under this model, so empty draws are common
+        backend = backends.NGramBackend(backends.train_ngram("a\nb\n", order=2))
+        texts = ["x", "y"]
+    else:
+        fixture, texts = BACKENDS[case]
+        backend = request.getfixturevalue(fixture)
+    counting = _Counting(backend)
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=5,
+                                    pcode_mode=pcode_mode)
+    batch = pipeline.build_batch(texts[0], texts[1], counting, config)
+    n = batch.n_hypotheses + batch.dropped  # distinct descriptions
+    want = {"sample_descriptions": 2, "score_tokens": 2 * n}
+    if pcode_mode == "lm_code":
+        want["code_score"] = n
+    assert counting.calls == want
+    assert case != "zero-length" or "" in batch.texts

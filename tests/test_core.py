@@ -174,6 +174,19 @@ def test_distance_cmax_out_of_range_error():
         core.distance_curve(batch, np.linspace(0, 5, 20), c_max=10.0)
 
 
+@pytest.mark.parametrize("c_max", [-1.0, math.nan, math.inf, -math.inf])
+def test_explicit_cmax_must_be_finite_and_nonnegative(c_max):
+    # refused by name, by the estimator and the oracle alike, rather than
+    # reaching the capacity-range or AUC checks
+    losses = [[0.0, 10.0], [10.0, 0.0]]
+    table = oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=losses)
+    for curve in (lambda: core.distance_curve(make_uniform_batch(losses), c_max=c_max),
+                  lambda: oracle.exact_distance_curve(table, c_max=c_max)):
+        with pytest.raises(InvalidBatchError,
+                           match=f"^c_max must be None or finite and >= 0, got {c_max}$"):
+            curve()
+
+
 def test_negative_traced_cmax_is_named():
     # the proposal outweighs the code prior on every draw, so one sample's
     # capacity stays below zero along the whole grid
@@ -181,7 +194,7 @@ def test_negative_traced_cmax_is_named():
     batch = ScoredBatch(texts=[f"h{j}" for j in range(4)],
                         log_pcode=rng.normal(-3.0, 2.0, 4),
                         log_proposal=rng.normal(-1.0, 2.0, 4),
-                        loss=rng.gamma(2.0, 1.0, (2, 4)), mode="generative")
+                        loss=rng.gamma(2.0, 1.0, (2, 4)))
     with pytest.raises(InvalidBatchError,
                        match=r"^the traced capacity range ends at -1\.48988 < 0"):
         core.distance_curve(batch)

@@ -177,7 +177,7 @@ def test_blocked_curve_equals_curve_of_one_point_views(monkeypatch):
             cap[s, k] = oracle.exact_capacity(table, i, lam)
             beta[s, k] = oracle.exact_expected_loss(table, i, lam)
             cross[s, k] = oracle.exact_cross_expected_loss(table, i, j, lam)
-    want = core.curve_from_traces(cap, beta, cross, grid, mode="generative")
+    want = core.curve_from_traces(cap, beta, cross, grid)
     # and with one lambda per block
     curves = [oracle.exact_distance_curve(table)]
     monkeypatch.setattr(oracle, "_BLOCK_ELEMENTS", 1)
@@ -189,7 +189,6 @@ def test_blocked_curve_equals_curve_of_one_point_views(monkeypatch):
                                        rtol=0, atol=1e-12)
         assert got.auc == pytest.approx(want.auc, rel=0, abs=1e-12)
         assert got.c_max == pytest.approx(want.c_max, rel=0, abs=1e-12)
-        assert got.mode == want.mode
 
 
 def test_capacity_equals_masked_log_reference(all_tables):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ccdae import backends, pipeline
+from ccdae import backends, baselines, descgen, oracle, pipeline
 from ccdae.core import InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
@@ -27,8 +27,6 @@ def test_config_validation():
         CompareConfig(samples_per_input=0)
     with pytest.raises(ValueError):
         CompareConfig(pcode_mode="bogus")
-    with pytest.raises(ValueError):
-        CompareConfig(loss_mode="bogus")
     for temperature in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="temperature must be finite"):
             CompareConfig(temperature=temperature)
@@ -65,6 +63,22 @@ def test_config_refuses_bad_grid_cmax_and_seed_before_any_backend_call(
     with pytest.raises(ValueError, match=f"^{message}"):
         pipeline.compare("rain", "iron", _RefusingBackend(),
                          CompareConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+@pytest.mark.parametrize("call", [
+    lambda backend, seed: descgen.generate_atoms(backend, "rain", seed=seed),
+    lambda backend, seed: descgen.describe_pair(backend, "rain", "iron", seed=seed),
+    lambda backend, seed: baselines.noise_experiment(dimensions=(64**2,), seed=seed),
+    lambda backend, seed: oracle.proposal_batch(
+        oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=[[1.0, 2.0]]),
+        10, seed=seed),
+], ids=["generate_atoms", "describe_pair", "noise_experiment", "proposal_batch"])
+def test_api_refuses_bad_seed_before_any_backend_call(call, seed):
+    # the check CompareConfig applies, shared
+    message = f"^seed must be a non-negative integer, got {seed!r}$"
+    with pytest.raises(ValueError, match=message):
+        call(_RefusingBackend(), seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2**31 - 1])
@@ -121,16 +135,6 @@ def test_dedup_soundness():
             assert core.capacity_estimate(merged, lam, i) == pytest.approx(
                 core.capacity_estimate(naive, lam, i), abs=1e-9
             )
-
-
-def test_generative_mode_uses_decoder_loss(table_backend, quick_config):
-    config = CompareConfig(samples_per_input=10, max_tokens=10,
-                           loss_mode="generative")
-    batch = pipeline.build_batch("img_sunset", "cap_negative", table_backend,
-                                 config)
-    assert batch.mode == "generative"
-    # generative losses are negative log-likelihoods, hence positive here
-    assert np.all(batch.loss > 0)
 
 
 def test_lm_code_scores_zero_length_draws():
@@ -204,22 +208,15 @@ def _reference_batch(x1, x2, backend, config):
         cond[0].append(la)
         cond[1].append(lb)
     cond = np.array(cond)
-    if config.loss_mode == "encoder_only":
-        log_phat = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
-        loss = log_phat[None, :] - cond
-    else:
-        loss = np.empty_like(cond)
-        for j, text in enumerate(texts):
-            loss[0, j] = -backend.cond_logprob(text, str(x1)).total
-            loss[1, j] = -backend.cond_logprob(text, str(x2)).total
+    log_phat = np.logaddexp(cond[0], cond[1]) - math.log(2.0)
+    loss = log_phat[None, :] - cond
     return _reference_from_columns(texts, log_pcodes, log_pis, loss,
-                                   mode=config.loss_mode,
                                    counts=np.array(counts, dtype=float),
                                    log_conditionals=cond)
 
 
 def _reference_from_columns(
-    texts, log_pcode, log_proposal, loss, mode="encoder_only", counts=None,
+    texts, log_pcode, log_proposal, loss, counts=None,
     log_conditionals=None,
 ):
     """``ScoredBatch.from_columns``, the drop step before ``build_batch``
@@ -241,19 +238,18 @@ def _reference_from_columns(
         log_pcode=log_pcode[keep],
         log_proposal=log_proposal[keep],
         loss=loss[:, keep],
-        mode=mode,
         counts=counts,
         log_conditionals=log_conditionals,
         dropped=n_drop,
     )
 
 
-@pytest.mark.filterwarnings("ignore:dropping")  # both drop alike; checked below
-@pytest.mark.parametrize("loss_mode", ["encoder_only", "generative"])
-@pytest.mark.parametrize("pcode_mode", ["proposal_mix", "lm_code"])
+# the ids name the loss as well: the encoder-only one, build_batch's only loss
+@pytest.mark.parametrize("pcode_mode", ["proposal_mix", "lm_code"],
+                         ids=["proposal_mix-encoder_only", "lm_code-encoder_only"])
 @pytest.mark.parametrize("case", ["ngram", "ngram-prompt", "zero-length", "table"])
 def test_build_batch_equals_reference(ngram_backend, table_backend, case,
-                                      pcode_mode, loss_mode):
+                                      pcode_mode):
     backend, x1, x2, max_tokens, prompt = {
         "ngram": (ngram_backend, "rain", "iron", 5, None),
         "ngram-prompt": (ngram_backend, "snow", "clay", 8, "describe"),
@@ -263,19 +259,11 @@ def test_build_batch_equals_reference(ngram_backend, table_backend, case,
     }[case]
     for seed in (0, 1):
         config = CompareConfig(samples_per_input=10, max_tokens=max_tokens,
-                               seed=seed, pcode_mode=pcode_mode,
-                               loss_mode=loss_mode, prompt=prompt)
-        try:
-            want = _reference_batch(x1, x2, backend, config)
-        except InvalidBatchError:
-            # "x" and "y" are off this model's vocabulary, so every decoder
-            # loss is infinite and no batch is left
-            with pytest.raises(InvalidBatchError):
-                pipeline.build_batch(x1, x2, backend, config)
-            continue
+                               seed=seed, pcode_mode=pcode_mode, prompt=prompt)
+        want = _reference_batch(x1, x2, backend, config)
         got = pipeline.build_batch(x1, x2, backend, config)
         assert got.texts == want.texts
-        assert got.mode == want.mode and got.dropped == want.dropped
+        assert got.dropped == want.dropped
         for name in ("counts", "loss", "log_conditionals"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         for name in ("log_pcode", "log_proposal"):
