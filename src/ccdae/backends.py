@@ -5,7 +5,10 @@ of one context's descriptions (``sample_descriptions``), rescoring a
 draw's tokens (``score_tokens``), the conditional log-prob of a
 description given a context (``cond_logprob``) and its unconditional code
 log-prob (``code_logprob``). A prompt is passed per call; ``None`` and
-``""`` both mean no prompt.
+``""`` both mean no prompt. The first two also come in batched forms,
+``sample_many`` and ``score_many``, which answer a list of requests with
+the same results in the same order: :class:`Backend` answers them one
+call at a time, and ``RemoteBackend`` puts the requests in flight together.
 
 * ``NGramBackend`` — a character n-gram model with additive smoothing;
   self-contained stand-in for a large conditional text model.
@@ -31,12 +34,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .core import _LazyPool
+
 __all__ = [
     "EOS",
     "LogProbResult",
     "SampledDescription",
     "BackendError",
     "RemoteBackendError",
+    "Backend",
     "NGramModel",
     "NGramBackend",
     "TableBackend",
@@ -92,6 +98,32 @@ class SampledDescription:
     @property
     def total_logprob(self) -> float:
         return float(sum(self.per_token_logprobs))
+
+
+class Backend:
+    """The batched forms of the two calls ``build_batch`` makes.
+
+    ``sample_many`` and ``score_many`` answer their requests in order, here
+    with one ``sample_descriptions`` or ``score_tokens`` call each, looked up
+    on the instance. A backend that can serve requests together overrides
+    them; the results must stay those of the single calls.
+    """
+
+    __slots__ = ()
+
+    def sample_many(self, requests, count, *, max_tokens, temperature,
+                    prompt) -> list[list[SampledDescription]]:
+        """``sample_descriptions`` of each ``(context, seed)`` in ``requests``."""
+        return [self.sample_descriptions(context, count, max_tokens=max_tokens,
+                                         temperature=temperature, seed=seed,
+                                         prompt=prompt)
+                for context, seed in requests]
+
+    def score_many(self, requests, *, prompt) -> list[LogProbResult]:
+        """``score_tokens`` of each ``(context, tokens, terminated)`` in
+        ``requests``."""
+        return [self.score_tokens(context, tokens, terminated, prompt=prompt)
+                for context, tokens, terminated in requests]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +235,12 @@ class NGramModel:
         return row
 
     def symbol_logprob(self, prefix: str, symbol: str) -> float:
-        """log p(symbol | prefix) with additive smoothing; -inf off-vocab."""
+        """log p(symbol | prefix) with additive smoothing; -inf off-vocab.
+
+        Sampling and scoring read :meth:`row` directly. This view and
+        :meth:`distribution` stay for callers of the model, and because
+        ``perfbench/tracing.py`` wraps both on every n-gram model it traces.
+        """
         idx = self._index.get(symbol)
         if idx is None:
             return -math.inf
@@ -316,7 +353,7 @@ class _State:
         self.next: list[_State | None] = [None] * len(cdf)
 
 
-class NGramBackend:
+class NGramBackend(Backend):
     """Backend contract on top of an :class:`NGramModel`.
 
     The conditioning prefix is ``prompt + "\\n" + context`` (just
@@ -478,7 +515,7 @@ def _split(text: str) -> tuple[str, ...]:
     return tuple(text.split() or [text])
 
 
-class TableBackend:
+class TableBackend(Backend):
     """Log-prob lookups from a JSON fixture document.
 
     The fixture maps context ids to the descriptions available under that
@@ -598,7 +635,7 @@ def _malformed(endpoint: str, status: int, exc: Exception) -> RemoteBackendError
                               status=status, retryable=False)
 
 
-class RemoteBackend:
+class RemoteBackend(Backend):
     """HTTP client for a minimal two-endpoint log-prob server.
 
     POST /v1/logprob  {context, continuation, prompt?} ->
@@ -607,10 +644,17 @@ class RemoteBackend:
                        temperature, seed} ->
         {samples: [{text, per_token_logprobs, terminated?}, ...]}
 
-    Requests are retried with bounded exponential backoff. Every call is
-    sequential today, so one request is in flight at a time; the
-    ``max_in_flight`` semaphore only caps callers that share the client
-    across threads.
+    Requests are retried with bounded exponential backoff, and at most
+    ``max_in_flight`` of them are in flight at once. ``sample_many`` and
+    ``score_many`` put the first attempt of each distinct request in flight
+    on a pool of ``max_in_flight`` worker threads, which run only the
+    transport. They then answer the requests in order on the calling
+    thread, through ``sample_descriptions`` and ``score_tokens``, each of
+    which takes the reply already in flight as its first attempt; retries
+    are sent from the calling thread. The first error, in request order,
+    cancels the requests not yet started and is raised once the started
+    ones have finished, so no request is in flight when a call returns.
+    Every other call sends its request alone.
 
     Protocol limit: ``/v1/logprob`` scores a continuation string and has
     no end-of-sequence event. So ``score_tokens`` re-joins a draw's tokens
@@ -644,16 +688,31 @@ class RemoteBackend:
         self.backoff = backoff
         self._sem = threading.Semaphore(max_in_flight)
         self._session = session or requests.Session()
+        # the batched calls' worker threads, which run only the transport
+        self._pool = _LazyPool(max_in_flight, "ccdae-remote")
+        self._local = threading.local()  # .reply: (path, payload, future)
+
+    def _send(self, url: str, payload: dict):
+        """One attempt: the transport alone, within the in-flight bound."""
+        with self._sem:
+            return self._session.post(url, json=payload, timeout=self.timeout)
 
     def _post(self, path: str, payload: dict) -> dict:
         import requests
 
         url = self.endpoint + path
+        # a batched call may have put this request's first attempt in flight
+        reply, self._local.reply = getattr(self._local, "reply", None), None
+        in_flight = None
+        if reply is not None and reply[:2] == (path, payload):
+            in_flight = reply[2]
         last: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                with self._sem:
-                    resp = self._session.post(url, json=payload, timeout=self.timeout)
+                if attempt == 0 and in_flight is not None:
+                    resp = in_flight.result()
+                else:
+                    resp = self._send(url, payload)
             except requests.RequestException as exc:
                 last = RemoteBackendError(str(exc), endpoint=url)
             else:
@@ -675,16 +734,67 @@ class RemoteBackend:
                 time.sleep(self.backoff * (2**attempt))
         raise last
 
-    def cond_logprob(
-        self, context: str, description: str, prompt: str | None = None,
-        terminated: bool = True,
-    ) -> LogProbResult:
+    def _fan_out(self, requests, payload_of, answer) -> list:
+        """``[answer(*r) for r in requests]``, the distinct requests answered
+        once each, with their first attempts already in flight.
+
+        ``payload_of(*r)`` is the ``(path, payload)`` that ``answer(*r)``
+        posts; it checks its arguments, so a bad request fails the batch
+        before anything is sent.
+        """
+        from concurrent.futures import wait
+
+        keys, distinct = [], {}
+        for r in requests:
+            path, payload = payload_of(*r)
+            key = path + json.dumps(payload, sort_keys=True)
+            keys.append(key)
+            distinct.setdefault(key, (r, path, payload))
+        pool = self._pool()
+        sent = {key: pool.submit(self._send, self.endpoint + path, payload)
+                for key, (_, path, payload) in distinct.items()}
+        answers = {}
+        try:
+            for key, (r, path, payload) in distinct.items():
+                self._local.reply = (path, payload, sent[key])
+                answers[key] = answer(*r)
+        except BaseException:
+            for future in sent.values():
+                future.cancel()
+            raise
+        finally:
+            self._local.reply = None
+            wait(sent.values())
+        return [answers[key] for key in keys]
+
+    @staticmethod
+    def _logprob_request(context: str, description: str,
+                         prompt: str | None) -> tuple[str, dict]:
         if not description:
             raise ValueError("description must be nonempty")
         payload = {"context": context, "continuation": description}
         if prompt:
             payload["prompt"] = prompt
-        doc = self._post("/v1/logprob", payload)
+        return "/v1/logprob", payload
+
+    @staticmethod
+    def _sample_request(context, count, max_tokens, temperature, seed,
+                        prompt) -> tuple[str, dict]:
+        _check_sampling_args(count, max_tokens, temperature)
+        return "/v1/sample", {
+            "context": context,
+            "prompt": prompt or "",
+            "num_samples": count,
+            "max_tokens": max_tokens,
+            "temperature": temperature,
+            "seed": seed,
+        }
+
+    def cond_logprob(
+        self, context: str, description: str, prompt: str | None = None,
+        terminated: bool = True,
+    ) -> LogProbResult:
+        doc = self._post(*self._logprob_request(context, description, prompt))
         try:
             return LogProbResult.from_tokens(doc["per_token_logprobs"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -696,21 +806,19 @@ class RemoteBackend:
     def score_tokens(self, context, tokens, terminated=True, prompt=None) -> LogProbResult:
         return self.cond_logprob(context, " ".join(tokens), prompt=prompt)
 
+    def score_many(self, requests, *, prompt) -> list[LogProbResult]:
+        return self._fan_out(
+            requests,
+            lambda context, tokens, _: self._logprob_request(
+                context, " ".join(tokens), prompt),
+            lambda context, tokens, terminated: self.score_tokens(
+                context, tokens, terminated, prompt=prompt))
+
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
     ) -> list[SampledDescription]:
-        _check_sampling_args(count, max_tokens, temperature)
-        doc = self._post(
-            "/v1/sample",
-            {
-                "context": context,
-                "prompt": prompt or "",
-                "num_samples": count,
-                "max_tokens": max_tokens,
-                "temperature": temperature,
-                "seed": seed,
-            },
-        )
+        doc = self._post(*self._sample_request(context, count, max_tokens,
+                                               temperature, seed, prompt))
         try:
             return [
                 SampledDescription(
@@ -723,3 +831,13 @@ class RemoteBackend:
             ]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.endpoint + "/v1/sample", 200, exc) from exc
+
+    def sample_many(self, requests, count, *, max_tokens, temperature,
+                    prompt) -> list[list[SampledDescription]]:
+        return self._fan_out(
+            requests,
+            lambda context, seed: self._sample_request(
+                context, count, max_tokens, temperature, seed, prompt),
+            lambda context, seed: self.sample_descriptions(
+                context, count, max_tokens=max_tokens, temperature=temperature,
+                seed=seed, prompt=prompt))

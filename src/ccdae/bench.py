@@ -216,17 +216,20 @@ class BenchReport:
 
 
 class _Reuse:
-    """A backend whose ``sample_descriptions`` and ``score_tokens`` answer
-    each distinct request once, for one run of the benchmark loops.
+    """A backend whose ``sample_many`` and ``score_many`` answer each
+    distinct request once, for one run of the benchmark loops.
 
     A draw's seed depends only on the config seed and the input's canonical
     rank, so an input paired with many others asks for the same draws and
-    the same rescores again and again. Entries are kept per context, only
-    for the inputs in ``last_use`` (input -> index of the last record that
-    uses it); ``done(i, inputs)`` drops those whose last record is ``i``.
-    A call that raises stores nothing, so the next record retries it. Every
-    other attribute is the wrapped backend's, and the wrapped methods are
-    looked up on the instance at each call.
+    the same rescores again and again. A batched call passes on only the
+    distinct requests it has not stored, in one batched call to the wrapped
+    backend, so no two requests in flight are the same. Entries are kept
+    per context, only for the inputs in ``last_use`` (input -> index of the
+    last record that uses it); ``done(i, inputs)`` drops those whose last
+    record is ``i``. Only results are stored: a batch that raises stores
+    nothing, so the next record asks for it again. Every other call, the
+    single ones among them, is the wrapped backend's, looked up on the
+    instance at each call.
     """
 
     def __init__(self, backend, last_use: dict[str, int]):
@@ -237,28 +240,40 @@ class _Reuse:
     def __getattr__(self, name):
         return getattr(self._backend, name)
 
-    def _once(self, context, key, call):
-        if context not in self._last_use:
-            return call()
-        entries = self._memo.setdefault(context, {})
-        if key not in entries:
-            entries[key] = call()
-        return entries[key]
+    def _many(self, keys, requests, call) -> list:
+        """The answers to ``requests``, one per key in ``keys`` (a key starts
+        with its context); ``call(misses)`` answers the distinct ones not
+        stored."""
+        answers, misses = {}, {}
+        for key, request in zip(keys, requests):
+            stored = self._memo.get(key[0])
+            if stored is not None and key in stored:
+                answers[key] = stored[key]
+            else:
+                misses.setdefault(key, request)
+        if misses:
+            for key, result in zip(misses, call(list(misses.values()))):
+                answers[key] = result
+                if key[0] in self._last_use:
+                    self._memo.setdefault(key[0], {})[key] = result
+        return [answers[key] for key in keys]
 
-    def sample_descriptions(self, context, count, max_tokens=20, temperature=1.0,
-                            seed=0, prompt=None):
-        draws = self._once(
-            context, ("sample", count, max_tokens, temperature, seed, prompt),
-            lambda: self._backend.sample_descriptions(
-                context, count, max_tokens=max_tokens, temperature=temperature,
-                seed=seed, prompt=prompt))
-        return list(draws)
+    def sample_many(self, requests, count, *, max_tokens, temperature, prompt):
+        draws = self._many(
+            [(context, "sample", count, max_tokens, temperature, seed, prompt)
+             for context, seed in requests],
+            requests,
+            lambda misses: self._backend.sample_many(
+                misses, count, max_tokens=max_tokens, temperature=temperature,
+                prompt=prompt))
+        return [list(d) for d in draws]
 
-    def score_tokens(self, context, tokens, terminated=True, prompt=None):
-        return self._once(
-            context, ("score", tuple(tokens), terminated, prompt),
-            lambda: self._backend.score_tokens(context, tokens, terminated,
-                                               prompt=prompt))
+    def score_many(self, requests, *, prompt):
+        return self._many(
+            [(context, "score", tuple(tokens), terminated, prompt)
+             for context, tokens, terminated in requests],
+            requests,
+            lambda misses: self._backend.score_many(misses, prompt=prompt))
 
     def done(self, index: int, inputs) -> None:
         for x in inputs:

@@ -322,24 +322,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_worker_lock = threading.Lock()
-_worker = None  # (pid, executor) of _pair's worker thread, made on first use
+class _LazyPool:
+    """A thread pool of ``size`` threads, made on first call.
 
-
-def _executor():
-    """The one-thread pool that runs the second half of :func:`_pair`.
-
-    A forked child does not inherit the parent's thread, so it makes its own.
+    A forked child does not inherit the parent's threads, so a call in it
+    makes the child its own pool.
     """
-    global _worker
-    with _worker_lock:
-        if _worker is None or _worker[0] != os.getpid():
-            # imported here, not at the top: only multi-block work needs it
-            from concurrent.futures import ThreadPoolExecutor
 
-            _worker = (os.getpid(),
-                       ThreadPoolExecutor(1, thread_name_prefix="ccdae-pair"))
-        return _worker[1]
+    def __init__(self, size: int, name: str):
+        self._size, self._name = size, name
+        self._lock = threading.Lock()
+        self._made = None  # (pid, executor)
+
+    def __call__(self):
+        with self._lock:
+            if self._made is None or self._made[0] != os.getpid():
+                # imported here, not at the top: only concurrent work needs it
+                from concurrent.futures import ThreadPoolExecutor
+
+                self._made = (os.getpid(), ThreadPoolExecutor(
+                    self._size, thread_name_prefix=self._name))
+            return self._made[1]
+
+
+#: The one-thread pool that runs the second half of :func:`_pair`.
+_executor = _LazyPool(1, "ccdae-pair")
 
 
 def _pair(fn, fan_out: bool) -> tuple:

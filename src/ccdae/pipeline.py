@@ -159,25 +159,21 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     encoder-only loss. A hypothesis with a non-finite score would poison
     every softmax, so it is dropped with a warning and counted in
     ``dropped``; fewer than 2 distinct descriptions raise
-    :class:`InvalidBatchError`. The backend traffic is two
-    ``sample_descriptions`` calls, a ``score_tokens`` call per distinct
-    description and input, and under ``lm_code`` a code score per distinct
-    description.
+    :class:`InvalidBatchError`. The backend traffic is one ``sample_many``
+    call for the two inputs, one ``score_many`` call for every distinct
+    description under each input, and under ``lm_code`` a single code
+    score per distinct description.
     """
     config = config or CompareConfig()
     xa, xb, _ = _canonical_order(x1, x2)
-    draws = []
-    for rank, x in enumerate((xa, xb)):
-        draws.extend(
-            backend.sample_descriptions(
-                str(x),
-                config.samples_per_input,
-                max_tokens=config.max_tokens,
-                temperature=config.temperature,
-                seed=_rank_seed(config.seed, rank),
-                prompt=config.prompt,
-            )
-        )
+    sides = backend.sample_many(
+        [(str(x), _rank_seed(config.seed, rank)) for rank, x in enumerate((xa, xb))],
+        config.samples_per_input,
+        max_tokens=config.max_tokens,
+        temperature=config.temperature,
+        prompt=config.prompt,
+    )
+    draws = [s for side in sides for s in side]
 
     # merge duplicates, keeping first-seen order: key -> [first draw, count]
     merged: dict[tuple, list] = {}
@@ -187,11 +183,10 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
         raise _too_few_descriptions(len(draws), len(merged))
     unique = [s for s, _ in merged.values()]
 
-    cond = np.array([
-        [backend.score_tokens(str(x), s.tokens, s.terminated,
-                              prompt=config.prompt).total for s in unique]
-        for x in (x1, x2)
-    ])
+    scores = backend.score_many(
+        [(str(x), s.tokens, s.terminated) for x in (x1, x2) for s in unique],
+        prompt=config.prompt)
+    cond = np.array([r.total for r in scores]).reshape(2, len(unique))
     log_pi, loss = _encoder_loss(cond)
     if config.pcode_mode == "proposal_mix":
         log_pcode = log_pi

@@ -1,6 +1,10 @@
 import json
 import math
+import threading
+import time
+from collections import Counter
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -81,10 +85,9 @@ def make_encoder_batch(logp1, logp2):
 
 
 class StubResponse:
-    status_code = 200
-
-    def __init__(self, text):
+    def __init__(self, text, status_code=200):
         self.text = text
+        self.status_code = status_code
 
     def json(self):
         return json.loads(self.text)
@@ -100,3 +103,58 @@ class StubSession:
     def post(self, url, json=None, timeout=None):  # noqa: A002
         self.posts += 1
         return StubResponse(self.text)
+
+
+class ServingSession:
+    """A thread-safe ``requests`` session that answers the remote protocol
+    from a local backend, each request after ``latency_s``.
+
+    ``status(path, payload, n)`` may fail the ``n``-th sending of a request
+    (counted from 0) with another HTTP status than 200. ``sent`` counts the
+    requests per ``(path, payload as JSON)``; ``in_flight`` and ``peak`` are
+    the requests being answered now and at most at once.
+    """
+
+    def __init__(self, backend, latency_s=0.0, status=None):
+        self.backend = backend
+        self.latency_s = latency_s
+        self.status = status or (lambda path, payload, n: 200)
+        self.sent = Counter()
+        self.in_flight = self.peak = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, timeout=None):  # noqa: A002
+        path, payload = urlsplit(url).path, json
+        key = (path, _dumps(payload))
+        with self._lock:
+            n = self.sent[key]
+            self.sent[key] += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(self.latency_s)
+            status = self.status(path, payload, n)
+            if status != 200:
+                return StubResponse('{"error": "scripted"}', status)
+            return StubResponse(_dumps(self._answer(path, payload)))
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def _answer(self, path, payload):
+        prompt = payload.get("prompt", "")
+        if path == "/v1/logprob":
+            result = self.backend.score_tokens(
+                payload["context"], list(payload["continuation"]), False, prompt=prompt)
+            return {"per_token_logprobs": list(result.per_token), "total": result.total}
+        draws = self.backend.sample_descriptions(
+            payload["context"], payload["num_samples"],
+            max_tokens=payload["max_tokens"], temperature=payload["temperature"],
+            seed=payload["seed"], prompt=prompt)
+        return {"samples": [{"text": s.text,
+                             "per_token_logprobs": list(s.per_token_logprobs),
+                             "terminated": s.terminated} for s in draws]}
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True)

@@ -1,15 +1,17 @@
 import bisect
 import json
 import math
+import sys
 import threading
+import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from conftest import DATA, StubSession
+from conftest import DATA, ServingSession, StubSession
 
-from ccdae import backends
+from ccdae import backends, bench
 from ccdae.backends import (
     EOS,
     BackendError,
@@ -517,6 +519,118 @@ def test_remote_connection_error():
                        timeout=0.5)
     with pytest.raises(RemoteBackendError):
         be.cond_logprob("ctx", "ok")
+
+
+# ---------------------------------------------------------------------------
+# remote backend: a batched call's requests in flight together
+
+_TEXTS = ["wet sky", "grey clouds", "cold", "dark rain falls", "snow", "ice on iron",
+          "warm", "sun and sky", "blue", "soft wind", "hard metal", "clear air"]
+
+#: Twelve texts rescored under two inputs, and the first request once more.
+_SCORES = [(context, tuple(text.split()), True)
+           for context in ("rain", "iron") for text in _TEXTS]
+_SCORES.append(_SCORES[0])
+
+
+def _remote(ngram_backend, max_in_flight, status=None, latency_s=0.01):
+    """A remote backend over a session that takes 10 ms per request."""
+    session = ServingSession(ngram_backend, latency_s=latency_s, status=status)
+    return RemoteBackend("http://stub", backoff=0.0, max_in_flight=max_in_flight,
+                         session=session), session
+
+
+@pytest.fixture(scope="module")
+def one_at_a_time(ngram_backend):
+    """``_SCORES`` and two samples, each from a single call."""
+    remote, _ = _remote(ngram_backend, 1, latency_s=0.0)
+    return ([remote.score_tokens(*r) for r in _SCORES],
+            [remote.sample_descriptions("rain", 5, max_tokens=6, seed=1),
+             remote.sample_descriptions("iron", 5, max_tokens=6, seed=2)])
+
+
+def _hex(results):
+    return [[v.hex() for v in r.per_token] + [r.total.hex()] for r in results]
+
+
+def _scoring(request):
+    """The session's key of a ``score_many`` request."""
+    context, tokens, _ = request
+    return "/v1/logprob", json.dumps({"context": context,
+                                      "continuation": " ".join(tokens)}, sort_keys=True)
+
+
+def _fails(request, status, attempts):
+    """A session ``status`` that fails the first ``attempts`` sendings of
+    ``request`` with ``status``."""
+    def answer(path, payload, n):
+        sent = (path, json.dumps(payload, sort_keys=True))
+        return status if sent == _scoring(request) and n < attempts else 200
+    return answer
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 3, 8])
+def test_remote_batch_overlaps_within_max_in_flight_and_keeps_order(
+        ngram_backend, one_at_a_time, max_in_flight):
+    want_scores, want_draws = one_at_a_time
+    remote, session = _remote(ngram_backend, max_in_flight)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        scores = remote.score_many(_SCORES, prompt=None)
+        draws = remote.sample_many([("rain", 1), ("iron", 2)], 5, max_tokens=6,
+                                    temperature=1.0, prompt=None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _hex(scores) == _hex(want_scores)
+    assert draws == want_draws
+    assert min(max_in_flight, 2) <= session.peak <= max_in_flight
+    assert session.in_flight == 0
+    # one request per distinct payload: 12 texts under 2 inputs, 2 samples
+    assert len(session.sent) == 26 and set(session.sent.values()) == {1}
+
+
+def test_remote_batch_error_cancels_the_rest_and_is_not_stored(ngram_backend):
+    bad = _SCORES[4]
+    remote, session = _remote(ngram_backend, 2, status=_fails(bad, 400, attempts=1))
+    reuse = bench._Reuse(remote, {"rain": 1, "iron": 1})
+    t0 = time.perf_counter()
+    with pytest.raises(RemoteBackendError) as exc:
+        reuse.score_many(_SCORES, prompt=None)
+    assert time.perf_counter() - t0 < 2.0
+    assert exc.value.status == 400 and not exc.value.retryable
+    sent = sum(session.sent.values())
+    assert session.in_flight == 0 and sent < len(_TEXTS) * 2  # the rest never started
+    time.sleep(0.05)
+    assert sum(session.sent.values()) == sent  # and never will
+    assert reuse._memo == {}
+
+    # the next record sends the failed request again, and then keeps it
+    scores = reuse.score_many(_SCORES, prompt=None)
+    assert session.sent[_scoring(bad)] == 2
+    sent = sum(session.sent.values())
+    assert _hex(reuse.score_many(_SCORES, prompt=None)) == _hex(scores)
+    assert sum(session.sent.values()) == sent
+
+
+def test_remote_batch_retries_a_failed_first_attempt_per_request(ngram_backend,
+                                                                 one_at_a_time):
+    flaky = _SCORES[5]
+    remote, session = _remote(ngram_backend, 4, status=_fails(flaky, 503, attempts=1))
+    assert _hex(remote.score_many(_SCORES, prompt=None)) == _hex(one_at_a_time[0])
+    assert session.sent[_scoring(flaky)] == 2
+    assert sum(session.sent.values()) == len(_TEXTS) * 2 + 1
+    assert session.peak <= 4  # the retry, sent from this thread, waits its turn
+
+
+def test_remote_batch_with_a_bad_request_sends_nothing(ngram_backend):
+    remote, session = _remote(ngram_backend, 4)
+    with pytest.raises(ValueError, match="description must be nonempty"):
+        remote.score_many([("rain", ("wet",), True), ("rain", (), True)], prompt=None)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        remote.sample_many([("rain", 1), ("iron", 2)], 0, max_tokens=6,
+                           temperature=1.0, prompt=None)
+    assert not session.sent
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
+from conftest import ServingSession
 from scipy import stats
 
 from ccdae import bench, pipeline
-from ccdae.backends import BackendError
+from ccdae.backends import Backend, BackendError, RemoteBackend
 from ccdae.bench import BenchError, ChoiceRecord, PairRecord
 
 
@@ -245,7 +248,7 @@ def test_report_serialization(ngram_backend, quick_config):
 # reuse of draws and rescores within one run
 
 
-class CountingBackend:
+class CountingBackend(Backend):
     """Logs every sampling and rescoring request before passing it on.
 
     With ``fail_once`` set to a context, the first sampling call for that
@@ -427,3 +430,21 @@ def test_reuse_matches_reference_for_every_score_kind(data_dir, ngram_backend, s
         report = _RUNS[kind][0](records, ngram_backend, config, score=score)
         _assert_matches_reference(
             kind, report, *_reference(kind, records, ngram_backend, config, score))
+
+
+def test_remote_choice_bench_fans_out_with_the_same_requests_and_scores(
+        data_dir, ngram_backend):
+    """The seed-0 choice benchmark through a remote backend, one record per
+    run as the ``choice-remote`` benchmark workload runs it: 353 requests,
+    several in flight, and the scores whose digest CI pins."""
+    session = ServingSession(ngram_backend, latency_s=0.002)
+    remote = RemoteBackend("http://stub", session=session)
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=0)
+    scores = [bench.run_choice_bench([rec], remote, config,
+                                     backend_id="remote").per_record[0]["score"]
+              for rec in bench.load_choices(data_dir / "choices.tsv").records]
+    assert sum(session.sent.values()) == 353
+    assert 2 <= session.peak <= 4 and session.in_flight == 0
+    # scores at 12 significant digits, as the benchmark digests them
+    text = "\n".join(f"{v:.12g}" for v in scores)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e9836a22702b7d3d"

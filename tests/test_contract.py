@@ -1,20 +1,23 @@
-"""The package uses nothing of a backend beyond the four contract calls.
+"""The package uses nothing of a backend beyond the four contract calls
+and the batched forms of two of them.
 
 Each workflow runs once on a bare backend and once through ``_Contract``,
-which exposes only those four calls; the results must agree bit for bit.
+which exposes only those calls; the results must agree bit for bit.
 """
 
 from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import ServingSession
 
 from ccdae import backends, baselines, bench, descgen, pipeline
 from ccdae.bench import ChoiceRecord, PairRecord
 
 
 class _Contract:
-    """Exactly the four contract calls of a backend, and nothing else."""
+    """Exactly the four contract calls of a backend and their two batched
+    forms, and nothing else."""
 
     __slots__ = ("_backend",)
 
@@ -36,6 +39,13 @@ class _Contract:
 
     def code_logprob(self, description, terminated=True):
         return self._backend.code_logprob(description, terminated=terminated)
+
+    def sample_many(self, requests, count, *, max_tokens, temperature, prompt):
+        return self._backend.sample_many(requests, count, max_tokens=max_tokens,
+                                         temperature=temperature, prompt=prompt)
+
+    def score_many(self, requests, *, prompt):
+        return self._backend.score_many(requests, prompt=prompt)
 
 
 def _bits(value):
@@ -106,14 +116,15 @@ def test_workflows_use_only_the_four_contract_calls(request, backend_name, workf
 def test_contract_wrapper_exposes_only_the_four_calls(ngram_backend):
     calls = {name for name in dir(_Contract) if not name.startswith("_")}
     assert calls == {"sample_descriptions", "score_tokens", "cond_logprob",
-                     "code_logprob"}
+                     "code_logprob", "sample_many", "score_many"}
     with pytest.raises(AttributeError):
         _Contract(ngram_backend).model  # noqa: B018
 
 
-class _Counting(_Contract):
-    """``_Contract`` that counts its calls; a ``score_tokens`` call on the
-    empty context and prompt is the code score of an empty draw."""
+class _Counting(backends.Backend, _Contract):
+    """``_Contract`` that counts its single calls and answers the batched
+    forms through them; a ``score_tokens`` call on the empty context and
+    prompt is the code score of an empty draw."""
 
     __slots__ = ("calls",)
 
@@ -139,17 +150,45 @@ class _Counting(_Contract):
         return super().code_logprob(*args, **kwargs)
 
 
+def _count_on_instance(backend) -> Counter:
+    """Count a backend's single calls where a tracer wraps them: on the
+    instance, so that its own batched forms reach the counters."""
+    calls = Counter()
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            code = name == "code_logprob" or (
+                name == "score_tokens" and args[0] == "" and kwargs.get("prompt") == "")
+            calls["code_score" if code else name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    for name in ("sample_descriptions", "score_tokens", "code_logprob"):
+        setattr(backend, name, counted(name, getattr(backend, name)))
+    return calls
+
+
 @pytest.mark.parametrize("pcode_mode", ["proposal_mix", "lm_code"])
-@pytest.mark.parametrize("case", ["ngram", "table", "zero-length"])
+@pytest.mark.parametrize("case", ["ngram", "table", "zero-length", "remote"])
 def test_build_batch_backend_traffic(request, case, pcode_mode):
+    session = None
     if case == "zero-length":
         # p(EOS | "") is about 0.5 under this model, so empty draws are common
         backend = backends.NGramBackend(backends.train_ngram("a\nb\n", order=2))
         texts = ["x", "y"]
+    elif case == "remote":
+        session = ServingSession(request.getfixturevalue("ngram_backend"))
+        backend = backends.RemoteBackend("http://stub", session=session)
+        texts = BACKENDS["ngram"][1]
     else:
         fixture, texts = BACKENDS[case]
         backend = request.getfixturevalue(fixture)
-    counting = _Counting(backend)
+    if session is None:
+        counting = _Counting(backend)
+        calls = counting.calls
+    else:  # the remote backend's own batched forms, which put requests in flight
+        counting = backend
+        calls = _count_on_instance(backend)
     config = pipeline.CompareConfig(samples_per_input=10, max_tokens=5,
                                     pcode_mode=pcode_mode)
     batch = pipeline.build_batch(texts[0], texts[1], counting, config)
@@ -157,5 +196,33 @@ def test_build_batch_backend_traffic(request, case, pcode_mode):
     want = {"sample_descriptions": 2, "score_tokens": 2 * n}
     if pcode_mode == "lm_code":
         want["code_score"] = n
-    assert counting.calls == want
+    assert calls == want
     assert case != "zero-length" or "" in batch.texts
+    if session is not None:  # exactly one request per distinct payload
+        assert set(session.sent.values()) == {1}
+        assert Counter(path for path, _ in session.sent) == {
+            "/v1/sample": 2, "/v1/logprob": sum(want.values()) - 2}
+
+
+class _FourCalls:
+    """A backend written to the four single calls alone."""
+
+    def __init__(self, backend):
+        self.sample_descriptions = backend.sample_descriptions
+        self.score_tokens = backend.score_tokens
+        self.cond_logprob = backend.cond_logprob
+        self.code_logprob = backend.code_logprob
+
+
+def test_a_backend_without_the_batched_forms_fails_by_name(ngram_backend):
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=5)
+    with pytest.raises(AttributeError, match="sample_many"):
+        pipeline.build_batch("rain", "iron", _FourCalls(ngram_backend), config)
+
+    # inheriting the base supplies them, answered through the four calls
+    class Upgraded(backends.Backend, _FourCalls):
+        pass
+
+    got = pipeline.build_batch("rain", "iron", Upgraded(ngram_backend), config)
+    want = pipeline.build_batch("rain", "iron", ngram_backend, config)
+    assert _bits(got) == _bits(want)

@@ -271,7 +271,7 @@ def test_build_batch_equals_reference(ngram_backend, table_backend, case,
                     == [v.hex() for v in getattr(want, name).tolist()]), name
 
 
-class _RecordingBackend:
+class _RecordingBackend(backends.Backend):
     """Delegates to a backend and keeps the text of every sampled draw."""
 
     def __init__(self, backend):
@@ -387,7 +387,7 @@ def test_compare_degenerate_batch_errors(table_backend):
         pipeline.compare("img_sunset", "img_sunset", table_backend, config)
 
 
-class _FixedDrawsBackend:
+class _FixedDrawsBackend(backends.Backend):
     """Draws ``texts`` in turn from every input; rescores each text at -1 per
     character, except that the texts in ``unscorable`` score -inf under the
     input "x1" (a zero-probability description)."""
