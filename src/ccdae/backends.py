@@ -16,10 +16,13 @@ call at a time, and ``RemoteBackend`` puts the requests in flight together.
   and golden runs.
 * ``RemoteBackend`` — HTTP client for a two-endpoint log-prob server.
 
-End-of-sequence handling: a sampled description that terminates before
-``max_tokens`` carries an explicit EOS event whose log-prob is included
-in its total; a truncated description carries none. Scoring helpers take
-a ``terminated`` flag so cross-context scores stay comparable.
+End-of-sequence handling: a draw's ``per_token_logprobs`` are its tokens'
+log-probs plus the EOS log-prob if it ``terminated`` (ended with EOS before
+``max_tokens``); EOS is never one of its tokens. The rule has no exception:
+an immediate EOS is the draw with text ``""``, no tokens and ``terminated``
+set, whose one log-prob is the EOS event's. ``score_tokens`` and
+``code_logprob`` take the same ``terminated`` flag, so a draw rescores as
+it was sampled.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _LazyPool
+from .core import _check_count, _LazyPool
 
 __all__ = [
     "EOS",
@@ -179,8 +182,7 @@ class NGramModel:
     _rows: dict[str, _ContextRow] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not _is_count(self.order) or self.order < 1:
-            raise ValueError(f"order must be an int >= 1, got {self.order!r}")
+        _check_count("order", self.order)
         alpha = self.smoothing_alpha
         if not (isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
                 and math.isfinite(alpha) and alpha >= 0):
@@ -298,8 +300,7 @@ def train_ngram(corpus: str, order: int = 5, smoothing_alpha: float = 0.01) -> N
     lengths up to order-1 are accumulated for back-off.
     """
     lines = [ln for ln in corpus.splitlines() if ln.strip()]
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_count("order", order)
     if not lines:
         raise ValueError("empty corpus")
     counts: dict[str, dict[str, int]] = {}
@@ -407,18 +408,14 @@ class NGramBackend(Backend):
         return LogProbResult.from_tokens(per_token)
 
     def cond_logprob(
-        self,
-        context: str,
-        description: str,
-        prompt: str | None = None,
-        terminated: bool = True,
+        self, context: str, description: str, prompt: str | None = None
     ) -> LogProbResult:
         if not description:
             raise ValueError("description must be nonempty")
-        return self.score_tokens(context, list(description), terminated, prompt)
+        return self.score_tokens(context, list(description), True, prompt)
 
     def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
-        return self.cond_logprob("", description, prompt="", terminated=terminated)
+        return self.score_tokens("", list(description), terminated, prompt="")
 
     def _state(self, context: str, temperature: float) -> _State:
         """The automaton state of ``context`` at ``temperature``, built once.
@@ -475,25 +472,15 @@ class NGramBackend(Backend):
                     break
                 tokens.append(sym)
                 state = state.next[idx] or self._follow(state, idx)
-            if tokens:
-                out.append(SampledDescription(
-                    text="".join(tokens), tokens=tuple(tokens),
-                    per_token_logprobs=tuple(logprobs), terminated=terminated))
-            else:
-                # zero-length draw (immediate EOS): keep the EOS symbol as
-                # the single token with terminated=False so rescoring counts
-                # the EOS event exactly once.
-                out.append(SampledDescription(
-                    text="", tokens=(EOS,), per_token_logprobs=tuple(logprobs),
-                    terminated=False))
+            out.append(SampledDescription(
+                text="".join(tokens), tokens=tuple(tokens),
+                per_token_logprobs=tuple(logprobs), terminated=terminated))
         return out
 
 
 def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> None:
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if max_tokens < 1:
-        raise ValueError("max_tokens must be >= 1")
+    _check_count("count", count)
+    _check_count("max_tokens", max_tokens)
     if not (math.isfinite(temperature) and temperature > 0):
         raise ValueError("temperature must be finite and positive")
 
@@ -577,8 +564,7 @@ class TableBackend(Backend):
         return self.cond_logprob(context, description, prompt=prompt)
 
     def cond_logprob(
-        self, context: str, description: str, prompt: str | None = None,
-        terminated: bool = True,
+        self, context: str, description: str, prompt: str | None = None
     ) -> LogProbResult:
         if not description:
             raise ValueError("description must be nonempty")
@@ -656,11 +642,15 @@ class RemoteBackend(Backend):
     ones have finished, so no request is in flight when a call returns.
     Every other call sends its request alone.
 
+    A sampled draw's tokens are the words of its ``text`` (the text itself
+    if it has none), as in ``TableBackend``.
+
     Protocol limit: ``/v1/logprob`` scores a continuation string and has
     no end-of-sequence event. So ``score_tokens`` re-joins a draw's tokens
     with single spaces and ignores ``terminated``; a draw whose text has
     other whitespace, or whose sampled log-prob included an EOS event, may
-    rescore differently from how it was sampled.
+    rescore differently from how it was sampled, and an empty draw (an
+    immediate EOS) cannot be rescored at all.
     """
 
     def __init__(
@@ -674,10 +664,8 @@ class RemoteBackend(Backend):
     ):
         import requests
 
-        for name, value in (("max_retries", max_retries),
-                            ("max_in_flight", max_in_flight)):
-            if not _is_count(value) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        _check_count("max_retries", max_retries)
+        _check_count("max_in_flight", max_in_flight)
         if not timeout > 0:
             raise ValueError(f"timeout must be > 0, got {timeout!r}")
         if not backoff >= 0:
@@ -791,8 +779,7 @@ class RemoteBackend(Backend):
         }
 
     def cond_logprob(
-        self, context: str, description: str, prompt: str | None = None,
-        terminated: bool = True,
+        self, context: str, description: str, prompt: str | None = None
     ) -> LogProbResult:
         doc = self._post(*self._logprob_request(context, description, prompt))
         try:
@@ -823,7 +810,7 @@ class RemoteBackend(Backend):
             return [
                 SampledDescription(
                     text=s["text"],
-                    tokens=tuple(s.get("tokens") or s["text"].split() or [s["text"]]),
+                    tokens=_split(s["text"]),
                     per_token_logprobs=tuple(map(float, s["per_token_logprobs"])),
                     terminated=bool(s.get("terminated", True)),
                 )

@@ -168,18 +168,6 @@ class DistanceCurve:
     c_max: float
     lambda_grid: np.ndarray = field(default_factory=lambda: np.array([]))
 
-    def swapped(self) -> "DistanceCurve":
-        """Exchange the roles of the two samples (distance is unchanged)."""
-        return DistanceCurve(
-            capacity_grid=self.capacity_grid,
-            delta_2_to_1=self.delta_1_to_2,
-            delta_1_to_2=self.delta_2_to_1,
-            distance=self.distance,
-            auc=self.auc,
-            c_max=self.c_max,
-            lambda_grid=self.lambda_grid,
-        )
-
     def scaled(self, factor: float) -> "DistanceCurve":
         """Unit conversion (e.g. nats -> bits with factor 1/ln 2)."""
         return DistanceCurve(
@@ -240,6 +228,14 @@ def _check_seed(seed) -> None:
     integer = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
     if not (integer and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a count that is not an integer >= 1 (a bool is refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
 def _check_c_max(c_max) -> None:

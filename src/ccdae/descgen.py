@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _check_seed
+from .core import _check_count, _check_seed
 from .pipeline import _encoder_loss
 
 __all__ = [
@@ -83,8 +83,7 @@ def generate_atoms(
     distinct atoms are collected or the backend stops producing new
     material.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    _check_count("count", count)
     _check_seed(seed)
     seen: dict[str, None] = {}
     stale_rounds = 0
@@ -101,7 +100,7 @@ def generate_atoms(
         round_no += 1
         before = len(seen)
         for s in samples:  # each draw's lines, bullet markers stripped
-            for line in (s.text or "".join(s.tokens)).splitlines():
+            for line in s.text.splitlines():
                 line = _BULLET_RE.sub("", line).strip()
                 if line:
                     seen.setdefault(line, None)
@@ -125,8 +124,8 @@ def beam_compose(
     """
     if not atoms:
         raise ValueError("atom list must be nonempty")
-    if beam_width < 1 or max_atoms < 1:
-        raise ValueError("beam_width and max_atoms must be >= 1")
+    _check_count("beam_width", beam_width)
+    _check_count("max_atoms", max_atoms)
 
     def scored(used: tuple[int, ...]) -> BeamEntry:
         text = ATOM_JOINER.join(atoms[j].text for j in used)

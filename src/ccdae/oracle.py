@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_seed,
-                   _check_target, _pair, _validate_grid, curve_from_traces,
-                   default_lambda_grid)
+from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_count,
+                   _check_seed, _check_target, _pair, _validate_grid,
+                   curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -127,8 +127,7 @@ def proposal_batch(
     into count weights, so the batch feeds the importance sampling
     estimators exactly as pooled sampled descriptions would.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+    _check_count("n_draws", n_draws)
     _check_seed(seed)
     mass = np.exp(-table.code_lengths)
     proposal = mass / mass.sum()

@@ -25,6 +25,7 @@ from .core import (
     InvalidBatchError,
     ScoredBatch,
     _check_c_max,
+    _check_count,
     _check_seed,
     _gibbs_trace,
     _validate_grid,
@@ -61,8 +62,8 @@ class CompareConfig:
     prompt: str | None = None
 
     def __post_init__(self) -> None:
-        if self.samples_per_input < 1 or self.max_tokens < 1:
-            raise ValueError("counts must be >= 1")
+        _check_count("samples_per_input", self.samples_per_input)
+        _check_count("max_tokens", self.max_tokens)
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError("temperature must be finite and positive")
         if self.pcode_mode not in ("proposal_mix", "lm_code"):
@@ -124,8 +125,8 @@ def _content_key(x: str) -> str:
 def _canonical_order(x1, x2):
     """Deterministic input ordering so swapped calls see identical batches."""
     if _content_key(x1) <= _content_key(x2):
-        return x1, x2, False
-    return x2, x1, True
+        return x1, x2
+    return x2, x1
 
 
 @functools.lru_cache(maxsize=256)
@@ -161,11 +162,13 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     ``dropped``; fewer than 2 distinct descriptions raise
     :class:`InvalidBatchError`. The backend traffic is one ``sample_many``
     call for the two inputs, one ``score_many`` call for every distinct
-    description under each input, and under ``lm_code`` a single code
-    score per distinct description.
+    description under each input, and under ``lm_code`` one ``code_logprob``
+    call per distinct description. Every draw, an empty one included, is
+    scored from its text, tokens and ``terminated`` flag alone; how a
+    terminated draw's end is scored is the backend's rule.
     """
     config = config or CompareConfig()
-    xa, xb, _ = _canonical_order(x1, x2)
+    xa, xb = _canonical_order(x1, x2)
     sides = backend.sample_many(
         [(str(x), _rank_seed(config.seed, rank)) for rank, x in enumerate((xa, xb))],
         config.samples_per_input,
@@ -191,11 +194,8 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     if config.pcode_mode == "proposal_mix":
         log_pcode = log_pi
     else:
-        # a zero-length draw's one token is the bare EOS event, scored as
-        # the code model's conditional on an empty context and prompt
         log_pcode = np.asarray([
-            backend.code_logprob(s.text, terminated=s.terminated).total if s.text
-            else backend.score_tokens("", s.tokens, s.terminated, prompt="").total
+            backend.code_logprob(s.text, terminated=s.terminated).total
             for s in unique
         ], dtype=float)
 

@@ -91,8 +91,8 @@ def ab_backend():
 
 
 def test_cond_logprob_extension_monotonicity(ab_backend):
-    base = ab_backend.cond_logprob("a", "b", terminated=False).total
-    longer = ab_backend.cond_logprob("a", "ba", terminated=False).total
+    base = ab_backend.score_tokens("a", list("b"), False).total
+    longer = ab_backend.score_tokens("a", list("ba"), False).total
     assert longer <= base
 
 
@@ -105,6 +105,23 @@ def test_sampling_rejects_bad_temperature(ngram_backend, table_backend, temperat
                              (remote, "rain")):
         with pytest.raises(ValueError, match="temperature must be finite"):
             backend.sample_descriptions(context, 3, temperature=temperature)
+    assert stub.posts == 0
+
+
+@pytest.mark.parametrize("name, value", [
+    ("count", 2.5), ("count", True), ("count", "3"), ("max_tokens", 2.5),
+    ("max_tokens", False),
+])
+def test_sampling_refuses_a_count_that_is_not_an_integer(
+        ngram_backend, table_backend, name, value):
+    stub = StubSession("{}")
+    remote = RemoteBackend("http://stub", session=stub)
+    args = {"count": 3, "max_tokens": 5, name: value}
+    for backend, context in ((ngram_backend, "rain"), (table_backend, "img_sunset"),
+                             (remote, "rain")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            backend.sample_descriptions(context, args["count"],
+                                        max_tokens=args["max_tokens"])
     assert stub.posts == 0
 
 
@@ -205,11 +222,8 @@ def _reference_sample(backend, prefixes, count, max_tokens, temperature, seed):
                 break
             tokens.append(vocab[idx])
             current = [p + vocab[idx] for p in current]
-        if tokens:
-            out.append(backends.SampledDescription(
-                "".join(tokens), tuple(tokens), tuple(logprobs), terminated))
-        else:
-            out.append(backends.SampledDescription("", (EOS,), tuple(logprobs), False))
+        out.append(backends.SampledDescription(
+            "".join(tokens), tuple(tokens), tuple(logprobs), terminated))
     return out
 
 
@@ -264,11 +278,25 @@ def test_sampler_equals_reference(ngram_backend, seed, temperature, max_tokens, 
 
 
 def test_sampler_reaches_zero_length_draws():
-    # a model that often ends at once exercises the immediate-EOS branch
+    # a model that often ends at once draws immediate EOS events
     be = NGramBackend(train_ngram("a\nb\nab\n", order=2))
     got = be.sample_descriptions("", 40, max_tokens=3, seed=1)
-    assert any(s.text == "" for s in got)
     assert got == _reference_sample(be, [""], 40, 3, 1.0, 1)
+    empty = [s for s in got if s.text == ""]
+    assert empty
+    for s in empty:  # an ordinary draw: no tokens, terminated, the EOS event
+        assert s.tokens == () and s.terminated
+        assert s.per_token_logprobs == (be.model.symbol_logprob("", EOS),)
+        assert be.score_tokens("", s.tokens, s.terminated).per_token == (
+            s.per_token_logprobs)
+
+
+def test_code_logprob_of_the_empty_description_is_the_eos_event():
+    model = train_ngram("a\nb\n", order=2)
+    got = NGramBackend(model).code_logprob("")
+    assert got.per_token == (model.symbol_logprob("", EOS),)
+    # a truncated empty description has no event at all
+    assert NGramBackend(model).code_logprob("", terminated=False).per_token == ()
 
 
 @pytest.mark.parametrize("sizes", [(1,), (3, 7, 1, 64), (4096, 5)])
@@ -657,6 +685,18 @@ def test_remote_malformed_reply_is_typed_and_not_retried(call, body):
             be.sample_descriptions("ctx", 2)
     assert not exc.value.retryable
     assert stub.posts == 1
+
+
+def test_remote_draw_tokens_are_the_words_of_its_text():
+    # only the documented fields are read; a "tokens" field is not one
+    body = json.dumps({"samples": [
+        {"text": "wet  sky", "per_token_logprobs": [-0.5], "tokens": ["x"]},
+        {"text": "calm", "per_token_logprobs": [-0.25], "terminated": False},
+    ]})
+    draws = RemoteBackend("http://stub", session=StubSession(body)
+                          ).sample_descriptions("ctx", 2)
+    assert [(s.text, s.tokens, s.terminated) for s in draws] == [
+        ("wet  sky", ("wet", "sky"), True), ("calm", ("calm",), False)]
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -33,9 +33,8 @@ class _Contract:
     def score_tokens(self, context, tokens, terminated=True, prompt=None):
         return self._backend.score_tokens(context, tokens, terminated, prompt=prompt)
 
-    def cond_logprob(self, context, description, prompt=None, terminated=True):
-        return self._backend.cond_logprob(context, description, prompt=prompt,
-                                          terminated=terminated)
+    def cond_logprob(self, context, description, prompt=None):
+        return self._backend.cond_logprob(context, description, prompt=prompt)
 
     def code_logprob(self, description, terminated=True):
         return self._backend.code_logprob(description, terminated=terminated)
@@ -123,8 +122,7 @@ def test_contract_wrapper_exposes_only_the_four_calls(ngram_backend):
 
 class _Counting(backends.Backend, _Contract):
     """``_Contract`` that counts its single calls and answers the batched
-    forms through them; a ``score_tokens`` call on the empty context and
-    prompt is the code score of an empty draw."""
+    forms through them."""
 
     __slots__ = ("calls",)
 
@@ -136,17 +134,16 @@ class _Counting(backends.Backend, _Contract):
         self.calls["sample_descriptions"] += 1
         return super().sample_descriptions(*args, **kwargs)
 
-    def score_tokens(self, context, tokens, terminated=True, prompt=None):
-        code = context == "" and prompt == ""
-        self.calls["code_score" if code else "score_tokens"] += 1
-        return super().score_tokens(context, tokens, terminated, prompt=prompt)
+    def score_tokens(self, *args, **kwargs):
+        self.calls["score_tokens"] += 1
+        return super().score_tokens(*args, **kwargs)
 
     def cond_logprob(self, *args, **kwargs):
         self.calls["cond_logprob"] += 1
         return super().cond_logprob(*args, **kwargs)
 
     def code_logprob(self, *args, **kwargs):
-        self.calls["code_score"] += 1
+        self.calls["code_logprob"] += 1
         return super().code_logprob(*args, **kwargs)
 
 
@@ -157,9 +154,7 @@ def _count_on_instance(backend) -> Counter:
 
     def counted(name, call):
         def wrapper(*args, **kwargs):
-            code = name == "code_logprob" or (
-                name == "score_tokens" and args[0] == "" and kwargs.get("prompt") == "")
-            calls["code_score" if code else name] += 1
+            calls[name] += 1
             return call(*args, **kwargs)
         return wrapper
 
@@ -194,8 +189,8 @@ def test_build_batch_backend_traffic(request, case, pcode_mode):
     batch = pipeline.build_batch(texts[0], texts[1], counting, config)
     n = batch.n_hypotheses + batch.dropped  # distinct descriptions
     want = {"sample_descriptions": 2, "score_tokens": 2 * n}
-    if pcode_mode == "lm_code":
-        want["code_score"] = n
+    if pcode_mode == "lm_code":  # every code score, an empty draw's too
+        want["code_logprob"] = n
     assert calls == want
     assert case != "zero-length" or "" in batch.texts
     if session is not None:  # exactly one request per distinct payload

@@ -84,6 +84,15 @@ def test_generate_atoms_rejects_bad_count():
         descgen.generate_atoms(_StubBackend(blocks=["- a\n"]), "ctx", count=0)
 
 
+def test_generate_atoms_never_yields_the_end_of_sequence_symbol():
+    # p(EOS | "") is about 0.5 under this model, so empty draws are common;
+    # an empty draw has no lines, so it adds no atom
+    be = backends.NGramBackend(backends.train_ngram("a\nb\n", order=2))
+    for seed in range(5):
+        atoms = descgen.generate_atoms(be, "x", count=5, seed=seed, max_tokens=3)
+        assert sorted(a.text for a in atoms) == ["a", "b"]
+
+
 # ---------------------------------------------------------------------------
 # beam composition
 
@@ -258,7 +267,7 @@ def test_describe_pair_drops_winners_with_non_finite_scores(ngram_backend):
 class _UnscorableBackend(_StubBackend):
     """Every text has zero probability under both inputs."""
 
-    def cond_logprob(self, context, text, prompt=None, terminated=True):
+    def cond_logprob(self, context, text, prompt=None):
         return backends.LogProbResult.from_tokens([-math.inf])
 
     def code_logprob(self, text, terminated=True):

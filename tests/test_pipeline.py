@@ -65,6 +65,33 @@ def test_config_refuses_bad_grid_cmax_and_seed_before_any_backend_call(
                          CompareConfig(**{field: value}))
 
 
+@pytest.mark.parametrize("field", ["samples_per_input", "max_tokens"])
+@pytest.mark.parametrize("value, message", [
+    (2.5, "must be an integer, got 2.5"), (True, "must be an integer, got True"),
+    (0, "must be >= 1, got 0"),
+], ids=["float", "bool", "zero"])
+def test_config_refuses_a_count_that_is_not_a_positive_integer(field, value, message):
+    with pytest.raises(ValueError, match=f"^{field} {message}$"):
+        CompareConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True])
+@pytest.mark.parametrize("name, call", [
+    ("count", lambda n: descgen.generate_atoms(_RefusingBackend(), "rain", count=n)),
+    ("beam_width", lambda n: descgen.beam_compose(
+        [descgen.Atom("a")], len, len, beam_width=n)),
+    ("max_atoms", lambda n: descgen.beam_compose(
+        [descgen.Atom("a")], len, len, max_atoms=n)),
+    ("n_draws", lambda n: oracle.proposal_batch(
+        oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=[[1.0, 2.0]]), n)),
+    ("order", lambda n: backends.train_ngram("ab\n", order=n)),
+], ids=["generate_atoms", "beam_width", "max_atoms", "proposal_batch", "train_ngram"])
+def test_api_refuses_a_count_that_is_not_a_positive_integer(name, call, value):
+    # the check CompareConfig and the backends' sampling apply, shared
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5, True])
 @pytest.mark.parametrize("call", [
     lambda backend, seed: descgen.generate_atoms(backend, "rain", seed=seed),
@@ -173,7 +200,7 @@ def _reference_batch(x1, x2, backend, config):
     """``build_batch`` as a per-hypothesis loop, as it was written before
     the single scoring pass (with truncated ``lm_code`` draws scored
     without an EOS event)."""
-    xa, xb, _ = pipeline._canonical_order(x1, x2)
+    xa, xb = pipeline._canonical_order(x1, x2)
     draws = []
     for rank, x in enumerate((xa, xb)):
         seed = np.random.default_rng([config.seed, rank]).integers(2**31)
