@@ -22,7 +22,9 @@ log-probs plus the EOS log-prob if it ``terminated`` (ended with EOS before
 an immediate EOS is the draw with text ``""``, no tokens and ``terminated``
 set, whose one log-prob is the EOS event's. ``score_tokens`` and
 ``code_logprob`` take the same ``terminated`` flag, so a draw rescores as
-it was sampled.
+it was sampled. ``NGramBackend`` samples and scores by walking one
+automaton of back-off contexts, and a draw records the log-probs that
+scoring reads from it, so rescoring gives them back exactly.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ class SampledDescription:
     per_token_logprobs: tuple[float, ...]
     terminated: bool
 
-    @property
-    def total_logprob(self) -> float:
-        return float(sum(self.per_token_logprobs))
-
 
 class Backend:
     """The batched forms of the two calls ``build_batch`` makes.
@@ -154,7 +152,7 @@ def _check_denominator(context: str, total: int, width: float) -> None:
 class _ContextRow(NamedTuple):
     """One context's next-symbol distribution, indexed like the vocabulary."""
 
-    logprobs: tuple[float, ...]  # log(count + alpha) - log(den) (-inf at 0), scoring
+    logprobs: tuple[float, ...]  # log(count + alpha) - log(den) (-inf at 0), scores
     probs: np.ndarray  # (count + alpha) / den, for sampling
 
 
@@ -336,20 +334,21 @@ def _uniforms(rng, block: int):
 
 
 class _State:
-    """A node of the sampler's automaton: one back-off context at one
-    temperature.
+    """A node of the n-gram automaton that sampling and scoring both walk:
+    one back-off context at one temperature.
 
-    ``logp`` holds the context's renormalised log-probs and ``cdf`` the
-    cumulative distribution a step draws from; ``next[i]`` is the state
-    after vocabulary symbol ``i``, filled in the first time it is drawn.
+    ``scores`` is the context's row of model log-probs, which a draw
+    records and scoring returns; ``cdf`` is the cumulative distribution a
+    sampling step draws from; ``next[i]`` is the state after vocabulary
+    symbol ``i``, filled in the first time it is taken.
     """
 
-    __slots__ = ("context", "temperature", "logp", "cdf", "next")
+    __slots__ = ("context", "temperature", "scores", "cdf", "next")
 
-    def __init__(self, context, temperature, logp, cdf):
+    def __init__(self, context, temperature, scores, cdf):
         self.context = context
         self.temperature = temperature
-        self.logp = logp
+        self.scores = scores
         self.cdf = cdf
         self.next: list[_State | None] = [None] * len(cdf)
 
@@ -361,31 +360,22 @@ class NGramBackend(Backend):
     ``context`` without a prompt); only the last order-1 characters matter
     to the model but the documented layout keeps runs reproducible.
 
-    Sampling and scoring walk the model's back-off contexts rather than
-    the growing prefix: a symbol moves a context to ``model.context(context
-    + symbol)``, which the model's prefix-closed contexts make equal to the
-    prefix's own context. The moves and the sampler's states hold only
-    values derived from the model, so their number is bounded by the
-    model's contexts, never by the draws or the texts scored.
+    Sampling and scoring walk one automaton of the model's back-off
+    contexts rather than the growing prefix: a symbol moves a context to
+    ``model.context(context + symbol)``, which the model's prefix-closed
+    contexts make equal to the prefix's own context. Scoring walks the
+    temperature-1 states. The states hold only values derived from the
+    model, so their number is bounded by the model's contexts, never by
+    the draws or the texts scored.
     """
 
     def __init__(self, model: NGramModel):
         self.model = model
         self._states: dict[tuple[str, float], _State] = {}
-        self._moves: dict[tuple[str, int], str] = {}
 
     @staticmethod
     def _prefix(context: str, prompt: str | None) -> str:
         return f"{prompt}\n{context}" if prompt else context
-
-    def _move(self, context: str, index: int) -> str:
-        """The context after vocabulary symbol ``index``, memoised."""
-        key = (context, index)
-        moved = self._moves.get(key)
-        if moved is None:
-            moved = self._moves[key] = self.model.context(
-                context + self.model.vocabulary[index])
-        return moved
 
     def score_tokens(
         self,
@@ -395,16 +385,16 @@ class NGramBackend(Backend):
         prompt: str | None = None,
     ) -> LogProbResult:
         model = self.model
-        ctx = model.context(self._prefix(context, prompt))
+        state = self._state(model.context(self._prefix(context, prompt)), 1.0)
         per_token = []
         for tok in (*tokens, EOS) if terminated else tokens:
             idx = model._index.get(tok)
-            if idx is None:  # off-vocabulary: -inf, and no memo entry
+            if idx is None:  # off-vocabulary: -inf, and no link
                 per_token.append(-math.inf)
-                ctx = model.context(ctx + tok)
+                state = self._state(model.context(state.context + tok), 1.0)
             else:
-                per_token.append(model.row(ctx).logprobs[idx])
-                ctx = self._move(ctx, idx)
+                per_token.append(state.scores[idx])
+                state = state.next[idx] or self._follow(state, idx)
         return LogProbResult.from_tokens(per_token)
 
     def cond_logprob(
@@ -427,7 +417,8 @@ class NGramBackend(Backend):
         key = (context, temperature)
         state = self._states.get(key)
         if state is None:
-            logp = np.log(self.model.row(context).probs)
+            row = self.model.row(context)
+            logp = np.log(row.probs)
             # renormalised: the row's probs need not sum to 1 to the last ulp
             logp = logp - np.logaddexp.reduce(logp)
             tilt = logp / temperature
@@ -437,12 +428,12 @@ class NGramBackend(Backend):
             cdf = probs.cumsum()
             cdf /= cdf[-1]
             state = self._states[key] = _State(context, temperature,
-                                               logp.tolist(), cdf.tolist())
+                                               row.logprobs, cdf.tolist())
         return state
 
     def _follow(self, state: _State, index: int) -> _State:
         """The state after symbol ``index``; links it into ``state.next``."""
-        moved = self._move(state.context, index)
+        moved = self.model.context(state.context + self.model.vocabulary[index])
         state.next[index] = self._state(moved, state.temperature)
         return state.next[index]
 
@@ -452,7 +443,8 @@ class NGramBackend(Backend):
         """``count`` draws from the model conditioned on the prompted context.
 
         Each draw walks the automaton from the prompted context's state; a
-        step takes the next uniform and bisects the state's CDF.
+        step takes the next uniform, bisects the state's CDF and records the
+        drawn symbol's score.
         """
         _check_sampling_args(count, max_tokens, temperature)
         uniforms = _uniforms(np.random.default_rng(seed),
@@ -465,7 +457,7 @@ class NGramBackend(Backend):
             state, tokens, logprobs, terminated = start, [], [], False
             for _ in range(max_tokens):
                 idx = bisect_right(state.cdf, next(uniforms))
-                logprobs.append(state.logp[idx])
+                logprobs.append(state.scores[idx])
                 sym = vocab[idx]
                 if sym == EOS:
                     terminated = True

@@ -174,9 +174,15 @@ def pair_score(
     kind shares the similarity convention. The sampled kinds score one
     ``build_batch``; auc and d_at_c trace it as ``pipeline.compare`` does,
     without the explanations and diagnostics that only a report shows.
+    ``capacity``, finite and >= 0, applies to d_at_c only.
     """
     if score not in SCORE_KINDS:
         raise BenchError(f"unknown score kind {score!r}")
+    if capacity is not None:
+        if score != "d_at_c":
+            raise BenchError(f"capacity applies only to score 'd_at_c', not {score!r}")
+        if not (math.isfinite(capacity) and capacity >= 0):
+            raise BenchError(f"capacity must be finite and >= 0, got {capacity}")
     if score == "cond_lik":
         return baselines.cond_likelihood_score(x1, x2, backend)
     batch = pipeline.build_batch(x1, x2, backend, config)

@@ -125,20 +125,6 @@ class ScoredBatch:
     def n_draws(self) -> float:
         return float(self.counts.sum())
 
-    def swapped(self) -> "ScoredBatch":
-        """The same batch with the two sample rows exchanged."""
-        return ScoredBatch(
-            texts=self.texts,
-            log_pcode=self.log_pcode,
-            log_proposal=self.log_proposal,
-            loss=self.loss[::-1].copy(),
-            counts=self.counts,
-            log_conditionals=None
-            if self.log_conditionals is None
-            else self.log_conditionals[::-1].copy(),
-            dropped=self.dropped,
-        )
-
 
 @dataclass(frozen=True)
 class CapacityCurve:
@@ -242,6 +228,12 @@ def _check_c_max(c_max) -> None:
     """Refuse a c_max that is neither None nor finite and >= 0."""
     if c_max is not None and not (math.isfinite(c_max) and c_max >= 0):
         raise InvalidBatchError(f"c_max must be None or finite and >= 0, got {c_max}")
+
+
+def _check_lambda(lam) -> None:
+    """Refuse a one-point lambda that is not finite and >= 0."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise InvalidBatchError(f"lambda must be finite and >= 0, got {lam}")
 
 
 def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -369,8 +361,7 @@ def _pair(fn, fan_out: bool) -> tuple:
 
 
 def _gibbs_point(batch: ScoredBatch, lam: float, target: int) -> _Trace:
-    if lam < 0:
-        raise InvalidBatchError("lambda must be nonnegative")
+    _check_lambda(lam)
     return _gibbs_trace(batch, np.array([float(lam)]), target, keep_weights=True)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_count,
-                   _check_seed, _check_target, _pair, _validate_grid,
-                   curve_from_traces, default_lambda_grid)
+                   _check_lambda, _check_seed, _check_target, _pair,
+                   _validate_grid, curve_from_traces, default_lambda_grid)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -185,8 +185,7 @@ def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray,
 
 def _gibbs_point(table: FiniteHypothesisTable, sample: int, lam: float) -> tuple:
     _check_target(table.n_samples, sample)
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lambda(lam)
     u, q = (np.empty((1, table.n_hypotheses)) for _ in range(2))
     q, kl = _gibbs_rows(table, sample, np.array([float(lam)]), u, q)
     return q[0], float(kl[0])

@@ -26,6 +26,7 @@ from .core import (
     ScoredBatch,
     _check_c_max,
     _check_count,
+    _check_lambda,
     _check_seed,
     _gibbs_trace,
     _validate_grid,
@@ -242,8 +243,7 @@ def explain(batch: ScoredBatch, lam: float):
     Shared list ranks by the equal-mixture weight; each distinctive list
     ranks by that sample's weight excess over the mixture.
     """
-    if lam < 0:
-        raise InvalidBatchError("lambda must be nonnegative")
+    _check_lambda(lam)
     return _rank_explanations(batch, gibbs_weights(batch, lam, 0),
                               gibbs_weights(batch, lam, 1))
 

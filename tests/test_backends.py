@@ -155,10 +155,14 @@ def test_low_temperature_greedy(ab_backend):
     assert len({s.text for s in draws}) == 1
 
 
+def _total_logprob(s):
+    return float(sum(s.per_token_logprobs))
+
+
 def test_sampled_logprobs_match_rescoring(ab_backend):
     for s in ab_backend.sample_descriptions("ab", 20, max_tokens=6, seed=9):
         rescored = ab_backend.score_tokens("ab", s.tokens, s.terminated)
-        assert rescored.total == pytest.approx(s.total_logprob, abs=1e-9)
+        assert rescored.total == _total_logprob(s)
 
 
 def test_prompt_precedes_context_with_newline():
@@ -207,21 +211,23 @@ def _reference_step(model, prefixes, temperature):
     return logp, probs
 
 
-def _reference_sample(backend, prefixes, count, max_tokens, temperature, seed):
+def _reference_sample(backend, prefix, count, max_tokens, temperature, seed):
+    """Draws made step by step from the prefix; each records the model's
+    log-prob of its symbol, as scoring reads it."""
     rng = np.random.default_rng(seed)
     vocab = backend.model.vocabulary
     out = []
     for _ in range(count):
-        tokens, logprobs, terminated, current = [], [], False, list(prefixes)
+        tokens, logprobs, terminated, current = [], [], False, prefix
         for _ in range(max_tokens):
-            logp, probs = _reference_step(backend.model, current, temperature)
+            _, probs = _reference_step(backend.model, [current], temperature)
             idx = int(rng.choice(len(vocab), p=probs))
-            logprobs.append(float(logp[idx]))
+            logprobs.append(_reference_logprob(backend.model, current, vocab[idx]))
             if vocab[idx] == EOS:
                 terminated = True
                 break
             tokens.append(vocab[idx])
-            current = [p + vocab[idx] for p in current]
+            current += vocab[idx]
         out.append(backends.SampledDescription(
             "".join(tokens), tuple(tokens), tuple(logprobs), terminated))
     return out
@@ -273,7 +279,7 @@ def test_sampler_equals_reference(ngram_backend, seed, temperature, max_tokens, 
     got = ngram_backend.sample_descriptions(
         "rain", 12, max_tokens=max_tokens, temperature=temperature, seed=seed,
         prompt=prompt)
-    assert got == _reference_sample(ngram_backend, [prefix("rain")], 12,
+    assert got == _reference_sample(ngram_backend, prefix("rain"), 12,
                                     max_tokens, temperature, seed)
 
 
@@ -281,7 +287,7 @@ def test_sampler_reaches_zero_length_draws():
     # a model that often ends at once draws immediate EOS events
     be = NGramBackend(train_ngram("a\nb\nab\n", order=2))
     got = be.sample_descriptions("", 40, max_tokens=3, seed=1)
-    assert got == _reference_sample(be, [""], 40, 3, 1.0, 1)
+    assert got == _reference_sample(be, "", 40, 3, 1.0, 1)
     empty = [s for s in got if s.text == ""]
     assert empty
     for s in empty:  # an ordinary draw: no tokens, terminated, the EOS event
@@ -330,7 +336,7 @@ def test_sampler_equals_reference_across_blocks(ngram_backend, monkeypatch, mode
         monkeypatch.setattr(backends, "_UNIFORM_BLOCK", block)
     got = be.sample_descriptions(context, count, max_tokens, 1.0, 3, prompt)
     prefix = f"{prompt}\n{context}" if prompt else context
-    assert got == _reference_sample(be, [prefix], count, max_tokens, 1.0, 3)
+    assert got == _reference_sample(be, prefix, count, max_tokens, 1.0, 3)
     used = sum(len(s.per_token_logprobs) for s in got)
     assert used > (block or backends._UNIFORM_BLOCK)
 
@@ -384,12 +390,35 @@ def test_automaton_is_bounded_by_the_contexts_it_visits():
     assert 0 < len(be._states) <= len(visited)
     stored = set(model.counts) | {""}
     assert all(context in stored for context, _ in be._states)
-    assert all(ctx in stored and 0 <= i < model.vocab_size for ctx, i in be._moves)
-    # scoring arbitrary tokens does not grow the transition memo
-    moves = len(be._moves)
+    # scoring off-vocabulary tokens adds only temperature-1 states of
+    # stored contexts
+    sampled = set(be._states)
     for tok in ("~", "Ω", "\t", "ab", "the other", "~~"):
         assert be.score_tokens("rain", [tok] * 5, False).total == -math.inf
-    assert len(be._moves) == moves
+    assert all(context in stored and temperature == 1.0
+               for context, temperature in set(be._states) - sampled)
+
+
+@pytest.mark.parametrize("backend", [
+    NGramBackend(backends.NGramModel.load(DATA / "toy_ngram.json")),
+    NGramBackend(ORDER1),
+    NGramBackend(train_ngram("the cat sat\nthe dog ran\n", order=3)),
+    TableBackend.load(DATA / "multimodal_fixture.json"),
+], ids=["toy", "order1", "order3", "table"])
+def test_every_draw_rescores_to_exactly_its_logprobs(backend):
+    if isinstance(backend, TableBackend):
+        requests = [(ctx, None) for ctx in backend.cond]
+    else:
+        requests = [(ctx, prompt) for ctx in ("rain", "the ", "zzz~")
+                    for prompt in (None, "describe", "Ω~\t")]
+    for seed, (context, prompt) in enumerate(requests):
+        for temperature in (0.5, 1.0, 2.0):
+            draws = backend.sample_descriptions(context, 100, 12, temperature,
+                                                seed, prompt)
+            for s in draws:
+                rescored = backend.score_tokens(context, s.tokens, s.terminated,
+                                                prompt)
+                assert rescored.per_token == s.per_token_logprobs
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +460,7 @@ def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
     for ctx in be.cond:
         for s in be.sample_descriptions(ctx, 30, seed=4):
             rescored = be.score_tokens(ctx, s.tokens, s.terminated)
-            assert rescored.total == s.total_logprob
+            assert rescored.total == _total_logprob(s)
 
 
 @pytest.mark.parametrize("texts", [

@@ -137,6 +137,26 @@ def test_pair_score_kinds(ngram_backend, quick_config):
                          score="bogus")
 
 
+@pytest.mark.parametrize("score, capacity, error", [
+    ("d_at_c", -1.0, "^capacity must be finite and >= 0, got -1.0$"),
+    ("d_at_c", float("nan"), "^capacity must be finite and >= 0, got nan$"),
+    ("d_at_c", float("inf"), "^capacity must be finite and >= 0, got inf$"),
+    ("auc", 0.5, "^capacity applies only to score 'd_at_c', not 'auc'$"),
+    ("traj", 0.5, "^capacity applies only to score 'd_at_c', not 'traj'$"),
+    ("cond_lik", 0.0, "^capacity applies only to score 'd_at_c', not 'cond_lik'$"),
+], ids=["negative", "nan", "inf", "auc", "traj", "cond_lik"])
+def test_pair_score_refuses_a_capacity_it_cannot_use(quick_config, score, capacity,
+                                                     error):
+    # refused before any backend call (this backend has none), and the
+    # benchmark run fails as a whole rather than record by record
+    records = [PairRecord(id=str(n), text_a="rain", text_b=b, human_score=n)
+               for n, b in enumerate(("iron", "dust"))]
+    with pytest.raises(BenchError, match=error):
+        bench.pair_score("rain", "iron", object(), quick_config, score, capacity)
+    with pytest.raises(BenchError, match=error):
+        bench.run_similarity_bench(records, object(), quick_config, score, capacity)
+
+
 @pytest.mark.parametrize("capacity", [None, 0.5])
 def test_pair_score_equals_compare_bit_for_bit(data_dir, ngram_backend, capacity):
     config = pipeline.CompareConfig(seed=0)
@@ -144,9 +164,9 @@ def test_pair_score_equals_compare_bit_for_bit(data_dir, ngram_backend, capacity
         c = pipeline.compare(rec.text_a, rec.text_b, ngram_backend, config).curve
         cap = c.c_max if capacity is None else min(capacity, c.c_max)
         d_at_c = float(np.interp(cap, c.capacity_grid, c.distance))
-        for kind, want in (("auc", c.auc), ("d_at_c", d_at_c)):
+        for kind, given, want in (("auc", None, c.auc), ("d_at_c", capacity, d_at_c)):
             got = bench.pair_score(rec.text_a, rec.text_b, ngram_backend, config,
-                                   kind, capacity)
+                                   kind, given)
             assert got.hex() == (-want).hex(), (rec.id, kind)
 
 

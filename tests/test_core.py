@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from ccdae import bench, core, oracle
+from ccdae import bench, core, oracle, pipeline
 from ccdae.core import InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
@@ -48,6 +48,32 @@ def test_weights_bad_lambda_and_target():
         core.gibbs_weights(batch, -0.5, 0)
     with pytest.raises(InvalidBatchError):
         core.gibbs_weights(batch, 1.0, 5)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.5])
+def test_one_point_lambda_must_be_finite_and_nonnegative(lam):
+    # refused by name before any weight is computed, by the estimator, the
+    # explanations and the oracle alike
+    losses = [[1.0, 2.0], [2.0, 1.0]]
+    batch = make_uniform_batch(losses)
+    table = oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=losses)
+    for call in (
+        lambda: core.gibbs_weights(batch, lam, 0),
+        lambda: core.log_partition_estimate(batch, lam, 0),
+        lambda: core.expected_loss(batch, lam, 0),
+        lambda: core.capacity_estimate(batch, lam, 0),
+        lambda: core.cross_expected_loss(batch, lam, 0, 1),
+        lambda: core.intersection_distance(batch, lam),
+        lambda: pipeline.effective_sample_size(batch, lam, 0),
+        lambda: pipeline.explain(batch, lam),
+        lambda: oracle.exact_gibbs(table, 0, lam),
+        lambda: oracle.exact_capacity(table, 0, lam),
+        lambda: oracle.exact_expected_loss(table, 0, lam),
+        lambda: oracle.exact_intersection_distance(table, (0, 1), lam),
+    ):
+        with pytest.raises(InvalidBatchError,
+                           match=f"^lambda must be finite and >= 0, got {lam}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +183,26 @@ def test_distance_identical_rows_zero():
     assert curve.auc == pytest.approx(0.0, abs=1e-12)
 
 
+def _swapped(batch):
+    """The same batch with the two sample rows exchanged."""
+    return ScoredBatch(
+        texts=batch.texts,
+        log_pcode=batch.log_pcode,
+        log_proposal=batch.log_proposal,
+        loss=batch.loss[::-1].copy(),
+        counts=batch.counts,
+        log_conditionals=None
+        if batch.log_conditionals is None
+        else batch.log_conditionals[::-1].copy(),
+        dropped=batch.dropped,
+    )
+
+
 def test_distance_swap_symmetry_bit_exact():
     batch = make_uniform_batch([[0.0, 10.0, 3.0], [10.0, 0.0, 1.0]])
     grid = np.linspace(0, 20, 50)
     a = core.distance_curve(batch, grid)
-    b = core.distance_curve(batch.swapped(), grid)
+    b = core.distance_curve(_swapped(batch), grid)
     assert a.auc == b.auc
     assert np.array_equal(a.distance, b.distance)
     assert np.array_equal(a.delta_2_to_1, b.delta_1_to_2)
@@ -577,7 +618,7 @@ def test_batch_columns_from_hypothesis_list():
     assert batch.log_pcode.dtype == batch.log_proposal.dtype == np.float64
     assert _hex(batch.log_pcode) == _hex(log_pcode)
     assert _hex(batch.log_proposal) == _hex(log_proposal)
-    swapped = batch.swapped()
+    swapped = _swapped(batch)
     assert swapped.texts is batch.texts
     assert swapped.log_pcode is batch.log_pcode
     assert swapped.log_proposal is batch.log_proposal
