@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _check_count, _LazyPool
+from .core import _check_count, _check_temperature, _LazyPool
 
 __all__ = [
     "EOS",
@@ -473,8 +473,7 @@ class NGramBackend(Backend):
 def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> None:
     _check_count("count", count)
     _check_count("max_tokens", max_tokens)
-    if not (math.isfinite(temperature) and temperature > 0):
-        raise ValueError("temperature must be finite and positive")
+    _check_temperature(temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +500,9 @@ class TableBackend(Backend):
     context (each with per-token log-probs), plus unconditional code
     log-probs. Descriptions absent from a context fall back to a per-token
     floor so cross-context scoring never produces -inf. Every log-prob, the
-    floor among them, is finite and <= 0. No two descriptions may have
-    equal texts or equal tokens, since a draw is rescored by them.
+    floor among them, is finite and <= 0. A description id with no entry in
+    ``descriptions`` is its own text. No two descriptions may have equal
+    texts or equal tokens, since a draw is rescored by them.
     """
 
     def __init__(self, doc: dict):
@@ -518,6 +518,9 @@ class TableBackend(Backend):
             self.code: dict[str, list[float]] = {
                 d: list(map(_logprob, v)) for d, v in doc.get("code", {}).items()
             }
+            for row in (*self.cond.values(), self.code):
+                for did in row:  # an id with no text is its own text
+                    self.descriptions.setdefault(did, did)
             self._by_text = {text: did for did, text in self.descriptions.items()}
             self._by_tokens: dict[tuple[str, ...], str] = {}
             for did, text in self.descriptions.items():
@@ -591,7 +594,7 @@ class TableBackend(Backend):
         for _ in range(count):
             k = int(rng.choice(len(items), p=probs))
             did, per_token = items[k]
-            text = self.descriptions.get(did, did)
+            text = self.descriptions[did]
             out.append(
                 SampledDescription(
                     text=text,
@@ -622,17 +625,17 @@ class RemoteBackend(Backend):
                        temperature, seed} ->
         {samples: [{text, per_token_logprobs, terminated?}, ...]}
 
-    Requests are retried with bounded exponential backoff, and at most
-    ``max_in_flight`` of them are in flight at once. ``sample_many`` and
-    ``score_many`` put the first attempt of each distinct request in flight
-    on a pool of ``max_in_flight`` worker threads, which run only the
-    transport. They then answer the requests in order on the calling
-    thread, through ``sample_descriptions`` and ``score_tokens``, each of
-    which takes the reply already in flight as its first attempt; retries
-    are sent from the calling thread. The first error, in request order,
-    cancels the requests not yet started and is raised once the started
-    ones have finished, so no request is in flight when a call returns.
-    Every other call sends its request alone.
+    One retry loop sends every attempt of every request, with bounded
+    exponential backoff, and at most ``max_in_flight`` attempts are in
+    flight at once. ``sample_many`` and ``score_many`` put each distinct
+    request, retries and all, on a pool of ``max_in_flight`` worker
+    threads, which run only that loop. They then answer the requests in
+    order on the calling thread, through ``sample_descriptions`` and
+    ``score_tokens``, each of which takes the reply of its request in
+    flight. The first error, in request order, cancels the requests not
+    yet started and is raised once the started ones have finished their
+    own retries, so no request is in flight when a call returns. Every
+    other call runs the loop on its own thread.
 
     A sampled draw's tokens are the words of its ``text`` (the text itself
     if it has none), as in ``TableBackend``.
@@ -668,31 +671,27 @@ class RemoteBackend(Backend):
         self.backoff = backoff
         self._sem = threading.Semaphore(max_in_flight)
         self._session = session or requests.Session()
-        # the batched calls' worker threads, which run only the transport
+        # the batched calls' worker threads, which run only _request
         self._pool = _LazyPool(max_in_flight, "ccdae-remote")
         self._local = threading.local()  # .reply: (path, payload, future)
 
-    def _send(self, url: str, payload: dict):
-        """One attempt: the transport alone, within the in-flight bound."""
-        with self._sem:
-            return self._session.post(url, json=payload, timeout=self.timeout)
-
     def _post(self, path: str, payload: dict) -> dict:
+        """The reply to ``payload`` at ``path``: the one a batched call has in
+        flight for it, or else one sent now by :meth:`_request`."""
+        reply, self._local.reply = getattr(self._local, "reply", None), None
+        if reply is not None and reply[:2] == (path, payload):
+            return reply[2].result()
+        return self._request(self.endpoint + path, payload)
+
+    def _request(self, url: str, payload: dict) -> dict:
+        """Every attempt of one request, each within the in-flight bound."""
         import requests
 
-        url = self.endpoint + path
-        # a batched call may have put this request's first attempt in flight
-        reply, self._local.reply = getattr(self._local, "reply", None), None
-        in_flight = None
-        if reply is not None and reply[:2] == (path, payload):
-            in_flight = reply[2]
         last: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                if attempt == 0 and in_flight is not None:
-                    resp = in_flight.result()
-                else:
-                    resp = self._send(url, payload)
+                with self._sem:
+                    resp = self._session.post(url, json=payload, timeout=self.timeout)
             except requests.RequestException as exc:
                 last = RemoteBackendError(str(exc), endpoint=url)
             else:
@@ -716,7 +715,7 @@ class RemoteBackend(Backend):
 
     def _fan_out(self, requests, payload_of, answer) -> list:
         """``[answer(*r) for r in requests]``, the distinct requests answered
-        once each, with their first attempts already in flight.
+        once each, with every one already in flight on the pool.
 
         ``payload_of(*r)`` is the ``(path, payload)`` that ``answer(*r)``
         posts; it checks its arguments, so a bad request fails the batch
@@ -731,7 +730,7 @@ class RemoteBackend(Backend):
             keys.append(key)
             distinct.setdefault(key, (r, path, payload))
         pool = self._pool()
-        sent = {key: pool.submit(self._send, self.endpoint + path, payload)
+        sent = {key: pool.submit(self._request, self.endpoint + path, payload)
                 for key, (_, path, payload) in distinct.items()}
         answers = {}
         try:

@@ -16,6 +16,7 @@ import contextvars
 import csv
 import io
 import math
+import numbers
 import os
 import threading
 from collections.abc import Sequence
@@ -224,16 +225,38 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_c_max(c_max) -> None:
-    """Refuse a c_max that is neither None nor finite and >= 0."""
-    if c_max is not None and not (math.isfinite(c_max) and c_max >= 0):
+    """Refuse a c_max that is neither None nor a finite real >= 0 (a bool is
+    refused)."""
+    if c_max is None:
+        return
+    if not _is_real(c_max):
+        raise InvalidBatchError(f"c_max must be None or a real number, got {c_max!r}")
+    if not (math.isfinite(c_max) and c_max >= 0):
         raise InvalidBatchError(f"c_max must be None or finite and >= 0, got {c_max}")
 
 
 def _check_lambda(lam) -> None:
-    """Refuse a one-point lambda that is not finite and >= 0."""
+    """Refuse a one-point lambda that is not a finite real >= 0 (a bool is
+    refused)."""
+    if not _is_real(lam):
+        raise InvalidBatchError(f"lambda must be a real number, got {lam!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise InvalidBatchError(f"lambda must be finite and >= 0, got {lam}")
+
+
+def _check_temperature(temperature) -> None:
+    """Refuse a sampling temperature that is not a finite real > 0 (a bool is
+    refused)."""
+    if not _is_real(temperature):
+        raise ValueError(f"temperature must be a real number, got {temperature!r}")
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and positive, got {temperature}")
 
 
 def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

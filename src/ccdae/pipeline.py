@@ -28,6 +28,7 @@ from .core import (
     _check_count,
     _check_lambda,
     _check_seed,
+    _check_temperature,
     _gibbs_trace,
     _validate_grid,
     default_lambda_grid,
@@ -65,8 +66,7 @@ class CompareConfig:
     def __post_init__(self) -> None:
         _check_count("samples_per_input", self.samples_per_input)
         _check_count("max_tokens", self.max_tokens)
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ValueError("temperature must be finite and positive")
+        _check_temperature(self.temperature)
         if self.pcode_mode not in ("proposal_mix", "lm_code"):
             raise ValueError(f"unknown pcode_mode {self.pcode_mode!r}")
         if self.lambda_grid is not None:

@@ -4,6 +4,7 @@ import threading
 import time
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -105,6 +106,16 @@ class StubSession:
         return StubResponse(self.text)
 
 
+class Send(NamedTuple):
+    """One sending of a request to a :class:`ServingSession`."""
+
+    thread: str  # the name of the thread that sent it
+    n: int  # how many times the request was sent before
+    in_flight: int  # requests being answered when it arrived, itself included
+    start: float  # perf_counter() when it arrived
+    end: float  # and when it was answered
+
+
 class ServingSession:
     """A thread-safe ``requests`` session that answers the remote protocol
     from a local backend, each request after ``latency_s``.
@@ -112,7 +123,8 @@ class ServingSession:
     ``status(path, payload, n)`` may fail the ``n``-th sending of a request
     (counted from 0) with another HTTP status than 200. ``sent`` counts the
     requests per ``(path, payload as JSON)``; ``in_flight`` and ``peak`` are
-    the requests being answered now and at most at once.
+    the requests being answered now and at most at once. ``sends`` logs each
+    sending as a :class:`Send`, in the order they finished.
     """
 
     def __init__(self, backend, latency_s=0.0, status=None):
@@ -121,6 +133,7 @@ class ServingSession:
         self.status = status or (lambda path, payload, n: 200)
         self.sent = Counter()
         self.in_flight = self.peak = 0
+        self.sends: list[Send] = []
         self._lock = threading.Lock()
 
     def post(self, url, json=None, timeout=None):  # noqa: A002
@@ -131,6 +144,7 @@ class ServingSession:
             self.sent[key] += 1
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
+            in_flight, start = self.in_flight, time.perf_counter()
         try:
             time.sleep(self.latency_s)
             status = self.status(path, payload, n)
@@ -140,6 +154,8 @@ class ServingSession:
         finally:
             with self._lock:
                 self.in_flight -= 1
+                self.sends.append(Send(threading.current_thread().name, n,
+                                       in_flight, start, time.perf_counter()))
 
     def _answer(self, path, payload):
         prompt = payload.get("prompt", "")

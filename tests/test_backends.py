@@ -108,6 +108,18 @@ def test_sampling_rejects_bad_temperature(ngram_backend, table_backend, temperat
     assert stub.posts == 0
 
 
+@pytest.mark.parametrize("temperature", [True, "1", None])
+def test_sampling_refuses_a_temperature_that_is_not_a_real_number(
+        ngram_backend, table_backend, temperature):
+    stub = StubSession("{}")
+    remote = RemoteBackend("http://stub", session=stub)
+    for backend, context in ((ngram_backend, "rain"), (table_backend, "img_sunset"),
+                             (remote, "rain")):
+        with pytest.raises(ValueError, match="^temperature must be a real number, got "):
+            backend.sample_descriptions(context, 3, temperature=temperature)
+    assert stub.posts == 0
+
+
 @pytest.mark.parametrize("name, value", [
     ("count", 2.5), ("count", True), ("count", "3"), ("max_tokens", 2.5),
     ("max_tokens", False),
@@ -463,6 +475,32 @@ def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
             assert rescored.total == _total_logprob(s)
 
 
+def test_table_id_without_a_text_is_its_own_text():
+    be = TableBackend({
+        "magic": "CCDAE-TABLE",
+        "descriptions": {"d1": "red sky"},
+        "cond": {"x": {"d1": [-0.5, -0.5], "plain": [-0.3]}, "y": {"plain": [-0.7]}},
+        "code": {"plain": [-0.9]},
+    })
+    draws = be.sample_descriptions("x", 30, seed=0)
+    assert {s.text for s in draws} == {"red sky", "plain"}
+    for s in draws:
+        assert be.score_tokens("x", s.tokens, s.terminated).per_token == \
+            s.per_token_logprobs
+    assert be.cond_logprob("y", "plain").per_token == (-0.7,)
+    assert be.code_logprob("plain").per_token == (-0.9,)
+
+
+def test_table_refuses_an_id_whose_own_text_is_another_description():
+    doc = {
+        "magic": "CCDAE-TABLE",
+        "descriptions": {"a": "plain"},
+        "cond": {"c": {"a": [-0.5], "plain": [-3.0]}},
+    }
+    with pytest.raises(BackendError, match="'a' and 'plain'"):
+        TableBackend(doc)
+
+
 @pytest.mark.parametrize("texts", [
     {"a": "same words", "b": "same words"},
     {"a": "x  y", "b": "x y"},
@@ -677,7 +715,40 @@ def test_remote_batch_retries_a_failed_first_attempt_per_request(ngram_backend,
     assert _hex(remote.score_many(_SCORES, prompt=None)) == _hex(one_at_a_time[0])
     assert session.sent[_scoring(flaky)] == 2
     assert sum(session.sent.values()) == len(_TEXTS) * 2 + 1
-    assert session.peak <= 4  # the retry, sent from this thread, waits its turn
+    assert session.peak <= 4  # the retry waits its turn
+
+
+def _most_at_once(sends):
+    """The most of ``sends`` being answered at one moment."""
+    return max(sum(o.start <= s.start < o.end for o in sends) for s in sends)
+
+
+def test_remote_batch_sends_retries_from_the_pool_together(ngram_backend,
+                                                            one_at_a_time):
+    session = ServingSession(ngram_backend, latency_s=0.01,
+                             status=lambda path, payload, n: 503 if n == 0 else 200)
+    remote = RemoteBackend("http://stub", backoff=0.02, max_in_flight=4,
+                           session=session)
+    assert _hex(remote.score_many(_SCORES, prompt=None)) == _hex(one_at_a_time[0])
+    retries = [s for s in session.sends if s.n > 0]
+    assert len(retries) == len(_TEXTS) * 2 and set(session.sent.values()) == {2}
+    # every attempt runs on the pool, so the retries overlap
+    assert {s.thread.startswith("ccdae-remote") for s in session.sends} == {True}
+    assert _most_at_once(retries) >= 2
+    assert max(s.in_flight for s in session.sends) <= 4
+
+
+def test_remote_batch_raises_a_request_that_fails_every_attempt(ngram_backend):
+    dead = _SCORES[3]
+    remote, session = _remote(ngram_backend, 4, status=_fails(dead, 503, attempts=99))
+    with pytest.raises(RemoteBackendError) as exc:
+        remote.score_many(_SCORES, prompt=None)
+    assert exc.value.status == 503 and exc.value.retryable
+    assert session.sent[_scoring(dead)] == remote.max_retries
+    assert session.in_flight == 0
+    sent = sum(session.sent.values())
+    time.sleep(0.05)
+    assert sum(session.sent.values()) == sent
 
 
 def test_remote_batch_with_a_bad_request_sends_nothing(ngram_backend):

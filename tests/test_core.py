@@ -1,6 +1,7 @@
 import contextvars
 import math
 import os
+import re
 import threading
 import time
 import tracemalloc
@@ -73,6 +74,25 @@ def test_one_point_lambda_must_be_finite_and_nonnegative(lam):
     ):
         with pytest.raises(InvalidBatchError,
                            match=f"^lambda must be finite and >= 0, got {lam}$"):
+            call()
+
+
+@pytest.mark.parametrize("lam", ["1", None, True, np.array(1.0)],
+                         ids=["str", "none", "bool", "array"])
+def test_one_point_lambda_must_be_a_real_number(lam):
+    # refused by name rather than by math.isfinite's bare TypeError, and a
+    # bool is not taken as 0 or 1
+    losses = [[1.0, 2.0], [2.0, 1.0]]
+    batch = make_uniform_batch(losses)
+    table = oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=losses)
+    for call in (
+        lambda: core.gibbs_weights(batch, lam, 0),
+        lambda: core.intersection_distance(batch, lam),
+        lambda: pipeline.explain(batch, lam),
+        lambda: oracle.exact_gibbs(table, 0, lam),
+    ):
+        want = re.escape(f"lambda must be a real number, got {lam!r}")
+        with pytest.raises(InvalidBatchError, match=f"^{want}$"):
             call()
 
 
@@ -225,6 +245,17 @@ def test_explicit_cmax_must_be_finite_and_nonnegative(c_max):
                   lambda: oracle.exact_distance_curve(table, c_max=c_max)):
         with pytest.raises(InvalidBatchError,
                            match=f"^c_max must be None or finite and >= 0, got {c_max}$"):
+            curve()
+
+
+@pytest.mark.parametrize("c_max", ["1", True, False], ids=["str", "true", "false"])
+def test_explicit_cmax_must_be_none_or_a_real_number(c_max):
+    losses = [[0.0, 10.0], [10.0, 0.0]]
+    table = oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=losses)
+    for curve in (lambda: core.distance_curve(make_uniform_batch(losses), c_max=c_max),
+                  lambda: oracle.exact_distance_curve(table, c_max=c_max)):
+        with pytest.raises(InvalidBatchError,
+                           match=f"^c_max must be None or a real number, got {c_max!r}$"):
             curve()
 
 

@@ -53,16 +53,25 @@ class _RefusingBackend:
     ("lambda_grid", (), "lambda grid is empty"),
     ("c_max", -1.0, "c_max must be None or finite and >= 0, got -1"),
     ("c_max", math.nan, "c_max must be None or finite and >= 0, got nan"),
+    ("c_max", "1", "c_max must be None or a real number, got '1'"),
+    ("c_max", True, "c_max must be None or a real number, got True"),
     ("seed", -1, "seed must be a non-negative integer, got -1"),
     ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
     ("seed", True, "seed must be a non-negative integer, got True"),
-], ids=["decreasing-grid", "empty-grid", "negative-cmax", "nan-cmax", "negative-seed",
-        "float-seed", "bool-seed"])
+], ids=["decreasing-grid", "empty-grid", "negative-cmax", "nan-cmax", "str-cmax",
+        "bool-cmax", "negative-seed", "float-seed", "bool-seed"])
 def test_config_refuses_bad_grid_cmax_and_seed_before_any_backend_call(
         field, value, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         pipeline.compare("rain", "iron", _RefusingBackend(),
                          CompareConfig(**{field: value}))
+
+
+@pytest.mark.parametrize("temperature", ["1", True, None])
+def test_config_refuses_a_temperature_that_is_not_a_real_number(temperature):
+    with pytest.raises(ValueError,
+                       match=f"^temperature must be a real number, got {temperature!r}$"):
+        CompareConfig(temperature=temperature)
 
 
 @pytest.mark.parametrize("field", ["samples_per_input", "max_tokens"])
