@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import _check_count, _check_temperature, _LazyPool
+from .core import _check_count, _check_temperature, _is_real, _LazyPool
 
 __all__ = [
     "EOS",
@@ -481,7 +481,11 @@ def _check_sampling_args(count: int, max_tokens: int, temperature: float) -> Non
 
 
 def _logprob(value) -> float:
-    """A fixture log-prob: a float that is finite and <= 0."""
+    """A fixture log-prob: a JSON number (an int or a float, not a bool) that
+    is finite and <= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"log-prob {value!r} is not a JSON number, so not "
+                         "finite and <= 0")
     v = float(value)
     if not (math.isfinite(v) and v <= 0):
         raise ValueError(f"log-prob {value!r} is not finite and <= 0")
@@ -498,11 +502,18 @@ class TableBackend(Backend):
 
     The fixture maps context ids to the descriptions available under that
     context (each with per-token log-probs), plus unconditional code
-    log-probs. Descriptions absent from a context fall back to a per-token
-    floor so cross-context scoring never produces -inf. Every log-prob, the
-    floor among them, is finite and <= 0. A description id with no entry in
-    ``descriptions`` is its own text. No two descriptions may have equal
-    texts or equal tokens, since a draw is rescored by them.
+    log-probs. Every context lists at least one description. Every log-prob,
+    the floor among them, is a JSON number that is finite and <= 0. A
+    description id with no entry in ``descriptions`` is its own text. No two
+    descriptions may have equal texts or equal tokens, since a draw is
+    rescored by them.
+
+    Lookup rule: a description is named by its id or by its words (so a
+    text matches whatever whitespace separates them), and ``score_tokens``
+    names it by its tokens. Its log-probs are its row's under the context,
+    or in ``code``. A description the row lacks, and tokens or a text that
+    name no description, score at the floor once per token, so
+    cross-context scoring never produces -inf.
     """
 
     def __init__(self, doc: dict):
@@ -518,10 +529,12 @@ class TableBackend(Backend):
             self.code: dict[str, list[float]] = {
                 d: list(map(_logprob, v)) for d, v in doc.get("code", {}).items()
             }
+            for ctx, row in self.cond.items():
+                if not row:
+                    raise BackendError(f"context {ctx!r} lists no descriptions")
             for row in (*self.cond.values(), self.code):
                 for did in row:  # an id with no text is its own text
                     self.descriptions.setdefault(did, did)
-            self._by_text = {text: did for did, text in self.descriptions.items()}
             self._by_tokens: dict[tuple[str, ...], str] = {}
             for did, text in self.descriptions.items():
                 # equal texts split alike, so this also catches those
@@ -531,7 +544,7 @@ class TableBackend(Backend):
                         f"descriptions {other!r} and {did!r} have the same "
                         "tokens, so their draws cannot be told apart"
                     )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed table-backend fixture: {exc!r}") from exc
 
     @classmethod
@@ -542,40 +555,32 @@ class TableBackend(Backend):
         except BackendError as exc:
             raise BackendError(f"{path}: {exc}") from exc
 
-    def _desc_id(self, description: str) -> str | None:
-        if description in self.descriptions:
-            return description
-        return self._by_text.get(description)
+    def _lookup(self, row: dict, tokens: tuple[str, ...]) -> LogProbResult:
+        """The log-probs in ``row`` of the description ``tokens`` name, else
+        the floor once per token."""
+        did = self._by_tokens.get(tokens)
+        if did in row:
+            return LogProbResult.from_tokens(row[did])
+        return LogProbResult.from_tokens([self.floor] * len(tokens))
 
-    def _tokens(self, description: str) -> tuple[str, ...]:
-        did = self._desc_id(description)
-        return _split(self.descriptions[did] if did else description)
+    def _words(self, description: str) -> tuple[str, ...]:
+        """The tokens of a description named by its id or by its words."""
+        return _split(self.descriptions.get(description, description))
 
     def score_tokens(self, context, tokens, terminated=True, prompt=None) -> LogProbResult:
-        # a draw's tokens name its description; its re-joined text may not
-        # (runs of whitespace, or a text that is another description's id)
-        did = self._by_tokens.get(tuple(tokens))
-        description = " ".join(tokens) if did is None else did
-        return self.cond_logprob(context, description, prompt=prompt)
+        if not tokens:
+            raise ValueError("description must be nonempty")
+        return self._lookup(self.cond.get(context, {}), tuple(tokens))
 
     def cond_logprob(
         self, context: str, description: str, prompt: str | None = None
     ) -> LogProbResult:
         if not description:
             raise ValueError("description must be nonempty")
-        did = self._desc_id(description)
-        row = self.cond.get(context, {})
-        if did is not None and did in row:
-            return LogProbResult.from_tokens(row[did])
-        n = len(self._tokens(description))
-        return LogProbResult.from_tokens([self.floor] * n)
+        return self._lookup(self.cond.get(context, {}), self._words(description))
 
     def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
-        did = self._desc_id(description)
-        if did is not None and did in self.code:
-            return LogProbResult.from_tokens(self.code[did])
-        n = len(self._tokens(description))
-        return LogProbResult.from_tokens([self.floor] * n)
+        return self._lookup(self.code, self._words(description))
 
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
@@ -661,10 +666,10 @@ class RemoteBackend(Backend):
 
         _check_count("max_retries", max_retries)
         _check_count("max_in_flight", max_in_flight)
-        if not timeout > 0:
-            raise ValueError(f"timeout must be > 0, got {timeout!r}")
-        if not backoff >= 0:
-            raise ValueError(f"backoff must be >= 0, got {backoff!r}")
+        if not (_is_real(timeout) and math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"timeout must be > 0 and finite, got {timeout!r}")
+        if not (_is_real(backoff) and math.isfinite(backoff) and backoff >= 0):
+            raise ValueError(f"backoff must be >= 0 and finite, got {backoff!r}")
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
         self.max_retries = max_retries

@@ -7,8 +7,6 @@ Compression Distance with the Bernoulli-noise resolution experiment.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import zlib
 from dataclasses import dataclass
@@ -16,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScoredBatch, _check_seed
+from .core import ScoredBatch, _check_seed, _csv_text
 
 __all__ = [
     "NcdResult",
@@ -170,12 +168,7 @@ def noise_experiment(
 
 
 def noise_experiment_csv(points: Sequence[NoiseExperimentPoint]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dimension", "p", "ncd_measured", "ncd_predicted", "z_s_bits"])
-    for pt in points:
-        writer.writerow(
-            [pt.dimension, f"{pt.p:.12g}", f"{pt.ncd:.12g}",
-             f"{pt.predicted:.12g}", pt.z_s_bits]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["dimension", "p", "ncd_measured", "ncd_predicted", "z_s_bits"],
+        ([pt.dimension, f"{pt.p:.12g}", f"{pt.ncd:.12g}", f"{pt.predicted:.12g}",
+          pt.z_s_bits] for pt in points))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import time
@@ -13,6 +11,7 @@ import numpy as np
 
 from . import baselines, pipeline
 from .backends import BackendError
+from .core import _csv_text, _is_real
 
 __all__ = [
     "PairRecord",
@@ -70,12 +69,53 @@ class LoadReport:
     skipped: list[tuple[int, str]] = field(default_factory=list)
 
 
-def _is_number(s: str) -> bool:
+def _load_tsv(path, kind: str, parse) -> LoadReport:
+    """Records from a tab-separated UTF-8 file, one per nonblank line.
+
+    ``parse(cols, lineno, index)`` turns a line's columns into a record
+    (``index`` counts the records kept so far), returns ``None`` for a
+    header line, or raises ``ValueError`` with the reason the line is
+    skipped. Skipped lines are reported with their line numbers.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().splitlines()
+    report = LoadReport(records=[])
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = parse(line.split("\t"), lineno, len(report.records))
+        except ValueError as exc:
+            report.skipped.append((lineno, str(exc)))
+            continue
+        if record is not None:
+            report.records.append(record)
+    if not report.records:
+        raise BenchError(f"{path}: no valid {kind} records")
+    return report
+
+
+def _pair_record(cols: list[str], lineno: int, index: int) -> PairRecord | None:
+    if len(cols) not in (3, 4):
+        raise ValueError("expected 3 or 4 tab-separated columns")
     try:
-        float(s)
-        return True
+        score = float(cols[-1])
     except ValueError:
-        return False
+        if lineno == 1:
+            return None  # header
+        raise ValueError("non-numeric score") from None
+    if not math.isfinite(score):
+        raise ValueError("non-finite score")
+    rid, a, b = cols[:3] if len(cols) == 4 else (str(index), *cols[:2])
+    return PairRecord(id=rid, text_a=a, text_b=b, human_score=score)
+
+
+def _choice_record(cols: list[str], lineno: int, index: int) -> ChoiceRecord | None:
+    if len(cols) != 4:
+        raise ValueError("expected 4 tab-separated columns")
+    if lineno == 1 and cols[0].lower() in ("id", "#id"):
+        return None  # header
+    return ChoiceRecord(*cols)
 
 
 def load_pairs(path) -> LoadReport:
@@ -84,58 +124,12 @@ def load_pairs(path) -> LoadReport:
     An optional header line is detected by a non-numeric final column.
     Malformed lines are skipped and reported with their line numbers.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    records: list[PairRecord] = []
-    skipped: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) not in (3, 4):
-            skipped.append((lineno, "expected 3 or 4 tab-separated columns"))
-            continue
-        if not _is_number(cols[-1]):
-            if lineno == 1:
-                continue  # header
-            skipped.append((lineno, "non-numeric score"))
-            continue
-        score = float(cols[-1])
-        if not math.isfinite(score):
-            skipped.append((lineno, "non-finite score"))
-            continue
-        if len(cols) == 4:
-            rid, a, b = cols[0], cols[1], cols[2]
-        else:
-            rid, a, b = str(len(records)), cols[0], cols[1]
-        records.append(PairRecord(id=rid, text_a=a, text_b=b, human_score=score))
-    if not records:
-        raise BenchError(f"{path}: no valid pair records")
-    return LoadReport(records=records, skipped=skipped)
+    return _load_tsv(path, "pair", _pair_record)
 
 
 def load_choices(path) -> LoadReport:
     """Tab-separated choice records: id\\tcontext\\tpositive\\tnegative."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-    records: list[ChoiceRecord] = []
-    skipped: list[tuple[int, str]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            skipped.append((lineno, "expected 4 tab-separated columns"))
-            continue
-        if lineno == 1 and cols[0].lower() in ("id", "#id"):
-            continue
-        try:
-            records.append(ChoiceRecord(*cols))
-        except ValueError as exc:
-            skipped.append((lineno, str(exc)))
-    if not records:
-        raise BenchError(f"{path}: no valid choice records")
-    return LoadReport(records=records, skipped=skipped)
+    return _load_tsv(path, "choice", _choice_record)
 
 
 def spearman(xs, ys) -> float:
@@ -181,8 +175,8 @@ def pair_score(
     if capacity is not None:
         if score != "d_at_c":
             raise BenchError(f"capacity applies only to score 'd_at_c', not {score!r}")
-        if not (math.isfinite(capacity) and capacity >= 0):
-            raise BenchError(f"capacity must be finite and >= 0, got {capacity}")
+        if not (_is_real(capacity) and math.isfinite(capacity) and capacity >= 0):
+            raise BenchError(f"capacity must be finite and >= 0, got {capacity!r}")
     if score == "cond_lik":
         return baselines.cond_likelihood_score(x1, x2, backend)
     batch = pipeline.build_batch(x1, x2, backend, config)
@@ -210,15 +204,11 @@ class BenchReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "score", "human"])
-        for row in self.per_record:
-            writer.writerow(
-                [row["id"], f"{row['score']:.12g}",
-                 "" if row.get("human") is None else f"{row['human']:.12g}"]
-            )
-        return buf.getvalue()
+        return _csv_text(
+            ["id", "score", "human"],
+            ([row["id"], f"{row['score']:.12g}",
+              "" if row.get("human") is None else f"{row['human']:.12g}"]
+             for row in self.per_record))
 
 
 class _Reuse:

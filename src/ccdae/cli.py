@@ -169,8 +169,7 @@ def _cmd_compare(args) -> int:
     report_path = (out[:-4] if out.endswith(".csv") else out) + ".report.json"
     doc = report.to_dict()
     doc.update(units=args.units, curve=curve.report(), auc=curve.auc)
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+    _write_text(report_path, json.dumps(doc, indent=2, sort_keys=True))
     print(f"auc {curve.auc:.6f}")
     return 0
 
@@ -205,11 +204,9 @@ def _cmd_bench(args) -> int:
     for lineno, reason in loaded.skipped:
         print(f"skipped line {lineno}: {reason}", file=sys.stderr)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+        _write_text(args.out, report.to_json())
         csv_path = (args.out[:-5] if args.out.endswith(".json") else args.out) + ".csv"
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.to_csv())
+        _write_text(csv_path, report.to_csv())
     return 0
 
 

@@ -168,14 +168,10 @@ class DistanceCurve:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["capacity", "delta_2_to_1", "delta_1_to_2", "distance"])
-        for c, d21, d12, d in zip(
-            self.capacity_grid, self.delta_2_to_1, self.delta_1_to_2, self.distance
-        ):
-            writer.writerow([f"{c:.12g}", f"{d21:.12g}", f"{d12:.12g}", f"{d:.12g}"])
-        return buf.getvalue()
+        columns = (self.capacity_grid, self.delta_2_to_1, self.delta_1_to_2,
+                   self.distance)
+        return _csv_text(["capacity", "delta_2_to_1", "delta_1_to_2", "distance"],
+                         ([f"{v:.12g}" for v in row] for row in zip(*columns)))
 
     def report(self) -> dict:
         return {
@@ -187,6 +183,16 @@ class DistanceCurve:
             "delta_1_to_2": list(map(float, self.delta_1_to_2)),
             "distance": list(map(float, self.distance)),
         }
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line per row, each ending in a
+    newline. Callers format their own values."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _check_target(n_samples: int, target: int) -> None:
@@ -424,6 +430,9 @@ def _validate_grid(lambda_grid) -> np.ndarray:
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise InvalidBatchError("lambda grid is empty")
+    if grid.ndim != 1:
+        raise InvalidBatchError(
+            f"lambda grid must be one-dimensional, got shape {grid.shape}")
     if not np.all(np.isfinite(grid)):
         raise InvalidBatchError("lambda grid must be finite")
     if np.any(grid < 0) or np.any(np.diff(grid) <= 0):

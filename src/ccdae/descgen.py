@@ -8,8 +8,6 @@ capacity level for display.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 import warnings
@@ -18,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import _check_count, _check_seed
+from .core import _check_count, _check_seed, _csv_text
 from .pipeline import _encoder_loss
 
 __all__ = [
@@ -192,23 +190,15 @@ def best_single_description_curve(
 
 
 def curve_csv(rows: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["capacity", "best_h_x1", "loss_x1", "best_h_x2", "loss_x2",
-         "best_common", "loss_common"]
-    )
-    for row in rows:
-        def fmt(v):
-            return "" if isinstance(v, float) and math.isnan(v) else (
-                f"{v:.12g}" if isinstance(v, float) else v
-            )
-        writer.writerow(
-            [fmt(row[k]) for k in ("capacity", "best_h_x1", "loss_x1",
-                                   "best_h_x2", "loss_x2", "best_common",
-                                   "loss_common")]
-        )
-    return buf.getvalue()
+    columns = ("capacity", "best_h_x1", "loss_x1", "best_h_x2", "loss_x2",
+               "best_common", "loss_common")
+
+    def fmt(v):
+        if not isinstance(v, float):
+            return v
+        return "" if math.isnan(v) else f"{v:.12g}"
+
+    return _csv_text(columns, ([fmt(row[k]) for k in columns] for row in rows))
 
 
 def describe_pair(

@@ -73,6 +73,8 @@ class CompareConfig:
             _validate_grid(self.lambda_grid)
         _check_c_max(self.c_max)
         _check_seed(self.seed)
+        if not (self.prompt is None or isinstance(self.prompt, str)):
+            raise ValueError(f"prompt must be None or a string, got {self.prompt!r}")
 
     def grid(self) -> np.ndarray:
         if self.lambda_grid is None:

@@ -516,6 +516,63 @@ def test_table_rejects_colliding_descriptions(texts):
         TableBackend(doc)
 
 
+def test_table_names_a_description_by_its_id_or_its_words(table_backend):
+    # by id, and by its words whatever whitespace separates them
+    be = table_backend
+    assert be.cond_logprob("img_sunset", "d_sun").per_token == (-0.4, -0.3)
+    spaced = be.cond_logprob("img_sunset", "a bright  sun over calm water")
+    assert spaced.per_token == (-0.4, -0.3)
+    words = ("a", "bright", "sun", "over", "calm", "water")
+    assert be.score_tokens("img_sunset", words, True).per_token == (-0.4, -0.3)
+    assert be.code_logprob(" a bright sun over calm water\n").per_token == (-1.0, -1.1)
+
+
+def test_table_tokens_that_name_no_description_score_at_the_floor(table_backend):
+    # the one token spells the id d_sun, but tokens name a description only
+    # by its words
+    r = table_backend.score_tokens("img_sunset", ("d_sun",), True)
+    assert r.per_token == (-20.0,)
+    r = table_backend.score_tokens("img_sunset", ("bright", "sun"), True)
+    assert r.per_token == (-20.0, -20.0)
+
+
+def test_table_empty_descriptions(table_backend):
+    for call in (lambda: table_backend.cond_logprob("img_sunset", ""),
+                 lambda: table_backend.score_tokens("img_sunset", (), True)):
+        with pytest.raises(ValueError, match="^description must be nonempty$"):
+            call()
+    assert table_backend.code_logprob("").per_token == (-20.0,)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(floor="-5"),
+    lambda doc: doc["cond"]["c"].update(d=["-0.5"]),
+    lambda doc: doc["cond"]["c"].update(d=[False]),
+    lambda doc: doc.update(code={"d": [None]}),
+], ids=["str-floor", "str-cond", "bool-cond", "null-code"])
+def test_table_logprobs_must_be_json_numbers(edit):
+    doc = {"magic": "CCDAE-TABLE", "descriptions": {}, "cond": {"c": {"d": [-0.5]}}}
+    TableBackend(doc)
+    edit(doc)
+    with pytest.raises(BackendError, match="is not a JSON number"):
+        TableBackend(doc)
+
+
+def test_table_logprob_too_large_for_a_float_is_malformed():
+    doc = {"magic": "CCDAE-TABLE", "descriptions": {},
+           "cond": {"c": {"d": [-(10 ** 400)]}}}
+    with pytest.raises(BackendError, match="^malformed table-backend fixture: "
+                                           "OverflowError"):
+        TableBackend(doc)
+
+
+def test_table_context_must_list_a_description():
+    doc = {"magic": "CCDAE-TABLE", "descriptions": {},
+           "cond": {"c": {}, "e": {"d": [-0.5]}}}
+    with pytest.raises(BackendError, match="^context 'c' lists no descriptions$"):
+        TableBackend(doc)
+
+
 # ---------------------------------------------------------------------------
 # remote backend against a local HTTP server
 
@@ -813,3 +870,17 @@ def test_remote_rejects_bad_constructor_arguments(kwargs):
     assert stub.posts == 0
     RemoteBackend("http://stub", session=stub, max_retries=1, max_in_flight=1,
                   timeout=0.5, backoff=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"timeout": True}, {"timeout": "1"}, {"timeout": math.inf}, {"timeout": None},
+    {"backoff": True}, {"backoff": "0.1"}, {"backoff": math.inf},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_remote_refuses_a_timeout_or_backoff_that_is_not_a_finite_real(kwargs):
+    stub = StubSession("{}")
+    name, value = next(iter(kwargs.items()))
+    bound = {"timeout": "> 0", "backoff": ">= 0"}[name]
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be {bound} and finite, got {value!r}$"):
+        RemoteBackend("http://stub", session=stub, **kwargs)
+    assert stub.posts == 0

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ def test_pair_score_refuses_a_capacity_it_cannot_use(quick_config, score, capaci
         bench.pair_score("rain", "iron", object(), quick_config, score, capacity)
     with pytest.raises(BenchError, match=error):
         bench.run_similarity_bench(records, object(), quick_config, score, capacity)
+
+
+@pytest.mark.parametrize("capacity", [True, False, "1", [0.5]])
+def test_pair_score_refuses_a_capacity_that_is_not_a_real_number(quick_config, capacity):
+    # refused by name before any backend call (this backend has none)
+    error = re.escape(f"capacity must be finite and >= 0, got {capacity!r}")
+    with pytest.raises(BenchError, match=f"^{error}$"):
+        bench.pair_score("rain", "iron", object(), quick_config, "d_at_c", capacity)
 
 
 @pytest.mark.parametrize("capacity", [None, 0.5])

@@ -146,6 +146,30 @@ def test_table_fixture_logprobs_must_be_finite_and_not_positive(
     assert out == "" and not (tmp_path / "d.csv").exists()
 
 
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.update(floor="-5"), "log-prob '-5' is not a JSON number"),
+    (lambda doc: doc["cond"]["img_sunset"]["d_sun"].__setitem__(0, "-0.5"),
+     "log-prob '-0.5' is not a JSON number"),
+    (lambda doc: doc["cond"]["img_sunset"]["d_sun"].__setitem__(0, False),
+     "log-prob False is not a JSON number"),
+    (lambda doc: doc["cond"].update(c={}), "context 'c' lists no descriptions"),
+], ids=["str-floor", "str-cond", "bool-cond", "empty-context"])
+def test_table_fixture_needs_json_number_logprobs_and_nonempty_contexts(
+        capsys, tmp_path, fixture_path, edit, reason):
+    with open(fixture_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "--backend", "table", "--fixture", str(path),
+                         "--out", str(tmp_path / "c.csv"),
+                         "compare", "c", "img_sunset")
+    assert code == 1
+    assert err.startswith(f"error: {path}: ") and reason in err
+    assert "Traceback" not in err
+    assert out == "" and not (tmp_path / "c.csv").exists()
+
+
 def test_bad_lambda_grid(capsys, fixture_path):
     code, _, err = run(capsys, "--backend", "table", "--fixture", fixture_path,
                        "compare", "img_sunset", "cap_positive",

@@ -166,6 +166,18 @@ def test_trace_grid_validation():
             core.trace_rate_curve(batch, grid)
 
 
+@pytest.mark.parametrize("grid", [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0, 2.0]], 5.0],
+                         ids=["2x2", "1x3", "scalar"])
+def test_lambda_grid_must_be_one_dimensional(grid):
+    batch = make_uniform_batch([[1.0, 2.0], [2.0, 1.0]])
+    shape = np.shape(grid)
+    message = re.escape(f"lambda grid must be one-dimensional, got shape {shape}")
+    with pytest.raises(InvalidBatchError, match=f"^{message}$"):
+        core.distance_curve(batch, lambda_grid=grid)
+    with pytest.raises(InvalidBatchError, match=f"^{message}$"):
+        CompareConfig(lambda_grid=grid)
+
+
 # ---------------------------------------------------------------------------
 # cross expected loss
 

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -72,6 +73,15 @@ def test_config_refuses_a_temperature_that_is_not_a_real_number(temperature):
     with pytest.raises(ValueError,
                        match=f"^temperature must be a real number, got {temperature!r}$"):
         CompareConfig(temperature=temperature)
+
+
+@pytest.mark.parametrize("prompt", [b"x", 5, ["describe"]])
+def test_config_refuses_a_prompt_that_is_not_a_string(prompt):
+    with pytest.raises(ValueError, match=re.escape(
+            f"prompt must be None or a string, got {prompt!r}")):
+        CompareConfig(prompt=prompt)
+    for prompt in (None, "", "describe"):
+        assert CompareConfig(prompt=prompt).prompt == prompt
 
 
 @pytest.mark.parametrize("field", ["samples_per_input", "max_tokens"])
