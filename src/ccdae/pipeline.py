@@ -152,6 +152,32 @@ def _encoder_loss(cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_phat, log_phat - cond
 
 
+def _fetch(pairs, backend, config: CompareConfig) -> list[tuple]:
+    """``build_batch``'s backend traffic for every ``(x1, x2)`` in ``pairs``, in
+    one ``sample_many`` and one ``score_many`` call. Per pair: the draw count,
+    the distinct draws (key -> [first draw, count], first-seen order) and their
+    ``log p(h|x_i)`` rows; fewer than 2 distinct draws raise before rescoring."""
+    sides = backend.sample_many(
+        [(str(x), _rank_seed(config.seed, rank))
+         for pair in pairs for rank, x in enumerate(_canonical_order(*pair))],
+        config.samples_per_input, max_tokens=config.max_tokens,
+        temperature=config.temperature, prompt=config.prompt)
+    fetched = []
+    for draws in ([*a, *b] for a, b in zip(sides[::2], sides[1::2])):
+        merged: dict[tuple, list] = {}
+        for s in draws:
+            merged.setdefault((s.text, s.tokens, s.terminated), [s, 0])[1] += 1
+        if len(merged) < 2:
+            raise _too_few_descriptions(len(draws), len(merged))
+        fetched.append((len(draws), merged))
+    totals = (r.total for r in backend.score_many(
+        [(str(x), s.tokens, s.terminated) for pair, (_, merged) in zip(pairs, fetched)
+         for x in pair for s, _ in merged.values()],
+        prompt=config.prompt))
+    return [(n, merged, np.fromiter(totals, float, 2 * len(merged)).reshape(2, -1))
+            for n, merged in fetched]
+
+
 def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredBatch:
     """Sample the proposal mixture and score every pooled hypothesis.
 
@@ -163,36 +189,15 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     encoder-only loss. A hypothesis with a non-finite score would poison
     every softmax, so it is dropped with a warning and counted in
     ``dropped``; fewer than 2 distinct descriptions raise
-    :class:`InvalidBatchError`. The backend traffic is one ``sample_many``
-    call for the two inputs, one ``score_many`` call for every distinct
-    description under each input, and under ``lm_code`` one ``code_logprob``
-    call per distinct description. Every draw, an empty one included, is
-    scored from its text, tokens and ``terminated`` flag alone; how a
-    terminated draw's end is scored is the backend's rule.
+    :class:`InvalidBatchError`. The backend traffic is :func:`_fetch`'s for
+    the one pair, and under ``lm_code`` one ``code_logprob`` call per
+    distinct description. Every draw, an empty one included, is scored from
+    its text, tokens and ``terminated`` flag alone; how a terminated draw's
+    end is scored is the backend's rule.
     """
     config = config or CompareConfig()
-    xa, xb = _canonical_order(x1, x2)
-    sides = backend.sample_many(
-        [(str(x), _rank_seed(config.seed, rank)) for rank, x in enumerate((xa, xb))],
-        config.samples_per_input,
-        max_tokens=config.max_tokens,
-        temperature=config.temperature,
-        prompt=config.prompt,
-    )
-    draws = [s for side in sides for s in side]
-
-    # merge duplicates, keeping first-seen order: key -> [first draw, count]
-    merged: dict[tuple, list] = {}
-    for s in draws:
-        merged.setdefault((s.text, s.tokens, s.terminated), [s, 0])[1] += 1
-    if len(merged) < 2:
-        raise _too_few_descriptions(len(draws), len(merged))
+    n_draws, merged, cond = _fetch([(x1, x2)], backend, config)[0]
     unique = [s for s, _ in merged.values()]
-
-    scores = backend.score_many(
-        [(str(x), s.tokens, s.terminated) for x in (x1, x2) for s in unique],
-        prompt=config.prompt)
-    cond = np.array([r.total for r in scores]).reshape(2, len(unique))
     log_pi, loss = _encoder_loss(cond)
     if config.pcode_mode == "proposal_mix":
         log_pcode = log_pi
@@ -207,7 +212,7 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     if dropped:
         warnings.warn(f"dropping {dropped} hypotheses with non-finite scores")
         if keep.sum() < 2:
-            raise _too_few_descriptions(len(draws), len(merged), dropped)
+            raise _too_few_descriptions(n_draws, len(merged), dropped)
     return ScoredBatch(
         texts=[s.text for s, k in zip(unique, keep) if k],
         log_pcode=log_pcode[keep],

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,13 @@ from conftest import ServingSession
 from scipy import stats
 
 from ccdae import bench, pipeline
-from ccdae.backends import Backend, BackendError, RemoteBackend
+from ccdae.backends import (
+    Backend,
+    BackendError,
+    LogProbResult,
+    RemoteBackend,
+    SampledDescription,
+)
 from ccdae.bench import BenchError, ChoiceRecord, PairRecord
 
 
@@ -156,6 +164,9 @@ def test_pair_score_refuses_a_capacity_it_cannot_use(quick_config, score, capaci
         bench.pair_score("rain", "iron", object(), quick_config, score, capacity)
     with pytest.raises(BenchError, match=error):
         bench.run_similarity_bench(records, object(), quick_config, score, capacity)
+    choices = [ChoiceRecord(id="0", context="rain", positive="iron", negative="dust")]
+    with pytest.raises(BenchError, match=error):
+        bench.run_choice_bench(choices, object(), quick_config, score, capacity)
 
 
 @pytest.mark.parametrize("capacity", [True, False, "1", [0.5]])
@@ -477,3 +488,181 @@ def test_remote_choice_bench_fans_out_with_the_same_requests_and_scores(
     # scores at 12 significant digits, as the benchmark digests them
     text = "\n".join(f"{v:.12g}" for v in scores)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "e9836a22702b7d3d"
+
+
+# ---------------------------------------------------------------------------
+# one fetch for both pairs of a choice record
+
+
+class CallLog:
+    """Logs ``(method name, args)`` of every call made on ``backend``, then
+    makes it, so that only the calls a caller makes itself are seen."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.log = []
+
+    def __getattr__(self, name):
+        method = getattr(self.backend, name)
+
+        def logged(*args, **kwargs):
+            self.log.append((name, args))
+            return method(*args, **kwargs)
+
+        return logged
+
+    def names(self):
+        return [name for name, _ in self.log]
+
+
+def _logged_remote(ngram_backend):
+    session = ServingSession(ngram_backend)
+    return CallLog(RemoteBackend("http://stub", session=session)), session
+
+
+def test_remote_choice_record_samples_once_and_rescores_once(data_dir, ngram_backend):
+    """Both pairs of a seed-0 choice record send their draws in one
+    ``sample_many`` call and their rescores in one ``score_many`` call, each
+    distinct request once; no single call goes round them."""
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=0)
+    sampled = []
+    for rec in bench.load_choices(data_dir / "choices.tsv").records:
+        logged, session = _logged_remote(ngram_backend)
+        report = bench.run_choice_bench([rec], logged, config)
+        assert report.failures == []
+        assert logged.names() == ["sample_many", "score_many"]
+        assert set(session.sent.values()) == {1}
+        sampled.append(sum(path == "/v1/sample" for path, _ in session.sent))
+    # the context at one canonical rank in both pairs, or at both ranks
+    assert sorted(set(sampled)) == [3, 4]
+    assert sum(sampled) == 69
+
+
+def test_remote_choice_bench_by_conditional_likelihood_samples_nothing(
+        data_dir, ngram_backend):
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=0)
+    for rec in bench.load_choices(data_dir / "choices.tsv").records:
+        logged, session = _logged_remote(ngram_backend)
+        bench.run_choice_bench([rec], logged, config, score="cond_lik")
+        assert logged.names() == ["cond_logprob"] * 4
+        assert {path for path, _ in session.sent} == {"/v1/logprob"}
+
+
+def test_remote_choice_bench_scores_each_code_once_per_pair(data_dir, ngram_backend):
+    """Under ``lm_code`` each pair asks for the code score of each of its
+    distinct descriptions once, as before the pairs shared their fetch."""
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=0,
+                                    pcode_mode="lm_code")
+    total = 0
+    for rec in bench.load_choices(data_dir / "choices.tsv").records:
+        logged, _ = _logged_remote(ngram_backend)
+        assert bench.run_choice_bench([rec], logged, config).failures == []
+        asked = sorted(args[0] for name, args in logged.log if name == "code_logprob")
+        remote = RemoteBackend("http://stub", session=ServingSession(ngram_backend))
+        batches = [pipeline.build_batch(rec.context, x, remote, config)
+                   for x in (rec.positive, rec.negative)]
+        assert all(b.dropped == 0 for b in batches)
+        assert asked == sorted(t for b in batches for t in b.texts)
+        total += len(asked)
+    assert total == 180  # as counted before the pairs shared their fetch
+
+
+class _DrawsByContext(Backend):
+    """Draws the texts listed for a context in turn, whatever the seed, and
+    rescores each at -0.5 per word and per character of the context; a
+    (context, text) in ``unscorable`` rescores at -inf."""
+
+    def __init__(self, texts, unscorable=()):
+        self.texts, self.unscorable = texts, set(unscorable)
+
+    def sample_descriptions(self, context, count, max_tokens=20, temperature=1.0,
+                            seed=0, prompt=None):
+        cycle = self.texts[context]
+        return [SampledDescription(t, tuple(t.split()), (-1.0,), True)
+                for t in (cycle[i % len(cycle)] for i in range(count))]
+
+    def score_tokens(self, context, tokens, terminated=True, prompt=None):
+        if (context, " ".join(tokens)) in self.unscorable:
+            return LogProbResult.from_tokens([-math.inf])
+        return LogProbResult.from_tokens([-0.5 * len(context)] * len(tokens))
+
+    def code_logprob(self, description, terminated=True):
+        return LogProbResult.from_tokens([-2.0] * len(description.split()))
+
+
+def _batch_and_warnings(build):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batch = build()
+    return batch, [str(w.message) for w in caught]
+
+
+def _assert_same_batches(got, want):
+    for (a, a_warned), (b, b_warned) in zip(got, want, strict=True):
+        assert a_warned == b_warned
+        assert a.texts == b.texts and a.dropped == b.dropped
+        for name in ("log_pcode", "log_proposal", "loss", "counts", "log_conditionals"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+#: backend -> pairs sharing an input that is first in one pair and second in
+#: another, plus a pair of one input with itself
+_SHARED_INPUT_PAIRS = {
+    "ngram": [("rain", "iron"), ("rain", "dust"), ("rain", "rain")],
+    "table": [("cap_positive", "img_sunset"), ("cap_positive", "cap_negative"),
+              ("cap_positive", "cap_positive")],
+    "dropping": [("two", "one"), ("two", "four"), ("two", "two")],
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("pcode_mode", ["proposal_mix", "lm_code"])
+@pytest.mark.parametrize("backend_name", ["ngram", "table", "dropping"])
+def test_batches_built_after_one_fetch_equal_batches_built_alone(
+        request, backend_name, pcode_mode, seed):
+    if backend_name == "dropping":
+        bare = _DrawsByContext(
+            {"two": ["a b", "c"], "one": ["c", "d e f"], "four": ["a b", "g"]},
+            unscorable={("two", "d e f")})
+    else:
+        bare = request.getfixturevalue(f"{backend_name}_backend")
+    pairs = _SHARED_INPUT_PAIRS[backend_name]
+    ranks = {pipeline._canonical_order(*pair).index(pairs[0][0]) for pair in pairs[:2]}
+    assert ranks == {0, 1}
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=seed,
+                                    pcode_mode=pcode_mode)
+
+    counted = CountingBackend(bare)
+    reuse = bench._Reuse(counted, {x: 0 for pair in pairs for x in pair})
+    pipeline._fetch(pairs, reuse, config)
+    # the shared input is asked for at both ranks; the last pair asks nothing new
+    assert len(counted.samples) == 4
+    sent = len(counted.samples), len(counted.scores)
+    got = [_batch_and_warnings(lambda: pipeline.build_batch(*pair, reuse, config))
+           for pair in pairs]
+    assert (len(counted.samples), len(counted.scores)) == sent
+    want = [_batch_and_warnings(lambda: pipeline.build_batch(*pair, bare, config))
+            for pair in pairs]
+    _assert_same_batches(got, want)
+    if backend_name == "dropping":
+        assert [b.dropped for b, _ in got] == [1, 0, 0]
+
+
+def test_choice_record_whose_second_pair_collapses_fails_before_any_rescoring():
+    backend = _DrawsByContext({"ctx": ["a"], "pos": ["b", "c"], "neg": ["a"],
+                               "alt": ["d"]})
+    records = ([ChoiceRecord("bad", "ctx", "pos", "neg")]
+               + [ChoiceRecord(str(i), "ctx", "pos", "alt") for i in range(9)])
+    logged = CallLog(backend)
+    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10)
+    report = bench.run_choice_bench(records, logged, config)
+    assert report.failures == [{
+        "id": "bad",
+        "error": "20 draws gave 1 distinct description(s); a distance needs at "
+                 "least 2 distinct descriptions, so sample more per input"}]
+    # the failed record sampled once and rescored nothing; the next one, whose
+    # first pair it had sampled, samples only the new input, then rescores
+    assert logged.names()[:3] == ["sample_many", "sample_many", "score_many"]
+    assert [ctx for ctx, _ in logged.log[1][1][0]] == ["alt"]
+

@@ -485,6 +485,18 @@ def test_bench_csv_matches_recorded(capsys, model_path, tmp_path, kind, data):
         assert got.read() == want.read()
 
 
+@pytest.mark.parametrize("kind", ["pairs", "choice"])
+def test_bench_names_a_file_that_is_not_utf8(capsys, model_path, tmp_path, kind):
+    data = tmp_path / "bad.tsv"
+    data.write_bytes(b"rain\t\xff\tiron\t1.0\n")
+    code, out, err = run(capsys, "--model", model_path, "bench", kind, str(data))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {data}: not UTF-8 text: ")
+    assert "can't decode byte 0xff in position 5" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_bench_reports_skipped_lines(capsys, model_path, tmp_path):
     data = tmp_path / "pairs.tsv"
     data.write_text("rain\train\t3.0\nrain\twind\t2.0\nbroken\n")
