@@ -42,8 +42,8 @@ __all__ = [
     "intersection_distance",
 ]
 
-#: 200 evenly spaced multipliers on [0, 100]; the default trace grid.
 def default_lambda_grid() -> np.ndarray:
+    """200 evenly spaced multipliers on [0, 100]; the default trace grid."""
     return np.linspace(0.0, 100.0, 200)
 
 
@@ -208,12 +208,12 @@ def _check_target(n_samples: int, target: int) -> None:
 
 
 class _Trace(NamedTuple):
-    """The Gibbs family of one sample along a lambda grid of length L."""
+    """The Gibbs families of T samples along a lambda grid of length L."""
 
-    capacity: np.ndarray  # (L,), clamped to 0 near zero
-    expected: np.ndarray  # (rows, L): expected loss of every sample row
-    log_partition: np.ndarray  # (L,)
-    weights: np.ndarray | None  # (L, H), only when asked for
+    capacity: np.ndarray  # (T, L), clamped to 0 near zero
+    expected: np.ndarray  # (T, rows, L): expected loss of every sample row
+    log_partition: np.ndarray  # (T, L)
+    weights: np.ndarray | None  # (T, K, H) at the last K lambdas, when asked for
 
 
 def _check_seed(seed) -> None:
@@ -275,60 +275,85 @@ def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     logsumexp in the tests, which this equals bit for bit. The shifted
     block is exped in place and the maxima's slots are then zeroed, which
     is what exp(-inf) gives there. ``out``, if given, holds the shifted block
-    (same shape as ``u``) instead of a new array.
+    (same shape as ``u``) instead of a new array. ``u`` may be a transposed
+    view: its max and count of maxima are exact, and the sum is row-major.
     """
     top = u.max(axis=1, keepdims=True)
     at_top = u == top
     m = at_top.sum(axis=1, keepdims=True, dtype=float)
     e = np.subtract(u, top, out=out)
     np.exp(e, out=e)
-    e[at_top] = 0.0
-    s = e.sum(axis=1, keepdims=True)
+    np.copyto(e, 0.0, where=at_top)
+    s = np.ascontiguousarray(e).sum(axis=1, keepdims=True)
     return np.log1p(s / m) + np.log(m) + top
 
 
-def _gibbs_trace(
-    batch: ScoredBatch, grid: np.ndarray, target: int, keep_weights: bool = False
-) -> _Trace:
-    """Trace the Gibbs family of ``target`` over ``grid`` in blocks of lambdas.
+def _gibbs_trace(batch: ScoredBatch, grid: np.ndarray, targets: Sequence[int] = (0, 1),
+                 keep_weights: int = 0) -> _Trace:
+    """Trace the Gibbs families of ``targets`` over ``grid``, in one call.
 
-    weights = softmax(-lam*loss[target] + log p_code - log proposal
-    + log counts), stabilized inside logsumexp. A block holds at most
-    ``_BLOCK_ELEMENTS`` logits, so memory stays flat however wide the batch.
-    The logits are built in one buffer, added in the order written above,
-    and that buffer then holds the weights; a second buffer holds the
-    shifted logits inside logsumexp. Both are reused from block to block.
+    Row (i, k) holds weights = softmax(-grid[k]*loss[targets[i]] + log p_code
+    - log proposal + log counts), stabilized inside logsumexp; the weights
+    of the last ``keep_weights`` grid points are kept. Two targets wider than
+    a block each are traced on :func:`_pair`'s two threads, one each.
     """
-    _check_target(batch.loss.shape[0], target)
+    for target in targets:
+        _check_target(batch.loss.shape[0], target)
+    n, (samples, width) = len(targets), batch.loss.shape
+    out = _Trace(None, np.empty((n, samples, grid.size)), np.empty((n, grid.size)),
+                 np.empty((n, keep_weights, width)) if keep_weights else None)
+    if n == 2 and width * grid.size > _BLOCK_ELEMENTS:
+        _pair(lambda i: _trace_rows(batch, grid, targets[i:i + 1], out, slice(i, i + 1)),
+              True)
+    else:
+        _trace_rows(batch, grid, targets, out, slice(None))
+    capacity = -grid * out.expected[np.arange(n), targets] - out.log_partition
+    capacity[(-_CAPACITY_CLAMP <= capacity) & (capacity < 0.0)] = 0.0
+    return out._replace(capacity=capacity)
+
+
+def _trace_rows(batch: ScoredBatch, grid: np.ndarray, targets: Sequence[int],
+                out: _Trace, part: slice) -> None:
+    """Fill ``part`` of ``out``'s target axis with the rows of ``targets``, in
+    blocks of every target's rows at a run of lambdas, at most
+    ``_BLOCK_ELEMENTS`` logits each. The logits buffer is hypothesis-major
+    when a block has more rows than hypotheses, so the broadcast ops, the
+    row max and the count of maxima run along the longer axis; a second,
+    row-major buffer holds the shifted logits and then the weights, so the
+    row sums and expected losses are a row-major block's, bit for bit.
+    """
+    n, width = len(targets), batch.n_hypotheses
     extra = batch.log_pcode - batch.log_proposal
     log_counts = np.log(batch.counts)
-    loss = batch.loss[target]
-    per_block = max(1, _BLOCK_ELEMENTS // batch.n_hypotheses)
-    expected = np.empty((batch.loss.shape[0], grid.size))
-    log_z = np.empty(grid.size)
-    weights = np.empty((grid.size, batch.n_hypotheses)) if keep_weights else None
-    buf, shifted = np.empty((2, min(per_block, grid.size), batch.n_hypotheses))
+    loss = batch.loss[list(targets), None, :]
+    per_block = max(1, _BLOCK_ELEMENTS // (n * width))
+    keep_from = grid.size - (0 if out.weights is None else out.weights.shape[1])
+    logits, shifted = np.empty((2, n * min(per_block, grid.size) * width))
     for start in range(0, grid.size, per_block):
-        block = slice(start, start + per_block)
-        lams = grid[block, None]
-        u = buf[: lams.shape[0]]
-        np.multiply(-lams, loss, out=u)
+        lams = grid[start:start + per_block]
+        k, rows = lams.size, n * lams.size
+        block = slice(start, start + k)
+        u, e = logits[: rows * width], shifted[: rows * width].reshape(rows, width)
+        hypothesis_major = rows > width
+        u = u.reshape(width, rows).T if hypothesis_major else u.reshape(rows, width)
+        np.multiply(-lams[:, None], loss, out=u.reshape(n, k, width))
         u += extra
         u += log_counts
-        lse = _logsumexp_rows(u, out=shifted[: lams.shape[0]])
-        w = u  # the logits are spent: the weights overwrite them
-        w -= lse
+        lse = _logsumexp_rows(u, out=e)
+        # the weights overwrite the logits, or in a hypothesis-major block the
+        # spent shifted logits, so that they are row-major
+        w = np.subtract(u, lse, out=e if hypothesis_major else u)
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
-        for s, row in enumerate(batch.loss):
-            # vecdot rounds as one dot per lambda does; a matmul would not.
-            expected[s, block] = np.vecdot(w, row)
-        log_z[block] = lse[:, 0] - math.log(batch.n_draws)
-        if keep_weights:
-            weights[block] = w
-    capacity = -grid * expected[target] - log_z
-    capacity[(-_CAPACITY_CLAMP <= capacity) & (capacity < 0.0)] = 0.0
-    return _Trace(capacity, expected, log_z, weights)
+        # vecdot rounds as one dot per lambda does; a matmul would not.
+        np.vecdot(w.reshape(n, k, 1, width), batch.loss,
+                  out=out.expected[part, :, block].transpose(0, 2, 1))
+        np.subtract(lse.reshape(n, k), math.log(batch.n_draws),
+                    out=out.log_partition[part, block])
+        if start + k > keep_from:
+            first = max(start, keep_from)
+            out.weights[part, first - keep_from:start + k - keep_from] = (
+                w.reshape(n, k, width)[:, first - start:])
 
 
 def _usable_cpus() -> int:
@@ -369,14 +394,16 @@ _executor = _LazyPool(1, "ccdae-pair")
 def _pair(fn, fan_out: bool) -> tuple:
     """``(fn(0), fn(1))``, the two halves at once when ``fan_out`` is set.
 
-    The two halves must share nothing mutable but disjoint parts of the
-    caller's arrays. With ``fan_out`` and more than one usable CPU,
-    ``fn(1)`` runs on a worker thread in a copy of the caller's context
-    (numpy's error state is a context variable) while ``fn(0)`` runs
-    here; numpy releases the GIL inside the kernels' array operations, so
-    they overlap. The caller returns only once the worker is done, even
-    when ``fn(0)`` raises, and then the first exception is raised. The
-    worker must call nothing that tracing wraps: its spans are per thread.
+    The halves are a pair's two samples: the two targets of a wide Gibbs
+    trace, or the two directions of ``oracle.exact_distance_curve``. They
+    must share nothing mutable but disjoint parts of the caller's arrays.
+    With ``fan_out`` and more than one usable CPU, ``fn(1)`` runs on a
+    worker thread in a copy of the caller's context (numpy's error state is
+    a context variable) while ``fn(0)`` runs here; numpy releases the GIL
+    inside the kernels' array operations, so they overlap. The caller
+    returns only once the worker is done, even when ``fn(0)`` raises, and
+    then the first exception is raised. The worker must call nothing that
+    tracing wraps: its spans are per thread.
     """
     if not (fan_out and _usable_cpus() > 1):
         return fn(0), fn(1)
@@ -391,7 +418,7 @@ def _pair(fn, fan_out: bool) -> tuple:
 
 def _gibbs_point(batch: ScoredBatch, lam: float, target: int) -> _Trace:
     _check_lambda(lam)
-    return _gibbs_trace(batch, np.array([float(lam)]), target, keep_weights=True)
+    return _gibbs_trace(batch, np.array([float(lam)]), (target,), keep_weights=1)
 
 
 def gibbs_weights(batch: ScoredBatch, lam: float, target: int) -> np.ndarray:
@@ -400,22 +427,22 @@ def gibbs_weights(batch: ScoredBatch, lam: float, target: int) -> np.ndarray:
     weights_i = softmax(-lam*loss[target] + log p_code - log proposal)_i,
     with draw multiplicities folded in as count weights.
     """
-    return _gibbs_point(batch, lam, target).weights[0]
+    return _gibbs_point(batch, lam, target).weights[0, 0]
 
 
 def log_partition_estimate(batch: ScoredBatch, lam: float, target: int) -> float:
     """log of the self-normalized partition estimate (1/N) sum exp(logit)."""
-    return float(_gibbs_point(batch, lam, target).log_partition[0])
+    return float(_gibbs_point(batch, lam, target).log_partition[0, 0])
 
 
 def expected_loss(batch: ScoredBatch, lam: float, target: int) -> float:
     """beta(lam): importance-weighted expected reconstruction loss."""
-    return float(_gibbs_point(batch, lam, target).expected[target, 0])
+    return float(_gibbs_point(batch, lam, target).expected[0, target, 0])
 
 
 def capacity_estimate(batch: ScoredBatch, lam: float, target: int) -> float:
     """C(lam) = -lam*beta(lam) - log Z_hat, clamped to 0 near zero."""
-    return float(_gibbs_point(batch, lam, target).capacity[0])
+    return float(_gibbs_point(batch, lam, target).capacity[0, 0])
 
 
 def cross_expected_loss(
@@ -423,7 +450,7 @@ def cross_expected_loss(
 ) -> float:
     """Expected loss on ``target`` under the Gibbs weights of ``source``."""
     _check_target(batch.loss.shape[0], target)
-    return float(_gibbs_point(batch, lam, source).expected[target, 0])
+    return float(_gibbs_point(batch, lam, source).expected[0, target, 0])
 
 
 def _validate_grid(lambda_grid) -> np.ndarray:
@@ -433,9 +460,9 @@ def _validate_grid(lambda_grid) -> np.ndarray:
     if grid.ndim != 1:
         raise InvalidBatchError(
             f"lambda grid must be one-dimensional, got shape {grid.shape}")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise InvalidBatchError("lambda grid must be finite")
-    if np.any(grid < 0) or np.any(np.diff(grid) <= 0):
+    if grid[0] < 0 or (grid[1:] <= grid[:-1]).any():
         raise InvalidBatchError("lambda grid must be nonnegative and increasing")
     return grid
 
@@ -447,9 +474,9 @@ def trace_rate_curve(
 ) -> CapacityCurve:
     """Trace (lam, C, beta) along the lambda grid for one sample."""
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
-    t = _gibbs_trace(batch, grid, target, keep_weights=True)
-    return CapacityCurve(grid.copy(), t.capacity, t.expected[target],
-                         t.log_partition, t.weights, target)
+    t = _gibbs_trace(batch, grid, (target,), keep_weights=grid.size)
+    return CapacityCurve(grid.copy(), t.capacity[0], t.expected[0, target],
+                         t.log_partition[0], t.weights[0], target)
 
 
 def curve_from_traces(
@@ -468,6 +495,12 @@ def curve_from_traces(
     ``_CAPACITY_POINTS`` points spanning [0, c_max].
     """
     _check_c_max(c_max)
+    capacity, beta, cross = (np.asarray(a, dtype=float) for a in (capacity, beta, cross))
+    if not capacity.shape == beta.shape == cross.shape == (2, np.size(lambda_grid)):
+        raise InvalidBatchError(
+            "capacity, beta and cross need one row per sample and one column per "
+            f"lambda, shape (2, {np.size(lambda_grid)}); got {capacity.shape}, "
+            f"{beta.shape} and {cross.shape}")
     traced_max = min(capacity[0].max(), capacity[1].max())
     if c_max is None:
         if traced_max < 0:
@@ -482,16 +515,17 @@ def curve_from_traces(
             f"({traced_max:.6g}); extend the lambda grid or pass a smaller c_max"
         )
     cgrid = np.linspace(0.0, c_max, _CAPACITY_POINTS)
+    # np.interp needs increasing x; estimator noise can break monotonicity.
+    # Each sample's trace is sorted once, for both series read along it.
+    orders = [c.argsort(kind="stable") for c in capacity]
 
     def interp(i: int, val: np.ndarray) -> np.ndarray:
-        # np.interp needs increasing x; estimator noise can break monotonicity.
-        order = np.argsort(capacity[i], kind="stable")
-        return np.interp(cgrid, capacity[i][order], val[order])
+        return np.interp(cgrid, capacity[i][orders[i]], val[i][orders[i]])
 
     # delta_2_to_1: how much worse sample 2's descriptions reconstruct
     # sample 1, relative to sample 1's own optimal curve, at matched C.
-    d21 = interp(1, cross[1]) - interp(0, beta[0])
-    d12 = interp(0, cross[0]) - interp(1, beta[1])
+    d21 = interp(1, cross) - interp(0, beta)
+    d12 = interp(0, cross) - interp(1, beta)
     dist = 0.5 * (d21 + d12)
     return DistanceCurve(
         capacity_grid=cgrid,
@@ -513,21 +547,29 @@ def distance_curve(
     if batch.loss.shape[0] < 2:
         raise InvalidBatchError("distance_curve needs both sample rows scored")
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
-    t0, t1 = _pair(lambda i: _gibbs_trace(batch, grid, i),
-                   batch.n_hypotheses * grid.size > _BLOCK_ELEMENTS)
-    return curve_from_traces(
-        (t0.capacity, t1.capacity), (t0.expected[0], t1.expected[1]),
-        (t0.expected[1], t1.expected[0]), grid, c_max,
-    )
+    return _curve(_gibbs_trace(batch, grid), grid, c_max)
+
+
+def _curve(trace: _Trace, grid: np.ndarray, c_max: float | None) -> DistanceCurve:
+    """The distance curve of a two-target trace whose first columns are ``grid``."""
+    # (2, rows, L) -> the diagonals (2, L): expected[i, i] and expected[i, 1 - i]
+    beta, cross = (e[..., : grid.size].diagonal().T
+                   for e in (trace.expected, trace.expected[:, 1::-1]))
+    return curve_from_traces(trace.capacity[:, : grid.size], beta, cross, grid, c_max)
 
 
 def auc(capacities, values, c_max: float | None = None) -> float:
     """Trapezoidal area under (C, value) pairs over [min C, c_max]."""
     c = np.asarray(capacities, dtype=float)
     v = np.asarray(values, dtype=float)
+    if c.ndim != 1 or c.shape != v.shape:
+        raise InvalidBatchError(
+            "auc needs one-dimensional capacities and values of equal length, "
+            f"got shapes {c.shape} and {v.shape}")
+    _check_c_max(c_max)
     if c.size < 2:
         raise InvalidBatchError("auc needs at least 2 points")
-    if np.any(np.diff(c) < 0):
+    if (c[1:] < c[:-1]).any():
         raise InvalidBatchError("capacities must be increasing")
     if c_max is None:
         c_max = float(c[-1])

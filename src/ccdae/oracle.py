@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_count,
-                   _check_lambda, _check_seed, _check_target, _pair,
+                   _check_lambda, _check_seed, _check_target, _is_real, _pair,
                    _validate_grid, curve_from_traces, default_lambda_grid)
 
 __all__ = [
@@ -213,7 +213,13 @@ def exact_expected_loss(table: FiniteHypothesisTable, sample: int, lam: float) -
 
 
 def _feasible(table: FiniteHypothesisTable, capacity: float) -> np.ndarray:
-    """Hypotheses with code length <= capacity; a Dirac's KL is its code length."""
+    """Hypotheses with code length <= capacity; a Dirac's KL is its code length.
+
+    A capacity must be a real >= 0; +inf (no bound) is allowed, NaN and a
+    bool are not.
+    """
+    if not (_is_real(capacity) and capacity >= 0):
+        raise ValueError(f"capacity must be a real number >= 0, got {capacity!r}")
     feas = np.flatnonzero(table.code_lengths <= capacity + 1e-12)
     if feas.size == 0:
         raise NoFeasibleDescriptionError(
@@ -308,8 +314,9 @@ def universal_augment(
     samples. Existing code mass is rescaled (lengths increased) to keep
     the Kraft sum <= 1.
     """
-    if epsilon_code <= 0:
-        raise ValueError("epsilon_code must be positive")
+    if not (_is_real(epsilon_code) and math.isfinite(epsilon_code) and epsilon_code > 0):
+        raise ValueError(
+            f"epsilon_code must be a finite real number > 0, got {epsilon_code!r}")
     two_part = table.loss + table.code_lengths[None, :]
     search_loss = two_part.min(axis=1) - epsilon_code
 

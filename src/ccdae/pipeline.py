@@ -29,6 +29,7 @@ from .core import (
     _check_lambda,
     _check_seed,
     _check_temperature,
+    _curve,
     _gibbs_trace,
     _validate_grid,
     default_lambda_grid,
@@ -41,6 +42,7 @@ __all__ = [
     "DistanceReport",
     "build_batch",
     "compare",
+    "distance_curve",  # re-exported: bench.pair_score calls it through here
     "explain",
     "effective_sample_size",
 ]
@@ -69,17 +71,19 @@ class CompareConfig:
         _check_temperature(self.temperature)
         if self.pcode_mode not in ("proposal_mix", "lm_code"):
             raise ValueError(f"unknown pcode_mode {self.pcode_mode!r}")
-        if self.lambda_grid is not None:
-            _validate_grid(self.lambda_grid)
+        # the config's own copy, read-only
+        grid = np.array(default_lambda_grid() if self.lambda_grid is None
+                        else _validate_grid(self.lambda_grid))
+        grid.flags.writeable = False
+        object.__setattr__(self, "_grid", grid)
         _check_c_max(self.c_max)
         _check_seed(self.seed)
         if not (self.prompt is None or isinstance(self.prompt, str)):
             raise ValueError(f"prompt must be None or a string, got {self.prompt!r}")
 
     def grid(self) -> np.ndarray:
-        if self.lambda_grid is None:
-            return default_lambda_grid()
-        return np.asarray(self.lambda_grid, dtype=float)
+        """The lambda grid, built once per config and read-only."""
+        return self._grid
 
 
 @dataclass
@@ -264,19 +268,18 @@ def compare(x1, x2, backend, config: CompareConfig | None = None) -> DistanceRep
     config = config or CompareConfig()
     batch = build_batch(x1, x2, backend, config)
     grid = config.grid()
-    curve = distance_curve(batch, lambda_grid=grid, c_max=config.c_max)
-    # weights at the grid ends (ESS) and at EXPLAIN_LAMBDA, one kernel call
-    # per sample; rows equal gibbs_weights at each point
+    # the weights at the grid ends (ESS) and at EXPLAIN_LAMBDA ride after the
+    # grid in the curve's kernel call; rows equal gibbs_weights at each point
     points = np.array([grid[0], EXPLAIN_LAMBDA, grid[-1]])
-    weights = [_gibbs_trace(batch, points, i, keep_weights=True).weights
-               for i in (0, 1)]
-    shared, distinctive = _rank_explanations(batch, weights[0][1], weights[1][1])
+    trace = _gibbs_trace(batch, np.concatenate((grid, points)), keep_weights=points.size)
+    curve = _curve(trace, grid, config.c_max)
+    shared, distinctive = _rank_explanations(batch, *trace.weights[:, 1])
     diagnostics = {
         "dropped_hypotheses": batch.dropped,
         "n_hypotheses": batch.n_hypotheses,
         "ess": {
-            "lambda_min": [_ess(w[0], batch.counts) for w in weights],
-            "lambda_max": [_ess(w[-1], batch.counts) for w in weights],
+            "lambda_min": [_ess(w[0], batch.counts) for w in trace.weights],
+            "lambda_max": [_ess(w[-1], batch.counts) for w in trace.weights],
         },
         "explain_lambda": EXPLAIN_LAMBDA,
     }

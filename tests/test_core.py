@@ -301,6 +301,36 @@ def test_auc_needs_two_points():
         core.auc([1.0], [1.0], 1.0)
 
 
+@pytest.mark.parametrize("capacities, values", [
+    ([0, 1], [1, 2, 3]),  # lengths differ
+    ([[0, 1]], [[1, 2]]),  # two-dimensional
+    ([0, 1, 2], [[1, 2, 3]]),
+    (0.5, 1.0),  # scalars
+], ids=["lengths", "2-d", "2-d-values", "scalars"])
+def test_auc_refuses_misshapen_inputs(capacities, values):
+    with pytest.raises(InvalidBatchError, match="^auc needs one-dimensional capacities "
+                                                "and values of equal length, got shapes"):
+        core.auc(capacities, values)
+
+
+@pytest.mark.parametrize("c_max", [True, "1", math.nan, -1.0],
+                         ids=["true", "str", "nan", "negative"])
+def test_auc_checks_c_max_as_the_curves_do(c_max):
+    with pytest.raises(InvalidBatchError, match="^c_max must be None or "):
+        core.auc([0.0, 1.0], [1.0, 1.0], c_max=c_max)
+
+
+def test_curve_from_traces_refuses_traces_that_do_not_match_the_grid():
+    grid = np.array([0.0, 1.0, 2.0])
+    good = np.array([[0.0, 0.5, 1.0], [0.0, 0.25, 0.5]])
+    assert core.curve_from_traces(good, good, good, grid).auc == 0.0
+    # a 2-point series against a 3-point grid, one sample, a flat or a 3-D trace
+    for bad in (good[:, :2], good[:1], good.ravel(), good[None]):
+        for traces in ((bad, good, good), (good, bad, good), (good, good, bad)):
+            with pytest.raises(InvalidBatchError, match=r"shape \(2, 3\); got "):
+                core.curve_from_traces(*traces, grid)
+
+
 # ---------------------------------------------------------------------------
 # intersection distance
 
@@ -599,22 +629,29 @@ def _tied_batch(rng, n_hyp):
 
 
 def _assert_trace_bits(batch, grid):
-    for target in (0, 1):
-        for keep in (False, True):
-            got = core._gibbs_trace(batch, grid, target, keep_weights=keep)
-            want = _previous_gibbs_trace(batch, grid, target, keep_weights=keep)
-            assert _hex(got.capacity) == _hex(want.capacity)
-            assert _hex(got.expected) == _hex(want.expected)
-            assert _hex(got.log_partition) == _hex(want.log_partition)
+    """Every row of the kernel, whichever targets share its call and however
+    many weight rows it keeps, equals the previous kernel's bit for bit."""
+    wants = [_previous_gibbs_trace(batch, grid, t, keep_weights=True) for t in (0, 1)]
+    for targets, keep in (((0, 1), 0), ((0, 1), grid.size), ((1,), 1), ((1, 0), 3)):
+        keep = min(keep, grid.size)
+        got = core._gibbs_trace(batch, grid, targets, keep_weights=keep)
+        assert (got.weights is None) == (keep == 0)
+        for i, target in enumerate(targets):
+            want = wants[target]
+            assert _hex(got.capacity[i]) == _hex(want.capacity)
+            assert _hex(got.expected[i]) == _hex(want.expected)
+            assert _hex(got.log_partition[i]) == _hex(want.log_partition)
             if keep:
                 # every weight, bit for bit (the same test as .hex(), in bulk)
-                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.weights[i].tobytes() == want.weights[grid.size - keep:].tobytes()
 
 
 @pytest.mark.parametrize("n_hyp, block_elements", [
     (2, None), (3, None), (17, None), (1000, None), (12_000, None),
     # small blocks: one lambda per block, a few, and a short last block
     (2, 1), (17, 1), (3, 7), (17, 100), (1000, 1000), (1000, 7_000),
+    # several hypothesis-major blocks, the last one short
+    (2, 100), (6, 500),
 ])
 def test_trace_bits_equal_previous_kernel(monkeypatch, n_hyp, block_elements):
     if block_elements is not None:
@@ -626,6 +663,17 @@ def test_trace_bits_equal_previous_kernel(monkeypatch, n_hyp, block_elements):
     # a grid that leaves a short last block
     _assert_trace_bits(_random_batch(rng, n_hyp, loss_scale=0.5),
                        np.linspace(0.0, 7.0, 13))
+
+
+# every width up to 20 (the sum's 8-wide unrolling included), and the widths
+# at which a default-grid trace of two targets (163/164) and of one (327/328)
+# stops fitting in one block
+@pytest.mark.parametrize("n_hyp", [*range(4, 17), 18, 19, 20, 163, 164, 327, 328])
+def test_trace_bits_equal_previous_kernel_at_layout_edges(n_hyp):
+    rng = np.random.default_rng(1000 + n_hyp)
+    grid = core.default_lambda_grid()
+    _assert_trace_bits(_random_batch(rng, n_hyp), grid)
+    _assert_trace_bits(_tied_batch(rng, n_hyp), grid)
 
 
 def test_trace_bits_equal_previous_kernel_on_oracle_batches():
@@ -671,21 +719,27 @@ def test_batch_columns_from_hypothesis_list():
 # the two Gibbs families of a pair are traced at once, on two threads
 
 
-def _curve_and_traces(batch, grid, cpus):
-    """distance_curve with ``cpus`` usable CPUs, and each target's trace
-    with the thread that made it."""
-    traces = {}
-    kernel = core._gibbs_trace
+def _curve_and_trace(batch, grid, cpus):
+    """distance_curve with ``cpus`` usable CPUs, the trace of its one kernel
+    call, and the thread that traced each target."""
+    traces, threads = [], {}
+    kernel, rows = core._gibbs_trace, core._trace_rows
 
-    def recording(batch, grid, target, keep_weights=False):
-        trace = kernel(batch, grid, target, keep_weights)
-        traces[target] = trace, threading.current_thread()
-        return trace
+    def recording(*args, **kwargs):
+        traces.append(kernel(*args, **kwargs))
+        return traces[-1]
+
+    def recording_rows(batch, grid, targets, out, part):
+        threads.update((target, threading.current_thread()) for target in targets)
+        return rows(batch, grid, targets, out, part)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(core, "_usable_cpus", lambda: cpus)
         mp.setattr(core, "_gibbs_trace", recording)
-        return core.distance_curve(batch, grid), traces
+        mp.setattr(core, "_trace_rows", recording_rows)
+        curve = core.distance_curve(batch, grid)
+    (trace,) = traces
+    return curve, trace, threads
 
 
 @pytest.mark.parametrize("size", [1000, 3160, 10_000])
@@ -697,16 +751,14 @@ def test_fanned_out_trace_bits_equal_serial(size, grid, kind):
     table = benchmark_table(size)
     batch = (oracle.exact_batch(table) if kind == "exact"
              else oracle.proposal_batch(table, 20_000, seed=size))
-    serial, serial_traces = _curve_and_traces(batch, grid, cpus=1)
-    fanned, fanned_traces = _curve_and_traces(batch, grid, cpus=2)
+    serial, want, serial_threads = _curve_and_trace(batch, grid, cpus=1)
+    fanned, got, fanned_threads = _curve_and_trace(batch, grid, cpus=2)
     here = threading.current_thread()
-    assert serial_traces[0][1] is serial_traces[1][1] is here
-    assert fanned_traces[0][1] is here and fanned_traces[1][1] is not here
-    for target in (0, 1):
-        got, want = fanned_traces[target][0], serial_traces[target][0]
-        assert _hex(got.capacity) == _hex(want.capacity)
-        assert _hex(got.expected) == _hex(want.expected)
-        assert _hex(got.log_partition) == _hex(want.log_partition)
+    assert serial_threads[0] is serial_threads[1] is here
+    assert fanned_threads[0] is here and fanned_threads[1] is not here
+    assert _hex(got.capacity) == _hex(want.capacity)
+    assert _hex(got.expected) == _hex(want.expected)
+    assert _hex(got.log_partition) == _hex(want.log_partition)
     assert fanned.auc.hex() == serial.auc.hex()
     assert _hex(fanned.distance) == _hex(serial.distance)
 
@@ -722,7 +774,8 @@ def test_pair_waits_for_its_worker_and_raises_the_first_error(monkeypatch, capfd
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 1)
     finished = []
 
-    def failing(batch, grid, target, keep_weights=False):
+    def failing(batch, grid, targets, out, part):
+        (target,) = targets
         if target == 1:
             time.sleep(0.2)  # the worker's half ends well after the caller's
         finished.append((target, threading.current_thread()))
@@ -730,7 +783,7 @@ def test_pair_waits_for_its_worker_and_raises_the_first_error(monkeypatch, capfd
             raise _Boom(target)
         return None
 
-    monkeypatch.setattr(core, "_gibbs_trace", failing)
+    monkeypatch.setattr(core, "_trace_rows", failing)
     with pytest.raises(_Boom) as err:
         core.distance_curve(_random_batch(np.random.default_rng(1), 5))
     assert err.value.args == (min(raising),)

@@ -103,6 +103,18 @@ def test_discrete_empty_feasible_set():
             solver(t, 0, 0.5)
 
 
+@pytest.mark.parametrize("capacity", [math.nan, -0.5, -math.inf, True, "1", None],
+                         ids=["nan", "negative", "-inf", "bool", "str", "none"])
+def test_discrete_solvers_refuse_a_bad_capacity_by_name(capacity):
+    t = FiniteHypothesisTable(code_lengths=[1.0, 3.0], loss=[[5.0, 1.0]])
+    for solver in (oracle.solve_discrete_description, oracle.structure_function,
+                   oracle.dirac_restricted_optimum):
+        with pytest.raises(ValueError, match="^capacity must be a real number >= 0, "
+                                             f"got {re.escape(repr(capacity))}$") as err:
+            solver(t, 0, capacity)
+        assert not isinstance(err.value, NoFeasibleDescriptionError)
+
+
 def test_discrete_infinite_capacity_global_minimizer():
     t = FiniteHypothesisTable(code_lengths=[1.0, 3.0], loss=[[5.0, 1.0]])
     assert oracle.solve_discrete_description(t, 0, math.inf) == 1
@@ -235,6 +247,14 @@ def test_exact_intersection_identity(all_tables):
 def test_augment_requires_positive_epsilon(separable):
     with pytest.raises(ValueError):
         oracle.universal_augment(separable, 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -0.1, 0.0, True, "0.1", None],
+                         ids=["nan", "inf", "negative", "zero", "bool", "str", "none"])
+def test_augment_refuses_a_bad_epsilon_code_by_name(separable, epsilon):
+    with pytest.raises(ValueError, match="^epsilon_code must be a finite real number > 0, "
+                                         f"got {re.escape(repr(epsilon))}$"):
+        oracle.universal_augment(separable, epsilon)
 
 
 def test_augment_structure_function_constant(separable):

@@ -1,11 +1,13 @@
 import math
 import re
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccdae import backends, baselines, descgen, oracle, pipeline
+from ccdae import backends, baselines, bench, core, descgen, oracle, pipeline
 from ccdae.core import InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
@@ -424,6 +426,77 @@ def test_report_ess_and_explanations_equal_public_functions(
     shared, distinctive = pipeline.explain(batch, pipeline.EXPLAIN_LAMBDA)
     assert report.shared_descriptions == shared
     assert report.distinctive_descriptions == distinctive
+
+
+def test_compare_report_json_is_byte_identical_to_its_recording(ngram_backend):
+    # the whole report: curve, explanation lists, ESS and diagnostics, whose
+    # rows come from the curve's one kernel call
+    recorded = Path(__file__).parent / "data" / "compare_rain_iron.json"
+    report = pipeline.compare("rain", "iron", ngram_backend, CompareConfig())
+    assert report.to_json() + "\n" == recorded.read_text(encoding="utf-8")
+
+
+def test_config_grid_is_built_once_and_read_only():
+    for config, want in ((CompareConfig(), core.default_lambda_grid()),
+                         (CompareConfig(lambda_grid=(0.5, 1.0, 4.0)), [0.5, 1.0, 4.0])):
+        grid = config.grid()
+        assert grid is config.grid()
+        assert not grid.flags.writeable
+        np.testing.assert_array_equal(grid, want)
+
+
+class _WideBackend(backends.Backend):
+    """Draws ``n`` distinct texts in turn; each scores -1 per token under "x1"
+    and between -1 and -1.4 per token, by text, under any other input."""
+
+    def __init__(self, n):
+        self.texts = [f"{i:04d}" for i in range(n)]
+
+    def sample_descriptions(self, context, n, max_tokens=20, temperature=1.0,
+                            seed=0, prompt=None):
+        return [backends.SampledDescription(t, tuple(t), (-1.0,) * len(t), True)
+                for t in (self.texts[i % len(self.texts)] for i in range(n))]
+
+    def score_tokens(self, context, tokens, terminated, prompt=None):
+        per_token = -1.0 if context == "x1" else -1.0 - int("".join(tokens)) % 5 / 10
+        return backends.LogProbResult.from_tokens([per_token] * len(tokens))
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+def test_one_kernel_call_per_pair_score_and_per_compare(monkeypatch, ngram_backend, wide):
+    if wide:
+        backend, pair, config = _WideBackend(400), ("x1", "x2"), CompareConfig(
+            samples_per_input=400)
+    else:
+        backend, pair, config = ngram_backend, ("rain", "iron"), CompareConfig()
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    calls, threads = [], set()
+    kernel, rows = core._gibbs_trace, core._trace_rows
+
+    def counting(batch, grid, *args, **kwargs):
+        calls.append(batch.n_hypotheses)
+        return kernel(batch, grid, *args, **kwargs)
+
+    def recording_rows(*args):
+        threads.add(threading.current_thread())
+        return rows(*args)
+
+    for module in (core, pipeline):
+        monkeypatch.setattr(module, "_gibbs_trace", counting)
+    monkeypatch.setattr(core, "_trace_rows", recording_rows)
+    bench.pair_score(*pair, backend, config)
+    assert len(calls) == 1
+    pipeline.compare(*pair, backend, config)
+    assert len(calls) == 2
+    width = calls[0]
+    if wide:
+        # each sample's trace fills more than a block: the call fans out
+        assert width == 400 and width * config.grid().size > core._BLOCK_ELEMENTS
+        assert len(threads) == 2
+    else:
+        # both samples' rows in one hypothesis-major block, on this thread
+        assert 2 * config.grid().size > width
+        assert threads == {threading.current_thread()}
 
 
 def test_compare_degenerate_batch_errors(table_backend):
