@@ -52,8 +52,11 @@ _CAPACITY_CLAMP = 1e-9
 #: Points of the capacity grid a distance curve is interpolated onto.
 _CAPACITY_POINTS = 100
 
-#: Logits per block of the lambda trace: 64 Ki float64s, 512 KiB.
-_BLOCK_ELEMENTS = 1 << 16
+#: Logits per block of the lambda trace: 128 Ki float64s, 1 MiB per buffer.
+#: Fewer, larger blocks mean fewer numpy calls per trace, which matters when
+#: a pair's two wide traces run on two threads that take turns holding the
+#: GIL for each call; much larger blocks fall out of the cache.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 class InvalidBatchError(ValueError):
@@ -277,10 +280,16 @@ def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     is what exp(-inf) gives there. ``out``, if given, holds the shifted block
     (same shape as ``u``) instead of a new array. ``u`` may be a transposed
     view: its max and count of maxima are exact, and the sum is row-major.
+
+    Every row has at least one maximum, so a block with as many maxima as
+    rows has exactly one in each; there the count is the scalar 1.0, which
+    gives the same bits (``s / 1.0 == s`` and ``log(1.0) == 0.0``). Only a
+    block with a tie counts its maxima row by row.
     """
     top = u.max(axis=1, keepdims=True)
     at_top = u == top
-    m = at_top.sum(axis=1, keepdims=True, dtype=float)
+    m = (1.0 if np.count_nonzero(at_top) == u.shape[0]
+         else at_top.sum(axis=1, keepdims=True, dtype=float))
     e = np.subtract(u, top, out=out)
     np.exp(e, out=e)
     np.copyto(e, 0.0, where=at_top)
@@ -325,6 +334,7 @@ def _trace_rows(batch: ScoredBatch, grid: np.ndarray, targets: Sequence[int],
     n, width = len(targets), batch.n_hypotheses
     extra = batch.log_pcode - batch.log_proposal
     log_counts = np.log(batch.counts)
+    log_draws = math.log(batch.n_draws)
     loss = batch.loss[list(targets), None, :]
     per_block = max(1, _BLOCK_ELEMENTS // (n * width))
     keep_from = grid.size - (0 if out.weights is None else out.weights.shape[1])
@@ -348,7 +358,7 @@ def _trace_rows(batch: ScoredBatch, grid: np.ndarray, targets: Sequence[int],
         # vecdot rounds as one dot per lambda does; a matmul would not.
         np.vecdot(w.reshape(n, k, 1, width), batch.loss,
                   out=out.expected[part, :, block].transpose(0, 2, 1))
-        np.subtract(lse.reshape(n, k), math.log(batch.n_draws),
+        np.subtract(lse.reshape(n, k), log_draws,
                     out=out.log_partition[part, block])
         if start + k > keep_from:
             first = max(start, keep_from)

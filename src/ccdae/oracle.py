@@ -37,6 +37,9 @@ __all__ = [
 
 _KRAFT_SLACK = 1e-9
 
+#: The most negative float, the floor of a shifted logit that overflowed.
+_FLOAT_MIN = np.finfo(float).min
+
 
 class NoFeasibleDescriptionError(ValueError):
     """No hypothesis fits under the requested capacity."""
@@ -118,6 +121,44 @@ class FiniteHypothesisTable:
             return cls.loads(fh.read())
 
 
+def _proposal(table: FiniteHypothesisTable) -> np.ndarray:
+    """The normalized code distribution exp(-code_lengths) / sum.
+
+    Raises ValueError when the masses sum to 0 (every code length so long
+    that its mass underflows) or to a non-finite value, where there is no
+    distribution to normalize.
+    """
+    mass = np.exp(-table.code_lengths)
+    total = mass.sum()
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(
+            f"the table's code masses exp(-code_lengths) sum to {total}, so there "
+            "is no proposal distribution (the shortest code length is "
+            f"{table.code_lengths.min():.6g} nats)")
+    return mass / total
+
+
+def _tally_draws(proposal: np.ndarray, n_draws: int, seed: int) -> tuple:
+    """The hypotheses drawn and how often, in index order, from ``n_draws``
+    i.i.d. draws of ``proposal``: ``np.unique(default_rng(seed).choice(H,
+    n_draws, p=proposal), return_counts=True)``, bit for bit.
+
+    ``Generator.choice`` bisects its normalized cdf with ``n_draws`` uniforms
+    one at a time, in the order drawn. The same cdf and the same uniforms,
+    sorted first, give the same multiset of draws, and each search starts
+    where the last one ended, so it stays in cache. A hypothesis of zero
+    mass is never drawn.
+    """
+    cdf = proposal.cumsum()
+    cdf /= cdf[-1]
+    uniforms = np.random.default_rng(seed).random(n_draws)
+    uniforms.sort()
+    tally = np.bincount(cdf.searchsorted(uniforms, side="right"),
+                        minlength=proposal.size)
+    idx = np.flatnonzero(tally)
+    return idx, tally[idx]
+
+
 def proposal_batch(
     table: FiniteHypothesisTable, n_draws: int, seed: int = 0
 ) -> ScoredBatch:
@@ -126,14 +167,14 @@ def proposal_batch(
     The proposal is the normalized code distribution. Duplicate draws merge
     into count weights, so the batch feeds the importance sampling
     estimators exactly as pooled sampled descriptions would.
+
+    The draws are the same multiset as ``Generator.choice``'s (see
+    :func:`_tally_draws`).
     """
     _check_count("n_draws", n_draws)
     _check_seed(seed)
-    mass = np.exp(-table.code_lengths)
-    proposal = mass / mass.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(table.n_hypotheses, size=n_draws, p=proposal)
-    idx, counts = np.unique(draws, return_counts=True)
+    proposal = _proposal(table)
+    idx, counts = _tally_draws(proposal, n_draws, seed)
     return ScoredBatch(
         texts=[table.labels[j] for j in idx.tolist()],
         log_pcode=-table.code_lengths[idx],
@@ -150,8 +191,7 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
     proposal probabilities, the self-normalized estimators reproduce exact
     expectations; useful for exact-mode invariant tests.
     """
-    mass = np.exp(-table.code_lengths)
-    proposal = mass / mass.sum()
+    proposal = _proposal(table)
     return ScoredBatch(
         texts=table.labels,
         log_pcode=-table.code_lengths,
@@ -162,19 +202,21 @@ def exact_batch(table: FiniteHypothesisTable) -> ScoredBatch:
 
 
 def _gibbs_rows(table: FiniteHypothesisTable, sample: int, lams: np.ndarray,
-                u: np.ndarray, q: np.ndarray) -> tuple:
+                log_mass: np.ndarray, u: np.ndarray, q: np.ndarray) -> tuple:
     """Gibbs rows q[k] proportional to exp(-code_lengths - lams[k]*loss[sample])
     and KL(q[k] || exp(-code_lengths)) >= 0, with log q = shifted logits - log Z
     (no log of q, so a q that underflows to 0 adds exactly 0 to the KL).
 
-    ``u`` and ``q`` are the caller's buffers of shape (len(lams), H): ``u``
-    ends up holding log q + code_lengths, and ``q`` is returned.
+    ``log_mass`` is ``-table.code_lengths``, which the caller negates once
+    for all its blocks. ``u`` and ``q`` are the caller's buffers of shape
+    (len(lams), H): ``u`` ends up holding log q + code_lengths, and ``q`` is
+    returned.
     """
     np.multiply(lams[:, None], table.loss[sample], out=q)
-    np.subtract(-table.code_lengths, q, out=u)
+    np.subtract(log_mass, q, out=u)
     u -= u.max(axis=1, keepdims=True)
     # a logit that overflowed to -inf has q == 0: keep its log q finite so it adds 0
-    np.maximum(u, np.finfo(float).min, out=u)
+    np.maximum(u, _FLOAT_MIN, out=u)
     np.exp(u, out=q)
     z = q.sum(axis=1, keepdims=True)
     q /= z
@@ -187,7 +229,8 @@ def _gibbs_point(table: FiniteHypothesisTable, sample: int, lam: float) -> tuple
     _check_target(table.n_samples, sample)
     _check_lambda(lam)
     u, q = (np.empty((1, table.n_hypotheses)) for _ in range(2))
-    q, kl = _gibbs_rows(table, sample, np.array([float(lam)]), u, q)
+    q, kl = _gibbs_rows(table, sample, np.array([float(lam)]), -table.code_lengths,
+                        u, q)
     return q[0], float(kl[0])
 
 
@@ -285,6 +328,7 @@ def exact_distance_curve(
     grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
     per_block = max(1, _BLOCK_ELEMENTS // table.n_hypotheses)
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
+    log_mass = -table.code_lengths
 
     def trace(s: int) -> None:
         # direction s writes row s of cap, beta and cross, and nothing else
@@ -294,7 +338,8 @@ def exact_distance_curve(
         for start in range(0, grid.size, per_block):
             block = slice(start, start + per_block)
             lams = grid[block]
-            w, cap[s, block] = _gibbs_rows(table, i, lams, u[: lams.size], q[: lams.size])
+            w, cap[s, block] = _gibbs_rows(table, i, lams, log_mass, u[: lams.size],
+                                           q[: lams.size])
             # vecdot rounds as one dot per lambda does; a matmul would not.
             beta[s, block] = np.vecdot(w, table.loss[i])
             cross[s, block] = np.vecdot(w, table.loss[j])

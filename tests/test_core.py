@@ -665,10 +665,12 @@ def test_trace_bits_equal_previous_kernel(monkeypatch, n_hyp, block_elements):
                        np.linspace(0.0, 7.0, 13))
 
 
-# every width up to 20 (the sum's 8-wide unrolling included), and the widths
-# at which a default-grid trace of two targets (163/164) and of one (327/328)
-# stops fitting in one block
-@pytest.mark.parametrize("n_hyp", [*range(4, 17), 18, 19, 20, 163, 164, 327, 328])
+# every width up to 20 (the sum's 8-wide unrolling included), the widths at
+# which a default-grid trace of two targets (327/328) and of one (655/656)
+# stops fitting in one block, and those at which two targets fill half a
+# block (163/164)
+@pytest.mark.parametrize("n_hyp", [*range(4, 17), 18, 19, 20, 163, 164, 327, 328,
+                                   655, 656])
 def test_trace_bits_equal_previous_kernel_at_layout_edges(n_hyp):
     rng = np.random.default_rng(1000 + n_hyp)
     grid = core.default_lambda_grid()
@@ -698,6 +700,38 @@ def test_logsumexp_rows_bits_equal_previous(width):
     before = u.copy()
     assert _hex(core._logsumexp_rows(u)) == _hex(_previous_logsumexp_rows(u))
     assert u.tobytes() == before.tobytes()  # the input block is left as it was
+
+
+def _lse_block(rng, tie, rows, width):
+    """A block of logits with no tied maximum, a tie in one row, or ties in
+    every row (two to four maxima each, the rest of the row generic)."""
+    u = rng.normal(0.0, 3.0, (rows, width))
+    tied = {"none": [], "one": [rows // 2], "every": range(rows)}[tie]
+    for r in tied:
+        slots = rng.choice(width, size=2 + r % 3, replace=False)
+        u[r, slots] = u[r].max() + 1.5
+    return u
+
+
+@pytest.mark.parametrize("tie", ["none", "one", "every"])
+@pytest.mark.parametrize("layout", ["row-major", "hypothesis-major"])
+def test_logsumexp_rows_counts_maxima_only_on_a_tie(layout, tie):
+    # a block with one maximum per row takes the count as 1.0; a block with a
+    # tie anywhere counts per row, and a tied row's sum needs its own count
+    rng = np.random.default_rng(["none", "one", "every"].index(tie))
+    u = _lse_block(rng, tie, *((60, 1000) if layout == "row-major" else (400, 6)))
+    rows, width = u.shape
+    maxima = (u == u.max(axis=1, keepdims=True)).sum(axis=1)
+    assert (maxima.max() > 1) == (tie != "none")
+    # the reference sums a row-major block, as the kernel does in either layout
+    want = _previous_logsumexp_rows(u)
+    if layout == "hypothesis-major":
+        # as the kernel lays out a block with more rows than hypotheses
+        u = np.ascontiguousarray(u.T).T
+        assert u.flags.f_contiguous and not u.flags.c_contiguous
+    out = np.empty((rows, width))
+    for got in (core._logsumexp_rows(u), core._logsumexp_rows(u, out=out)):
+        assert _hex(got) == _hex(want)
 
 
 def test_batch_columns_from_hypothesis_list():
@@ -742,9 +776,11 @@ def _curve_and_trace(batch, grid, cpus):
     return curve, trace, threads
 
 
-@pytest.mark.parametrize("size", [1000, 3160, 10_000])
-# the default grid fills its last block at 3,160 hypotheses; 137 lambdas never do
-@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 40.0, 137)],
+# the benchmark's sizes, and the size at which the default grid fills its
+# last block (40 lambdas a block); 151 lambdas, a prime, never do, and each
+# of these batches is too wide for one block of them
+@pytest.mark.parametrize("size", [1000, 3160, 10_000, core._BLOCK_ELEMENTS // 40])
+@pytest.mark.parametrize("grid", [None, np.linspace(0.0, 40.0, 151)],
                          ids=["default-grid", "partial-block-grid"])
 @pytest.mark.parametrize("kind", ["exact", "proposal"])
 def test_fanned_out_trace_bits_equal_serial(size, grid, kind):

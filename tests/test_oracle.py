@@ -174,13 +174,14 @@ def test_exact_curve_separable_positive(separable):
 
 
 def test_blocked_curve_equals_curve_of_one_point_views(monkeypatch):
-    # 1,000 hypotheses on the default 200-point grid: 65 lambdas per block,
-    # so the last of the four blocks is partial
+    # 65 lambdas per block on the default 200-point grid, so the last of the
+    # four blocks is partial
+    size = core._BLOCK_ELEMENTS // 65
     rng = np.random.default_rng(11)
-    logits = rng.normal(0.0, 1.5, 1000)
+    logits = rng.normal(0.0, 1.5, size)
     table = FiniteHypothesisTable(
         code_lengths=-(logits - np.logaddexp.reduce(logits)),
-        loss=rng.gamma(2.0, 1.0, (2, 1000)))
+        loss=rng.gamma(2.0, 1.0, (2, size)))
     grid = core.default_lambda_grid()
     assert core._BLOCK_ELEMENTS // table.n_hypotheses == 65
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
@@ -315,6 +316,53 @@ def test_proposal_batch_counts_and_determinism():
     assert a.texts == b.texts
 
 
+def _underflowing_table():
+    """Ten hypotheses, four of whose code masses exp(-code_length) are 0."""
+    code_lengths = np.array([1.5, 800.0, 2.0, 1.0, 760.0, 3.0, 900.0, 2.5, 4.0, 751.0])
+    loss = np.arange(20.0).reshape(2, 10)
+    return FiniteHypothesisTable(code_lengths=code_lengths, loss=loss)
+
+
+@pytest.mark.parametrize("n_draws", [1, 7, 20_000])
+@pytest.mark.parametrize("size", [2, 1000, 3160, 10_000, "underflow"])
+def test_draw_tally_equals_unique_of_choice(size, n_draws):
+    table = _underflowing_table() if size == "underflow" else benchmark_table(size)
+    proposal = oracle._proposal(table)
+    zero = np.flatnonzero(proposal == 0.0)
+    assert (size == "underflow") == (zero.size > 0)
+    for seed in range(50):
+        idx, counts = oracle._tally_draws(proposal, n_draws, seed)
+        want_idx, want_counts = np.unique(
+            np.random.default_rng(seed).choice(table.n_hypotheses, size=n_draws,
+                                               p=proposal),
+            return_counts=True)
+        assert idx.dtype == want_idx.dtype and counts.dtype == want_counts.dtype
+        assert idx.tobytes() == want_idx.tobytes()
+        assert counts.tobytes() == want_counts.tobytes()
+        assert not np.isin(zero, idx).any()
+
+
+def test_proposal_batch_never_draws_a_hypothesis_of_zero_mass():
+    table = _underflowing_table()
+    batch = oracle.proposal_batch(table, 20_000, seed=0)
+    assert batch.n_draws == 20_000
+    assert sorted(batch.texts) == ["h0", "h2", "h3", "h5", "h7", "h8"]
+    assert np.isfinite(batch.log_proposal).all()
+
+
+def test_table_of_underflowing_masses_is_refused_by_name():
+    # every code mass exp(-code_length) underflows to 0, so there is no
+    # proposal to normalize; the exact curve shifts by the max and is fine
+    table = FiniteHypothesisTable(code_lengths=[800.0, 801.0], loss=[[1, 2], [2, 1]])
+    for make in (lambda: oracle.proposal_batch(table, 100, seed=0),
+                 lambda: oracle.exact_batch(table)):
+        # refused before anything divides by the sum
+        with np.errstate(divide="raise", invalid="raise"), pytest.raises(
+                ValueError, match=r"code masses .* sum to 0\.0"):
+            make()
+    assert math.isfinite(oracle.exact_distance_curve(table).auc)
+
+
 # ---------------------------------------------------------------------------
 # oracle batches take the table's columns: the same values as per hypothesis
 
@@ -426,7 +474,7 @@ def test_gibbs_rows_fill_the_callers_buffers_with_the_same_bits():
     lams = np.concatenate([core.default_lambda_grid()[:20], [1e300]])
     u, q = (np.empty((lams.size, table.n_hypotheses)) for _ in range(2))
     with np.errstate(over="ignore"):
-        got, kl = oracle._gibbs_rows(table, 1, lams, u, q)
+        got, kl = oracle._gibbs_rows(table, 1, lams, -table.code_lengths, u, q)
         want, want_kl = _previous_gibbs_rows(table, 1, lams)
     assert np.shares_memory(got, q)
     assert got.tobytes() == want.tobytes()
@@ -439,9 +487,9 @@ def _exact_curve_and_traces(table, grid, cpus):
     seen, threads = {}, set()
     rows = oracle._gibbs_rows
 
-    def recording_rows(table, sample, lams, u, q):
+    def recording_rows(table, sample, *args):
         threads.add((sample, threading.current_thread()))
-        return rows(table, sample, lams, u, q)
+        return rows(table, sample, *args)
 
     def recording_tail(cap, beta, cross, *args, **kwargs):
         seen.update(cap=cap, beta=beta, cross=cross)

@@ -464,9 +464,11 @@ class _WideBackend(backends.Backend):
 
 @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
 def test_one_kernel_call_per_pair_score_and_per_compare(monkeypatch, ngram_backend, wide):
+    # one hypothesis more than a default-grid trace of one sample fits in a block
+    n_wide = core._BLOCK_ELEMENTS // core.default_lambda_grid().size + 1
     if wide:
-        backend, pair, config = _WideBackend(400), ("x1", "x2"), CompareConfig(
-            samples_per_input=400)
+        backend, pair, config = _WideBackend(n_wide), ("x1", "x2"), CompareConfig(
+            samples_per_input=n_wide)
     else:
         backend, pair, config = ngram_backend, ("rain", "iron"), CompareConfig()
     monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
@@ -491,7 +493,7 @@ def test_one_kernel_call_per_pair_score_and_per_compare(monkeypatch, ngram_backe
     width = calls[0]
     if wide:
         # each sample's trace fills more than a block: the call fans out
-        assert width == 400 and width * config.grid().size > core._BLOCK_ELEMENTS
+        assert width == n_wide and width * config.grid().size > core._BLOCK_ELEMENTS
         assert len(threads) == 2
     else:
         # both samples' rows in one hypothesis-major block, on this thread
