@@ -29,6 +29,7 @@ scoring reads from it, so rescoring gives them back exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import threading
@@ -327,10 +328,20 @@ def _uniforms(rng, block: int):
     """``rng.random()``'s values, drawn ``block`` at a time when needed.
 
     Consecutive blocks of any sizes hold exactly the values that repeated
-    scalar ``rng.random()`` calls return, in the same order.
+    scalar ``rng.random()`` calls return, in the same order. A sampling call
+    whose uniforms fit in one block takes them from :func:`_first_uniforms`
+    instead.
     """
     while True:
         yield from rng.random(block).tolist()
+
+
+@functools.lru_cache(maxsize=8)
+def _first_uniforms(seed: int, n: int) -> tuple[float, ...]:
+    """The first ``n`` values of ``default_rng(seed).random()``, drawn once
+    per process for the 8 most recent ``(seed, n)``: the same values
+    ``_uniforms`` yields first. Only uniforms are kept, never draws."""
+    return tuple(np.random.default_rng(seed).random(n).tolist())
 
 
 class _State:
@@ -444,11 +455,18 @@ class NGramBackend(Backend):
 
         Each draw walks the automaton from the prompted context's state; a
         step takes the next uniform, bisects the state's CDF and records the
-        drawn symbol's score.
+        drawn symbol's score. A call never takes more than ``count *
+        max_tokens`` uniforms; when they fit in one block and ``seed`` is an
+        ``int``, they come from :func:`_first_uniforms`, which keeps the
+        blocks of the 8 most recent ``(seed, n)`` for the process, else from
+        a new generator. The walk runs on every call.
         """
         _check_sampling_args(count, max_tokens, temperature)
-        uniforms = _uniforms(np.random.default_rng(seed),
-                             min(count * max_tokens, _UNIFORM_BLOCK))
+        n = count * max_tokens
+        if n <= _UNIFORM_BLOCK and type(seed) is int:
+            uniforms = iter(_first_uniforms(seed, n))
+        else:
+            uniforms = _uniforms(np.random.default_rng(seed), min(n, _UNIFORM_BLOCK))
         start = self._state(self.model.context(self._prefix(context, prompt)),
                             temperature)
         vocab = self.model.vocabulary
@@ -594,10 +612,8 @@ class TableBackend(Backend):
         tilt = tilt - tilt.max()
         probs = np.exp(tilt)
         probs /= probs.sum()
-        rng = np.random.default_rng(seed)
         out = []
-        for _ in range(count):
-            k = int(rng.choice(len(items), p=probs))
+        for k in np.random.default_rng(seed).choice(len(items), count, p=probs).tolist():
             did, per_token = items[k]
             text = self.descriptions[did]
             out.append(

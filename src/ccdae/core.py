@@ -97,22 +97,22 @@ class ScoredBatch:
             raise InvalidBatchError("loss column count != hypothesis count")
         if len(self.texts) < 2:
             raise InvalidBatchError("batch needs at least 2 hypotheses")
-        if not np.all(np.isfinite(self.loss)):
+        if not np.isfinite(self.loss).all():
             raise InvalidBatchError("loss matrix contains non-finite entries")
         self.log_pcode = np.asarray(self.log_pcode, dtype=float)
         self.log_proposal = np.asarray(self.log_proposal, dtype=float)
         if not self.log_pcode.shape == self.log_proposal.shape == (len(self.texts),):
             raise InvalidBatchError("one log_pcode and log_proposal per hypothesis")
-        if not (np.all(np.isfinite(self.log_pcode))
-                and np.all(np.isfinite(self.log_proposal))):
+        if not (np.isfinite(self.log_pcode).all()
+                and np.isfinite(self.log_proposal).all()):
             raise InvalidBatchError("hypothesis log-probs contain non-finite entries")
         if self.counts is None:
             self.counts = np.ones(len(self.texts))
         else:
             self.counts = np.asarray(self.counts, dtype=float)
-            if self.counts.shape != (len(self.texts),) or not np.all(
+            if self.counts.shape != (len(self.texts),) or not (
                 np.isfinite(self.counts) & (self.counts > 0)
-            ):
+            ).all():
                 raise InvalidBatchError(
                     "counts must be positive and finite, one per hypothesis"
                 )
@@ -282,18 +282,20 @@ def _logsumexp_rows(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     view: its max and count of maxima are exact, and the sum is row-major.
 
     Every row has at least one maximum, so a block with as many maxima as
-    rows has exactly one in each; there the count is the scalar 1.0, which
-    gives the same bits (``s / 1.0 == s`` and ``log(1.0) == 0.0``). Only a
-    block with a tie counts its maxima row by row.
+    rows has exactly one in each; there the count is 1, and ``log1p(s) +
+    top`` gives the same bits (``s / 1.0 == s``, ``log(1.0) == 0.0`` and
+    ``x + 0.0 == x`` for ``x = log1p(s) >= +0``). Only a block with a tie
+    counts its maxima row by row.
     """
     top = u.max(axis=1, keepdims=True)
     at_top = u == top
-    m = (1.0 if np.count_nonzero(at_top) == u.shape[0]
-         else at_top.sum(axis=1, keepdims=True, dtype=float))
     e = np.subtract(u, top, out=out)
     np.exp(e, out=e)
     np.copyto(e, 0.0, where=at_top)
     s = np.ascontiguousarray(e).sum(axis=1, keepdims=True)
+    if np.count_nonzero(at_top) == u.shape[0]:
+        return np.log1p(s) + top
+    m = at_top.sum(axis=1, keepdims=True, dtype=float)
     return np.log1p(s / m) + np.log(m) + top
 
 
@@ -526,16 +528,12 @@ def curve_from_traces(
         )
     cgrid = np.linspace(0.0, c_max, _CAPACITY_POINTS)
     # np.interp needs increasing x; estimator noise can break monotonicity.
-    # Each sample's trace is sorted once, for both series read along it.
-    orders = [c.argsort(kind="stable") for c in capacity]
-
-    def interp(i: int, val: np.ndarray) -> np.ndarray:
-        return np.interp(cgrid, capacity[i][orders[i]], val[i][orders[i]])
-
+    orders = [row.argsort(kind="stable") for row in capacity]
+    x, b, c = ([a[i][orders[i]] for i in (0, 1)] for a in (capacity, beta, cross))
     # delta_2_to_1: how much worse sample 2's descriptions reconstruct
     # sample 1, relative to sample 1's own optimal curve, at matched C.
-    d21 = interp(1, cross) - interp(0, beta)
-    d12 = interp(0, cross) - interp(1, beta)
+    d21 = np.interp(cgrid, x[1], c[1]) - np.interp(cgrid, x[0], b[0])
+    d12 = np.interp(cgrid, x[0], c[0]) - np.interp(cgrid, x[1], b[1])
     dist = 0.5 * (d21 + d12)
     return DistanceCurve(
         capacity_grid=cgrid,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from conftest import DATA, ServingSession, StubSession
 
-from ccdae import backends, bench
+from ccdae import backends, bench, pipeline
 from ccdae.backends import (
     EOS,
     BackendError,
@@ -353,6 +353,112 @@ def test_sampler_equals_reference_across_blocks(ngram_backend, monkeypatch, mode
     assert used > (block or backends._UNIFORM_BLOCK)
 
 
+# ---------------------------------------------------------------------------
+# each seed's first uniform block, drawn once per process
+
+
+def test_sampler_equals_reference_on_repeated_seeds(ngram_backend):
+    # the same seeds again, with blocks shorter and longer than the first,
+    # and one call taking its uniforms from the generator path in between
+    backends._first_uniforms.cache_clear()
+    for count, max_tokens, seed in [(10, 20, 7), (3, 5, 7), (10, 20, 7), (12, 40, 7),
+                                    (10, 20, 8), (10, 20, [7]), (3, 5, 7), (10, 20, 8)]:
+        got = ngram_backend.sample_descriptions("rain", count, max_tokens, seed=seed)
+        assert got == _reference_sample(ngram_backend, "rain", count, max_tokens,
+                                         1.0, seed)
+    assert backends._first_uniforms.cache_info().currsize == 4
+
+
+def test_sampler_past_one_block_draws_from_the_generator(ngram_backend, monkeypatch):
+    backends._first_uniforms.cache_clear()
+    monkeypatch.setattr(backends, "_UNIFORM_BLOCK", 100)
+    for count, max_tokens in [(10, 10), (101, 1), (17, 6)]:  # n = 100, 101, 102
+        got = ngram_backend.sample_descriptions("iron", count, max_tokens, seed=3)
+        assert got == _reference_sample(ngram_backend, "iron", count, max_tokens, 1.0, 3)
+    assert backends._first_uniforms.cache_info().currsize == 1  # only n = 100
+
+
+@pytest.mark.parametrize("seed", [[5], [0, 1], np.random.SeedSequence(5), np.int64(5),
+                                  True], ids=["list", "pair", "seed-sequence", "np-int",
+                                              "bool"])
+def test_sampler_seeds_other_than_int_take_a_new_generator(ngram_backend, seed):
+    backends._first_uniforms.cache_clear()
+    got = ngram_backend.sample_descriptions("rain", 10, 20, seed=seed)
+    assert got == _reference_sample(ngram_backend, "rain", 10, 20, 1.0, seed)
+    assert backends._first_uniforms.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", [10 * 20, 5000])  # within one block, and past it
+def test_sampler_negative_seed_raises_numpys_error(ngram_backend, n):
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        ngram_backend.sample_descriptions("rain", n // 20, 20, seed=-1)
+
+
+def test_sampler_from_two_threads_at_once(ngram_backend):
+    backends._first_uniforms.cache_clear()
+    calls = [(count, max_tokens, seed) for seed in (0, 1, 2) for count, max_tokens
+             in ((10, 20), (4, 7), (10, 20))]
+    want = [_reference_sample(ngram_backend, "rain", *call[:2], 1.0, call[2])
+            for call in calls]
+    barrier = threading.Barrier(2, timeout=10)
+    got = [[], []]
+
+    def run(i):
+        barrier.wait()
+        for _ in range(20):
+            got[i].append([ngram_backend.sample_descriptions("rain", c, m, seed=s)
+                           for c, m, s in calls])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got[0] == got[1] == [want] * 20
+
+
+def test_pairs_pass_builds_one_generator_per_seed_and_block(monkeypatch, data_dir):
+    """A seed-0 pass over the graded pairs, as if in a fresh process: one
+    ``default_rng`` per distinct ``(int seed, n)`` of its 18 sampling calls,
+    and none on a second pass; the draws are the reference sampler's."""
+    backends._first_uniforms.cache_clear()
+    backend = NGramBackend(backends.NGramModel.load(DATA / "toy_ngram.json"))
+    made, calls = [], []
+    default_rng, sample = np.random.default_rng, backend.sample_descriptions
+
+    def counting_rng(seed=None):
+        if type(seed) is int:
+            made.append(seed)
+        return default_rng(seed)
+
+    def logged(context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None):
+        got = sample(context, count, max_tokens, temperature, seed, prompt)
+        calls.append(((context, count, max_tokens, temperature, seed), got))
+        return got
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    monkeypatch.setattr(backend, "sample_descriptions", logged)
+    records = bench.load_pairs(data_dir / "pairs.tsv").records
+    config = pipeline.CompareConfig(seed=0)
+    first = bench.run_similarity_bench(records, backend, config)
+    keys = {(args[4], args[1] * args[2]) for args, _ in calls}
+    assert len(calls) == 18 and len(keys) == 2
+    assert sorted(made) == sorted(seed for seed, _ in keys)
+    assert bench.run_similarity_bench(records, backend, config).per_record == (
+        first.per_record)
+    assert len(calls) == 36 and len(made) == 2
+    monkeypatch.undo()
+    for (context, count, max_tokens, temperature, seed), got in calls:
+        assert got == _reference_sample(backend, context, count, max_tokens,
+                                         temperature, seed)
+
+
 def _reference_score(model, prefix, tokens, terminated):
     per_token = []
     for tok in tokens:
@@ -473,6 +579,32 @@ def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
         for s in be.sample_descriptions(ctx, 30, seed=4):
             rescored = be.score_tokens(ctx, s.tokens, s.terminated)
             assert rescored.total == _total_logprob(s)
+
+
+def _scalar_table_sample(be, context, count, temperature, seed):
+    """The table sampler's ids drawn one ``choice`` call at a time."""
+    items = sorted(be.cond[context].items())
+    tilt = np.array([sum(v) for _, v in items]) / temperature
+    tilt = tilt - tilt.max()
+    probs = np.exp(tilt)
+    probs /= probs.sum()
+    rng = np.random.default_rng(seed)
+    return [items[int(rng.choice(len(items), p=probs))][0] for _ in range(count)]
+
+
+def test_table_sampler_equals_scalar_draws():
+    rng = np.random.default_rng(12)
+    for n_items in range(1, 8):
+        row = {f"d{j}": rng.uniform(-4.0, -0.01, rng.integers(1, 4)).tolist()
+               for j in range(n_items)}
+        be = TableBackend({"magic": "CCDAE-TABLE", "descriptions": {}, "cond": {"c": row}})
+        for seed in range(25):
+            for count in (1, 2, 5, 17, 33):
+                temperature = (1.0, 0.5, 2.0)[seed % 3]
+                got = be.sample_descriptions("c", count, temperature=temperature,
+                                             seed=seed)
+                want = _scalar_table_sample(be, "c", count, temperature, seed)
+                assert [s.text for s in got] == want
 
 
 def test_table_id_without_a_text_is_its_own_text():

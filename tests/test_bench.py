@@ -548,11 +548,15 @@ def test_remote_choice_bench_by_conditional_likelihood_samples_nothing(
         assert {path for path, _ in session.sent} == {"/v1/logprob"}
 
 
-def test_remote_choice_bench_scores_each_code_once_per_pair(data_dir, ngram_backend):
-    """Under ``lm_code`` each pair asks for the code score of each of its
-    distinct descriptions once, as before the pairs shared their fetch."""
-    config = pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=0,
-                                    pcode_mode="lm_code")
+def _lm_code_choice_config():
+    return pipeline.CompareConfig(samples_per_input=10, max_tokens=10, seed=0,
+                                  pcode_mode="lm_code")
+
+
+def test_remote_choice_bench_scores_each_code_once_per_run(data_dir, ngram_backend):
+    """Under ``lm_code`` a run asks for the code score of each distinct
+    description once, however many of its pairs hold that description."""
+    config = _lm_code_choice_config()
     total = 0
     for rec in bench.load_choices(data_dir / "choices.tsv").records:
         logged, _ = _logged_remote(ngram_backend)
@@ -562,9 +566,65 @@ def test_remote_choice_bench_scores_each_code_once_per_pair(data_dir, ngram_back
         batches = [pipeline.build_batch(rec.context, x, remote, config)
                    for x in (rec.positive, rec.negative)]
         assert all(b.dropped == 0 for b in batches)
-        assert asked == sorted(t for b in batches for t in b.texts)
+        assert asked == sorted({t for b in batches for t in b.texts})
         total += len(asked)
-    assert total == 180  # as counted before the pairs shared their fetch
+    assert total == 104  # 180 when each pair asked for its own
+
+
+def test_remote_lm_code_choice_bench_sends_each_code_score_once(data_dir, ngram_backend):
+    """The seed-0 choice records under ``lm_code`` through a remote backend:
+    72 requests in one run and 457 record by record (246 and 533 when every
+    pair sent its own code scores), with the scores of the loop without reuse."""
+    config = _lm_code_choice_config()
+    records = bench.load_choices(data_dir / "choices.tsv").records
+    want, failures = _reference("choice", records, ngram_backend, config)
+    assert failures == []
+
+    session = ServingSession(ngram_backend)
+    remote = RemoteBackend("http://stub", session=session)
+    _assert_matches_reference("choice", bench.run_choice_bench(records, remote, config),
+                              want, [])
+    assert sum(session.sent.values()) == 72
+    assert set(session.sent.values()) == {1}
+
+    session = ServingSession(ngram_backend)
+    remote = RemoteBackend("http://stub", session=session)
+    got = [bench.run_choice_bench([rec], remote, config).per_record[0]
+           for rec in records]
+    assert [r["score"].hex() for r in got] == [r["score"].hex() for r in want]
+    assert sum(session.sent.values()) == 457
+
+
+class _FlakyCodes(CountingBackend):
+    """Counts code scores; the first one of ``flaky`` raises ``BackendError``."""
+
+    def __init__(self, backend, flaky):
+        super().__init__(backend)
+        self.flaky, self.codes = flaky, []
+
+    def code_logprob(self, description, terminated=True):
+        self.codes.append((description, terminated))
+        if description == self.flaky:
+            self.flaky = None
+            raise BackendError(f"flaky code score of {description!r}")
+        return self.backend.code_logprob(description, terminated=terminated)
+
+
+def test_failed_code_score_is_asked_again_by_next_record(data_dir, ngram_backend):
+    records = bench.load_pairs(data_dir / "pairs.tsv").records
+    config = pipeline.CompareConfig(seed=0, pcode_mode="lm_code")
+    texts = [pipeline.build_batch(r.text_a, r.text_b, ngram_backend, config).texts
+             for r in records]
+    flaky = next(t for t in texts[0] if sum(t in ts for ts in texts) >= 2)
+    users = [r.id for r, ts in zip(records, texts) if flaky in ts]
+    backend = _FlakyCodes(ngram_backend, flaky)
+    report = bench.run_similarity_bench(records, backend, config)
+
+    assert [f["id"] for f in report.failures] == users[:1]
+    assert users[1] in [r["id"] for r in report.per_record]
+    # asked twice, as the failed call stored nothing; every other code once
+    assert [d for d, _ in backend.codes].count(flaky) == 2
+    assert len(backend.codes) == len(set(backend.codes)) + 1
 
 
 class _DrawsByContext(Backend):

@@ -331,6 +331,58 @@ def test_curve_from_traces_refuses_traces_that_do_not_match_the_grid():
                 core.curve_from_traces(*traces, grid)
 
 
+def _previous_curve_from_traces(capacity, beta, cross, lambda_grid, c_max=None):
+    """The curve tail before each trace was gathered once, verbatim."""
+    core._check_c_max(c_max)
+    capacity, beta, cross = (np.asarray(a, dtype=float) for a in (capacity, beta, cross))
+    if not capacity.shape == beta.shape == cross.shape == (2, np.size(lambda_grid)):
+        raise InvalidBatchError("shape")
+    traced_max = min(capacity[0].max(), capacity[1].max())
+    if c_max is None:
+        if traced_max < 0:
+            raise InvalidBatchError("ends below 0")
+        c_max = float(traced_max)
+    elif c_max > traced_max * (1 + 1e-9) + 1e-12:
+        raise InvalidBatchError("exceeds")
+    cgrid = np.linspace(0.0, c_max, core._CAPACITY_POINTS)
+    orders = [c.argsort(kind="stable") for c in capacity]
+
+    def interp(i: int, val: np.ndarray) -> np.ndarray:
+        return np.interp(cgrid, capacity[i][orders[i]], val[i][orders[i]])
+
+    d21 = interp(1, cross) - interp(0, beta)
+    d12 = interp(0, cross) - interp(1, beta)
+    dist = 0.5 * (d21 + d12)
+    return core.DistanceCurve(
+        capacity_grid=cgrid, delta_2_to_1=d21, delta_1_to_2=d12, distance=dist,
+        auc=core.auc(cgrid, dist, c_max), c_max=float(c_max), lambda_grid=lambda_grid)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_curve_from_traces_bits_equal_previous_tail(seed):
+    # random non-monotone traces, with repeated capacities, c_max None and given
+    rng = np.random.default_rng(seed)
+    grid = core.default_lambda_grid() if seed % 2 else np.linspace(0.0, 5.0, 13)
+    capacity = np.abs(np.cumsum(rng.normal(0.05, 0.2, (2, grid.size)), axis=1))
+    capacity[:, rng.integers(0, grid.size, 3)] = capacity[0, 0]
+    beta, cross = rng.normal(0.0, 2.0, (2, 2, grid.size))
+    # as the kernel's trace hands them over: strided views of larger arrays
+    views = (np.hstack([capacity, capacity])[:, : grid.size],
+             np.stack([beta, cross], axis=2)[..., 0],
+             np.stack([beta, cross], axis=2)[..., 1])
+    top = min(capacity[0].max(), capacity[1].max())
+    for traces in ((capacity, beta, cross), views):
+        for c_max in (None, 0.0, 0.5 * top, top):
+            got = core.curve_from_traces(*traces, grid, c_max)
+            want = _previous_curve_from_traces(*traces, grid, c_max)
+            for name in ("capacity_grid", "delta_2_to_1", "delta_1_to_2", "distance"):
+                assert _hex(getattr(got, name)) == _hex(getattr(want, name)), name
+            assert got.auc.hex() == want.auc.hex()
+            assert got.c_max.hex() == want.c_max.hex()
+
+
+# ---------------------------------------------------------------------------
+# intersection distance
 # ---------------------------------------------------------------------------
 # intersection distance
 
@@ -700,6 +752,22 @@ def test_logsumexp_rows_bits_equal_previous(width):
     before = u.copy()
     assert _hex(core._logsumexp_rows(u)) == _hex(_previous_logsumexp_rows(u))
     assert u.tobytes() == before.tobytes()  # the input block is left as it was
+
+
+@pytest.mark.parametrize("layout", ["row-major", "hypothesis-major"])
+def test_logsumexp_rows_bits_equal_previous_where_the_held_out_sum_is_zero(layout):
+    # one maximum per row and every other term exps to 0 (or there is none),
+    # alone in a block and beside a tied row
+    rng = np.random.default_rng(3)
+    u = rng.normal(0.0, 3.0, (400, 6))
+    u[::3, 1:] = -1e4
+    u[1::3, 0] += 800.0
+    for block in (u, np.vstack([u, np.full((1, 6), 2.5)]), u[:, :1]):
+        want = _previous_logsumexp_rows(block)
+        assert (np.exp(block - block.max(axis=1, keepdims=True)).sum(axis=1) == 1.0).any()
+        if layout == "hypothesis-major":
+            block = np.ascontiguousarray(block.T).T
+        assert _hex(core._logsumexp_rows(block)) == _hex(want)
 
 
 def _lse_block(rng, tie, rows, width):
