@@ -20,19 +20,15 @@ from .backends import (
     train_ngram,
 )
 from .core import (
-    CapacityCurve,
     DistanceCurve,
     ScoredBatch,
     auc,
     capacity_estimate,
-    cross_expected_loss,
     default_lambda_grid,
     distance_curve,
     expected_loss,
     gibbs_weights,
     intersection_distance,
-    log_partition_estimate,
-    trace_rate_curve,
 )
 from .oracle import (
     FiniteHypothesisTable,
@@ -53,19 +49,15 @@ __all__ = [
     "RemoteBackend",
     "TableBackend",
     "train_ngram",
-    "CapacityCurve",
     "DistanceCurve",
     "ScoredBatch",
     "auc",
     "capacity_estimate",
-    "cross_expected_loss",
     "default_lambda_grid",
     "distance_curve",
     "expected_loss",
     "gibbs_weights",
     "intersection_distance",
-    "log_partition_estimate",
-    "trace_rate_curve",
     "FiniteHypothesisTable",
     "exact_capacity",
     "exact_distance_curve",

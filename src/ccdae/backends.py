@@ -771,7 +771,10 @@ class RemoteBackend(Backend):
     def _logprob_request(context: str, description: str,
                          prompt: str | None) -> tuple[str, dict]:
         if not description:
-            raise ValueError("description must be nonempty")
+            raise ValueError(
+                "description must be nonempty: /v1/logprob has no end-of-sequence "
+                "event, so an empty description (a draw that ended at once) cannot "
+                f"be scored under context {context!r}")
         payload = {"context": context, "continuation": description}
         if prompt:
             payload["prompt"] = prompt

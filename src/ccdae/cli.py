@@ -156,7 +156,8 @@ def _cmd_compare(args) -> int:
         temperature=args.temperature,
         seed=args.seed,
         pcode_mode={"proposal": "proposal_mix", "lm": "lm_code"}[args.pcode],
-        lambda_grid=_parse_lambda_grid(args.lambda_grid),
+        lambda_grid=None if args.lambda_grid is None
+        else _parse_lambda_grid(args.lambda_grid),
         c_max=_parse_cmax(args.cmax),
         prompt=args.prompt,
     )
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--max-tokens", type=_count, default=20)
     p.add_argument("--temperature", type=_temperature, default=1.0)
-    p.add_argument("--lambda", dest="lambda_grid", default="0:100:200")
+    p.add_argument("--lambda", dest="lambda_grid")  # default: default_lambda_grid
     p.add_argument("--cmax", default="auto")
     p.add_argument("--pcode", choices=("proposal", "lm"), default="proposal")
     p.add_argument("--prompt")

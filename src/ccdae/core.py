@@ -27,15 +27,11 @@ import numpy as np
 
 __all__ = [
     "ScoredBatch",
-    "CapacityCurve",
     "DistanceCurve",
     "default_lambda_grid",
     "gibbs_weights",
-    "log_partition_estimate",
     "expected_loss",
     "capacity_estimate",
-    "cross_expected_loss",
-    "trace_rate_curve",
     "curve_from_traces",
     "distance_curve",
     "auc",
@@ -128,22 +124,6 @@ class ScoredBatch:
     @property
     def n_draws(self) -> float:
         return float(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class CapacityCurve:
-    """Rate curve of one sample's Gibbs family q(h) ~ p_code(h) exp(-lam*loss).
-
-    One entry per lambda of the grid: ``capacities``, ``expected_losses``
-    and ``log_partitions`` have shape (L,), ``weights`` has shape (L, H).
-    """
-
-    lambdas: np.ndarray
-    capacities: np.ndarray
-    expected_losses: np.ndarray
-    log_partitions: np.ndarray
-    weights: np.ndarray
-    sample_index: int
 
 
 @dataclass(frozen=True)
@@ -442,11 +422,6 @@ def gibbs_weights(batch: ScoredBatch, lam: float, target: int) -> np.ndarray:
     return _gibbs_point(batch, lam, target).weights[0, 0]
 
 
-def log_partition_estimate(batch: ScoredBatch, lam: float, target: int) -> float:
-    """log of the self-normalized partition estimate (1/N) sum exp(logit)."""
-    return float(_gibbs_point(batch, lam, target).log_partition[0, 0])
-
-
 def expected_loss(batch: ScoredBatch, lam: float, target: int) -> float:
     """beta(lam): importance-weighted expected reconstruction loss."""
     return float(_gibbs_point(batch, lam, target).expected[0, target, 0])
@@ -457,15 +432,11 @@ def capacity_estimate(batch: ScoredBatch, lam: float, target: int) -> float:
     return float(_gibbs_point(batch, lam, target).capacity[0, 0])
 
 
-def cross_expected_loss(
-    batch: ScoredBatch, lam: float, source: int, target: int
-) -> float:
-    """Expected loss on ``target`` under the Gibbs weights of ``source``."""
-    _check_target(batch.loss.shape[0], target)
-    return float(_gibbs_point(batch, lam, source).expected[0, target, 0])
-
-
 def _validate_grid(lambda_grid) -> np.ndarray:
+    """The lambda grid to trace: :func:`default_lambda_grid` for ``None``,
+    else ``lambda_grid`` as a 1-D, finite, nonnegative, increasing array."""
+    if lambda_grid is None:
+        return default_lambda_grid()
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
         raise InvalidBatchError("lambda grid is empty")
@@ -477,18 +448,6 @@ def _validate_grid(lambda_grid) -> np.ndarray:
     if grid[0] < 0 or (grid[1:] <= grid[:-1]).any():
         raise InvalidBatchError("lambda grid must be nonnegative and increasing")
     return grid
-
-
-def trace_rate_curve(
-    batch: ScoredBatch,
-    lambda_grid=None,
-    target: int = 0,
-) -> CapacityCurve:
-    """Trace (lam, C, beta) along the lambda grid for one sample."""
-    grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
-    t = _gibbs_trace(batch, grid, (target,), keep_weights=grid.size)
-    return CapacityCurve(grid.copy(), t.capacity[0], t.expected[0, target],
-                         t.log_partition[0], t.weights[0], target)
 
 
 def curve_from_traces(
@@ -540,7 +499,9 @@ def curve_from_traces(
         delta_2_to_1=d21,
         delta_1_to_2=d12,
         distance=dist,
-        auc=auc(cgrid, dist, c_max),
+        # cgrid is increasing and ends exactly at c_max, so this is auc(...)'s
+        # area without its re-checks
+        auc=float(np.trapezoid(dist, cgrid)),
         c_max=float(c_max),
         lambda_grid=lambda_grid,
     )
@@ -554,7 +515,7 @@ def distance_curve(
     """Trace both Gibbs families and interpolate the gap curves."""
     if batch.loss.shape[0] < 2:
         raise InvalidBatchError("distance_curve needs both sample rows scored")
-    grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
+    grid = _validate_grid(lambda_grid)
     return _curve(_gibbs_trace(batch, grid), grid, c_max)
 
 

@@ -118,37 +118,32 @@ def beam_compose(
     Returns one list of at most ``beam_width`` entries per composed length
     L = 1..max_atoms, each sorted by descending ``proxy_scorer(text)`` with
     a (score, text) lexicographic tie-break. Each entry carries
-    ``code_length_fn(text)`` as its code length.
+    ``code_length_fn(text)`` as its code length; the beam ranks by the proxy
+    score alone, so only the entries it keeps are given one.
     """
     if not atoms:
         raise ValueError("atom list must be nonempty")
     _check_count("beam_width", beam_width)
     _check_count("max_atoms", max_atoms)
 
-    def scored(used: tuple[int, ...]) -> BeamEntry:
-        text = ATOM_JOINER.join(atoms[j].text for j in used)
-        return BeamEntry(atoms_used=used, text=text,
-                         proxy_score=float(proxy_scorer(text)),
-                         code_length=float(code_length_fn(text)))
+    def top(candidates) -> list[BeamEntry]:
+        scored = []
+        for used in candidates:
+            text = ATOM_JOINER.join(atoms[j].text for j in used)
+            scored.append((float(proxy_scorer(text)), text, used))
+        scored.sort(key=lambda e: (-e[0], e[1]))
+        return [BeamEntry(atoms_used=used, text=text, proxy_score=score,
+                          code_length=float(code_length_fn(text)))
+                for score, text, used in scored[:beam_width]]
 
-    def top(entries: list[BeamEntry]) -> list[BeamEntry]:
-        entries.sort(key=lambda e: (-e.proxy_score, e.text))
-        return entries[:beam_width]
-
-    per_length: list[list[BeamEntry]] = []
-    beam = top([scored((j,)) for j in range(len(atoms))])
-    per_length.append(beam)
+    # every length up to len(atoms) has an expansion: its beam's entries use
+    # fewer atoms than there are
+    per_length = [top((j,) for j in range(len(atoms)))]
     for _ in range(2, min(max_atoms, len(atoms)) + 1):
-        expansions = [
-            scored(entry.atoms_used + (j,))
-            for entry in beam
-            for j in range(len(atoms))
-            if j not in entry.atoms_used
-        ]
-        if not expansions:
-            break
-        beam = top(expansions)
-        per_length.append(beam)
+        per_length.append(top(entry.atoms_used + (j,)
+                              for entry in per_length[-1]
+                              for j in range(len(atoms))
+                              if j not in entry.atoms_used))
     return per_length
 
 

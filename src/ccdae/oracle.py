@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (_BLOCK_ELEMENTS, DistanceCurve, ScoredBatch, _check_count,
                    _check_lambda, _check_seed, _check_target, _is_real, _pair,
-                   _validate_grid, curve_from_traces, default_lambda_grid)
+                   _validate_grid, curve_from_traces)
 
 __all__ = [
     "FiniteHypothesisTable",
@@ -325,7 +325,7 @@ def exact_distance_curve(
     """Exact counterpart of :func:`ccdae.core.distance_curve`, in blocks of lambdas."""
     for sample in pair:
         _check_target(table.n_samples, sample)
-    grid = default_lambda_grid() if lambda_grid is None else _validate_grid(lambda_grid)
+    grid = _validate_grid(lambda_grid)
     per_block = max(1, _BLOCK_ELEMENTS // table.n_hypotheses)
     cap, beta, cross = (np.empty((2, grid.size)) for _ in range(3))
     log_mass = -table.code_lengths

@@ -32,7 +32,6 @@ from .core import (
     _curve,
     _gibbs_trace,
     _validate_grid,
-    default_lambda_grid,
     distance_curve,
     gibbs_weights,
 )
@@ -72,8 +71,7 @@ class CompareConfig:
         if self.pcode_mode not in ("proposal_mix", "lm_code"):
             raise ValueError(f"unknown pcode_mode {self.pcode_mode!r}")
         # the config's own copy, read-only
-        grid = np.array(default_lambda_grid() if self.lambda_grid is None
-                        else _validate_grid(self.lambda_grid))
+        grid = np.array(_validate_grid(self.lambda_grid))
         grid.flags.writeable = False
         object.__setattr__(self, "_grid", grid)
         _check_c_max(self.c_max)

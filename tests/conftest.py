@@ -10,7 +10,7 @@ from urllib.parse import urlsplit
 import numpy as np
 import pytest
 
-from ccdae import backends, oracle
+from ccdae import backends, core, oracle
 from ccdae.core import ScoredBatch
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "ccdae" / "data"
@@ -83,6 +83,26 @@ def make_encoder_batch(logp1, logp2):
         counts=np.exp(logpi),
         log_conditionals=np.vstack([logp1, logp2]),
     )
+
+
+def rate_rows(batch, lambda_grid, target=0):
+    """One sample's Gibbs family along a lambda grid, read off the kernel:
+    capacities, expected losses and log partitions of shape (L,), and the
+    weights, of shape (L, H)."""
+    grid = core._validate_grid(lambda_grid)
+    t = core._gibbs_trace(batch, grid, (target,), keep_weights=grid.size)
+    return t.capacity[0], t.expected[0, target], t.log_partition[0], t.weights[0]
+
+
+def log_partition(batch, lam, target):
+    """log of the self-normalized partition estimate (1/N) sum exp(logit)."""
+    return float(core._gibbs_point(batch, lam, target).log_partition[0, 0])
+
+
+def cross_loss(batch, lam, source, target):
+    """Expected loss on row ``target`` under the Gibbs weights of ``source``."""
+    core._check_target(batch.loss.shape[0], target)
+    return float(core._gibbs_point(batch, lam, source).expected[0, target, 0])
 
 
 class StubResponse:

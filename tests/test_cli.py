@@ -6,9 +6,9 @@ import sys
 
 import pytest
 import requests
-from conftest import DATA, StubSession
+from conftest import DATA, ServingSession, StubSession
 
-from ccdae import backends, baselines, cli
+from ccdae import backends, baselines, cli, core
 
 
 def run(capsys, *argv):
@@ -87,6 +87,31 @@ def test_remote_malformed_reply_exits_1(capsys, monkeypatch):
                        "compare", "a", "b")
     assert code in (1, 2)
     assert "malformed reply" in err
+
+
+class _EmptyFirstDraws(ServingSession):
+    """Serves every ``/v1/sample`` reply with its first draw empty, an
+    immediate end of sequence."""
+
+    def _answer(self, path, payload):
+        doc = super()._answer(path, payload)
+        if path == "/v1/sample":
+            doc["samples"][0].update(text="", per_token_logprobs=[-1.0])
+        return doc
+
+
+def test_remote_empty_draw_is_named_and_nothing_is_rescored(capsys, monkeypatch,
+                                                            ngram_backend):
+    session = _EmptyFirstDraws(ngram_backend)
+    monkeypatch.setattr(requests, "Session", lambda: session)
+    code, out, err = run(capsys, "--backend", "remote", "--endpoint", "http://stub",
+                         "compare", "rain", "iron")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: description must be nonempty: /v1/logprob has no "
+                   "end-of-sequence event, so an empty description (a draw that "
+                   "ended at once) cannot be scored under context 'rain'\n")
+    assert {path for path, _ in session.sent} == {"/v1/sample"}
 
 
 def _ngram_doc(**fields):
@@ -361,6 +386,16 @@ def test_compare_matches_golden(capsys, data_dir, fixture_path, tmp_path):
     golden = (data_dir / "golden_compare.csv").read_bytes()
     with open(out, "rb") as fh:
         assert fh.read() == golden
+
+
+def test_compare_without_lambda_traces_the_default_grid(capsys, model_path, tmp_path):
+    out = str(tmp_path / "c.csv")
+    code, _, _ = run(capsys, "--model", model_path, "--out", out, "compare",
+                     "rain", "iron", "--samples", "5", "--max-tokens", "5")
+    assert code == 0
+    with open(str(tmp_path / "c.report.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["curve"]["lambda_grid"] == core.default_lambda_grid().tolist()
 
 
 def test_compare_default_out(capsys, fixture_path, tmp_path, monkeypatch):

@@ -16,7 +16,8 @@ from ccdae import bench, core, oracle, pipeline
 from ccdae.core import InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
-from conftest import benchmark_table, make_encoder_batch, make_uniform_batch
+from conftest import (benchmark_table, cross_loss, log_partition, make_encoder_batch,
+                      make_uniform_batch, rate_rows)
 
 LN2 = math.log(2.0)
 
@@ -60,10 +61,10 @@ def test_one_point_lambda_must_be_finite_and_nonnegative(lam):
     table = oracle.FiniteHypothesisTable(code_lengths=[LN2, LN2], loss=losses)
     for call in (
         lambda: core.gibbs_weights(batch, lam, 0),
-        lambda: core.log_partition_estimate(batch, lam, 0),
+        lambda: log_partition(batch, lam, 0),
         lambda: core.expected_loss(batch, lam, 0),
         lambda: core.capacity_estimate(batch, lam, 0),
-        lambda: core.cross_expected_loss(batch, lam, 0, 1),
+        lambda: cross_loss(batch, lam, 0, 1),
         lambda: core.intersection_distance(batch, lam),
         lambda: pipeline.effective_sample_size(batch, lam, 0),
         lambda: pipeline.explain(batch, lam),
@@ -102,13 +103,13 @@ def test_one_point_lambda_must_be_a_real_number(lam):
 
 def test_log_partition_zero_at_lambda_zero():
     batch = make_uniform_batch([[1.0, 2.0, 3.0]])
-    assert core.log_partition_estimate(batch, 0.0, 0) == pytest.approx(0.0, abs=1e-12)
+    assert log_partition(batch, 0.0, 0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_partition_two_hypotheses():
     batch = make_uniform_batch([[1.0, 2.0]])
     expected = math.log(0.5 * (math.exp(-1.0) + math.exp(-2.0)))
-    got = core.log_partition_estimate(batch, 1.0, 0)
+    got = log_partition(batch, 1.0, 0)
     assert got == pytest.approx(expected, abs=1e-12)
     assert got == pytest.approx(-1.37989, abs=1e-5)
 
@@ -117,7 +118,7 @@ def test_log_partition_dominant_asymptote():
     batch = make_uniform_batch([[1.0, 5.0]])
     lam = 200.0
     expected = -lam * 1.0 - math.log(2.0)  # log_pcode - log_proposal = 0
-    assert core.log_partition_estimate(batch, lam, 0) == pytest.approx(
+    assert log_partition(batch, lam, 0) == pytest.approx(
         expected, rel=1e-9
     )
 
@@ -139,31 +140,31 @@ def test_capacity_hand_value_and_limit():
 
 def test_trace_degenerate_single_loss_value():
     batch = make_uniform_batch([[1.3, 1.3, 1.3]])
-    curve = core.trace_rate_curve(batch, [0.0, 1.0, 10.0])
-    np.testing.assert_allclose(curve.expected_losses, 1.3, atol=1e-12)
-    np.testing.assert_allclose(curve.capacities, 0.0, atol=1e-12)
+    capacities, expected_losses, _, _ = rate_rows(batch, [0.0, 1.0, 10.0])
+    np.testing.assert_allclose(expected_losses, 1.3, atol=1e-12)
+    np.testing.assert_allclose(capacities, 0.0, atol=1e-12)
 
 
 def test_trace_hand_points():
     batch = make_uniform_batch([[1.0, 2.0]])
-    curve = core.trace_rate_curve(batch, [0.0, 1.0])
-    assert curve.capacities[0] == pytest.approx(0.0, abs=1e-12)
-    assert curve.expected_losses[0] == pytest.approx(1.5, abs=1e-12)
-    assert curve.capacities[1] == pytest.approx(0.1109, abs=2e-4)
-    assert curve.expected_losses[1] == pytest.approx(1.26894, abs=1e-5)
+    capacities, expected_losses, _, _ = rate_rows(batch, [0.0, 1.0])
+    assert capacities[0] == pytest.approx(0.0, abs=1e-12)
+    assert expected_losses[0] == pytest.approx(1.5, abs=1e-12)
+    assert capacities[1] == pytest.approx(0.1109, abs=2e-4)
+    assert expected_losses[1] == pytest.approx(1.26894, abs=1e-5)
 
 
 def test_trace_grid_validation():
     batch = make_uniform_batch([[1.0, 2.0]])
     with pytest.raises(InvalidBatchError):
-        core.trace_rate_curve(batch, [])
+        rate_rows(batch, [])
     with pytest.raises(InvalidBatchError):
-        core.trace_rate_curve(batch, [1.0, 0.5])
+        rate_rows(batch, [1.0, 0.5])
     with pytest.raises(InvalidBatchError):
-        core.trace_rate_curve(batch, [-1.0, 0.5])
+        rate_rows(batch, [-1.0, 0.5])
     for grid in ([0.0, math.nan, 2.0], [0.0, 1.0, math.inf]):
         with pytest.raises(InvalidBatchError, match="lambda grid must be finite"):
-            core.trace_rate_curve(batch, grid)
+            rate_rows(batch, grid)
 
 
 @pytest.mark.parametrize("grid", [[[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0, 2.0]], 5.0],
@@ -185,21 +186,21 @@ def test_lambda_grid_must_be_one_dimensional(grid):
 def test_cross_equals_self_when_source_is_target():
     batch = make_uniform_batch([[0.0, 10.0], [10.0, 0.0]])
     for lam in (0.0, 0.7, 3.0):
-        assert core.cross_expected_loss(batch, lam, 0, 0) == pytest.approx(
+        assert cross_loss(batch, lam, 0, 0) == pytest.approx(
             core.expected_loss(batch, lam, 0), abs=1e-12
         )
 
 
 def test_cross_separable_hand_value():
     batch = make_uniform_batch([[0.0, 10.0], [10.0, 0.0]])
-    got = core.cross_expected_loss(batch, 1.0, 1, 0)
+    got = cross_loss(batch, 1.0, 1, 0)
     assert got == pytest.approx(9.9995, abs=1e-3)
 
 
 def test_cross_identical_rows():
     batch = make_uniform_batch([[1.0, 2.0], [1.0, 2.0]])
     for lam in (0.0, 1.0, 5.0):
-        assert core.cross_expected_loss(batch, lam, 1, 0) == pytest.approx(
+        assert cross_loss(batch, lam, 1, 0) == pytest.approx(
             core.expected_loss(batch, lam, 0), abs=1e-12
         )
 
@@ -396,10 +397,10 @@ def test_intersection_equals_mean_gap():
     batch = make_uniform_batch([[0.0, 10.0, 2.0], [10.0, 0.0, 1.0]])
     for lam in (0.0, 0.5, 1.0, 7.0):
         lhs = core.intersection_distance(batch, lam)
-        d21 = core.cross_expected_loss(batch, lam, 1, 0) - core.expected_loss(
+        d21 = cross_loss(batch, lam, 1, 0) - core.expected_loss(
             batch, lam, 0
         )
-        d12 = core.cross_expected_loss(batch, lam, 0, 1) - core.expected_loss(
+        d12 = cross_loss(batch, lam, 0, 1) - core.expected_loss(
             batch, lam, 1
         )
         assert lhs == pytest.approx(0.5 * (d21 + d12), abs=1e-9)
@@ -478,9 +479,7 @@ def test_property_exact_mode_monotone_and_nonneg(logits1, logits2):
     batch = make_encoder_batch(np.log(p1), np.log(p2))
     grid = np.linspace(0, 30, 40)
     for target in (0, 1):
-        curve = core.trace_rate_curve(batch, grid, target)
-        caps = curve.capacities
-        betas = curve.expected_losses
+        caps, betas, _, _ = rate_rows(batch, grid, target)
         assert np.all(np.diff(caps) >= -1e-9)
         assert np.all(np.diff(betas) <= 1e-9)
     dcurve = core.distance_curve(batch, grid)
@@ -500,8 +499,8 @@ def test_property_intersection_identity(losses1, losses2, lam):
     n = min(len(losses1), len(losses2))
     batch = make_uniform_batch([losses1[:n], losses2[:n]])
     lhs = core.intersection_distance(batch, lam)
-    d21 = core.cross_expected_loss(batch, lam, 1, 0) - core.expected_loss(batch, lam, 0)
-    d12 = core.cross_expected_loss(batch, lam, 0, 1) - core.expected_loss(batch, lam, 1)
+    d21 = cross_loss(batch, lam, 1, 0) - core.expected_loss(batch, lam, 0)
+    d12 = cross_loss(batch, lam, 0, 1) - core.expected_loss(batch, lam, 1)
     assert lhs == pytest.approx(0.5 * (d21 + d12), abs=1e-9)
 
 
@@ -558,13 +557,13 @@ def _random_batch(rng, n_hyp, loss_scale=5.0):
 def _assert_matches_reference(batch, grid):
     tol = dict(rtol=1e-12, atol=1e-12)
     for target in (0, 1):
-        curve = core.trace_rate_curve(batch, grid, target)
+        capacities, expected_losses, log_partitions, weights = rate_rows(
+            batch, grid, target)
         for k, lam in enumerate(grid):
             w, c, beta, logz = _reference_point(batch, float(lam), target)
-            np.testing.assert_allclose(curve.weights[k], w, **tol)
+            np.testing.assert_allclose(weights[k], w, **tol)
             np.testing.assert_allclose(
-                [curve.capacities[k], curve.expected_losses[k],
-                 curve.log_partitions[k]],
+                [capacities[k], expected_losses[k], log_partitions[k]],
                 [c, beta, logz], **tol)
     try:
         expected = _reference_distance(batch, grid)

@@ -161,6 +161,91 @@ def test_beam_deterministic_tie_break():
     assert [e.text for e in beams[0]] == ["a", "b"]
 
 
+def _previous_beam_compose(atoms, proxy_scorer, code_length_fn, beam_width=8,
+                           max_atoms=10):
+    """``beam_compose`` when it gave every expansion a code length, verbatim."""
+
+    def scored(used):
+        text = descgen.ATOM_JOINER.join(atoms[j].text for j in used)
+        return BeamEntry(atoms_used=used, text=text,
+                         proxy_score=float(proxy_scorer(text)),
+                         code_length=float(code_length_fn(text)))
+
+    def top(entries):
+        entries.sort(key=lambda e: (-e.proxy_score, e.text))
+        return entries[:beam_width]
+
+    per_length = []
+    beam = top([scored((j,)) for j in range(len(atoms))])
+    per_length.append(beam)
+    for _ in range(2, min(max_atoms, len(atoms)) + 1):
+        expansions = [
+            scored(entry.atoms_used + (j,))
+            for entry in beam
+            for j in range(len(atoms))
+            if j not in entry.atoms_used
+        ]
+        if not expansions:
+            break
+        beam = top(expansions)
+        per_length.append(beam)
+    return per_length
+
+
+@pytest.mark.parametrize("beam_width, max_atoms", [(1, 4), (3, 3), (8, 10), (50, 4)])
+def test_beam_gives_code_lengths_only_to_the_entries_it_keeps(beam_width, max_atoms):
+    atoms = _atoms("ash", "birch", "cedar", "dune", "elm", "fir", "gum")
+
+    def scorer(text):  # with ties, so that the text tie-break decides
+        return round(math.sin(sum((i + 1) * ord(ch) for i, ch in enumerate(text))), 1)
+
+    lengths = []
+
+    def counting_length(text):
+        lengths.append(text.count(descgen.ATOM_JOINER) + 1)
+        return _length(text)
+
+    beams = descgen.beam_compose(atoms, scorer, counting_length,
+                                 beam_width=beam_width, max_atoms=max_atoms)
+    assert beams == _previous_beam_compose(atoms, scorer, _length,
+                                           beam_width=beam_width, max_atoms=max_atoms)
+    # one code length per kept entry, in the beam's order, and no other
+    assert lengths == [len(e.atoms_used) for beam in beams for e in beam]
+    assert all(lengths.count(n) <= beam_width for n in set(lengths))
+
+
+def test_beam_never_asks_a_dropped_expansion_for_its_code_length():
+    atoms = _atoms("kept", "dropped")
+
+    def length(text):
+        if "dropped" in text:
+            raise AssertionError(f"code length asked of {text!r}")
+        return _length(text)
+
+    beams = descgen.beam_compose(atoms, lambda t: -len(t), length, beam_width=1,
+                                 max_atoms=1)
+    assert [[e.text for e in beam] for beam in beams] == [["kept"]]
+
+
+def test_describe_scores_code_lengths_of_kept_beam_entries_only(monkeypatch, capsys,
+                                                                 data_dir):
+    # the bundled model at the CLI's defaults: 10 lengths of at most 8 entries
+    calls = []
+    code_logprob = backends.NGramBackend.code_logprob
+
+    def counting(self, description, terminated=True):
+        calls.append(description)
+        return code_logprob(self, description, terminated)
+
+    monkeypatch.setattr(backends.NGramBackend, "code_logprob", counting)
+    with pytest.warns(UserWarning, match="dropping 9 descriptions"):
+        code = cli.main(["--model", str(data_dir / "toy_ngram.json"),
+                         "describe", "rain", "iron"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("capacity,")
+    assert 0 < len(calls) <= 80
+
+
 # ---------------------------------------------------------------------------
 # best-single-description curve
 

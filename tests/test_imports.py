@@ -1,11 +1,16 @@
-"""Every module-level import in ``src/ccdae`` is used.
+"""Every module-level import in ``src/ccdae`` is used, and every exported
+name exists.
 
 No linter is bundled, so this walks each module's syntax tree: a name a
 module-level import binds must be read somewhere in the module, or be
-listed in the module's ``__all__`` (a re-export).
+listed in the module's ``__all__`` (a re-export). And each name in a
+module's ``__all__`` must resolve on the imported module, so that a removal
+cannot leave a stale export behind.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -49,3 +54,19 @@ def test_an_unused_import_is_found():
               "from math import inf, pi\n__all__ = ['pi']\n"
               "def f():\n    return json.dumps(os.path.sep)\n")
     assert unused_imports(source) == ["csv", "aliased", "inf"]
+
+
+def unresolved_exports(module) -> list[str]:
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_every_exported_name_resolves(module):
+    name = "ccdae" if module == "__init__" else f"ccdae.{module}"
+    assert unresolved_exports(importlib.import_module(name)) == []
+
+
+def test_a_stale_export_is_found():
+    module = types.ModuleType("made_up")
+    exec("__all__ = ['kept', 'gone', 'also_gone']\nkept = 1\n", module.__dict__)
+    assert unresolved_exports(module) == ["gone", "also_gone"]

@@ -8,7 +8,7 @@ import pytest
 from ccdae import core, oracle
 from ccdae.oracle import FiniteHypothesisTable, NoFeasibleDescriptionError
 
-from conftest import benchmark_table
+from conftest import benchmark_table, cross_loss, rate_rows
 
 LN2 = math.log(2.0)
 
@@ -437,9 +437,9 @@ def test_oracle_refuses_sample_index_out_of_range(separable, call, index):
 
 @pytest.mark.parametrize("call", _INDEX_CALLS + [
     lambda t, i: core.gibbs_weights(oracle.exact_batch(t), 1.0, i),
-    lambda t, i: core.cross_expected_loss(oracle.exact_batch(t), 1.0, i, 0),
-    lambda t, i: core.cross_expected_loss(oracle.exact_batch(t), 1.0, 0, i),
-    lambda t, i: core.trace_rate_curve(oracle.exact_batch(t), [0.0, 1.0], i),
+    lambda t, i: cross_loss(oracle.exact_batch(t), 1.0, i, 0),
+    lambda t, i: cross_loss(oracle.exact_batch(t), 1.0, 0, i),
+    lambda t, i: rate_rows(oracle.exact_batch(t), [0.0, 1.0], i),
 ], ids=_INDEX_CALL_IDS + ["core-gibbs", "core-cross-source", "core-cross-target",
                           "core-trace"])
 @pytest.mark.parametrize("index", [0.5, 1.0, True, False, np.True_, "1"],
