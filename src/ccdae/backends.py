@@ -658,6 +658,12 @@ class RemoteBackend(Backend):
     own retries, so no request is in flight when a call returns. Every
     other call runs the loop on its own thread.
 
+    ``session`` sends the requests. Its ``post(url, json=, timeout=)``
+    returns an object with ``status_code``, ``text`` and ``json()``, and
+    raises a transport failure as an ``OSError``, which is retried (every
+    ``requests`` exception is one). Without it the backend builds a
+    ``requests.Session()``; only then is ``requests`` imported.
+
     A sampled draw's tokens are the words of its ``text`` (the text itself
     if it has none), as in ``TableBackend``.
 
@@ -678,8 +684,10 @@ class RemoteBackend(Backend):
         max_in_flight: int = 4,
         session=None,
     ):
-        import requests
-
+        if not isinstance(endpoint, str):
+            raise ValueError(f"endpoint must be a URL string, got {endpoint!r}")
+        if session is not None and not callable(getattr(session, "post", None)):
+            raise ValueError(f"session must have a callable post, got {session!r}")
         _check_count("max_retries", max_retries)
         _check_count("max_in_flight", max_in_flight)
         if not (_is_real(timeout) and math.isfinite(timeout) and timeout > 0):
@@ -691,7 +699,11 @@ class RemoteBackend(Backend):
         self.max_retries = max_retries
         self.backoff = backoff
         self._sem = threading.Semaphore(max_in_flight)
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         # the batched calls' worker threads, which run only _request
         self._pool = _LazyPool(max_in_flight, "ccdae-remote")
         self._local = threading.local()  # .reply: (path, payload, future)
@@ -706,15 +718,14 @@ class RemoteBackend(Backend):
 
     def _request(self, url: str, payload: dict) -> dict:
         """Every attempt of one request, each within the in-flight bound."""
-        import requests
-
         last: Exception | None = None
         for attempt in range(self.max_retries):
             try:
                 with self._sem:
                     resp = self._session.post(url, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last = RemoteBackendError(str(exc), endpoint=url)
+            except OSError as exc:  # requests.RequestException is one
+                last = RemoteBackendError(str(exc) or type(exc).__name__,
+                                          endpoint=url)
             else:
                 if 200 <= resp.status_code < 300:
                     try:

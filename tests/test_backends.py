@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import types
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -798,6 +799,38 @@ def test_remote_client_error_not_retried(server):
     assert not exc.value.retryable
 
 
+class _FailingSession(StubSession):
+    """A session whose ``post`` raises each of ``errors`` in turn, then
+    answers with ``text``, as a client whose socket fails would."""
+
+    def __init__(self, text, errors):
+        super().__init__(text)
+        self.errors = list(errors)
+
+    def post(self, url, json=None, timeout=None):  # noqa: A002
+        if self.errors:
+            self.posts += 1
+            raise self.errors.pop(0)
+        return super().post(url, json=json, timeout=timeout)
+
+
+def test_remote_retries_a_transport_error_of_its_session():
+    session = _FailingSession('{"per_token_logprobs": [-0.5, -0.25]}',
+                              [ConnectionResetError("reset by peer")])
+    be = RemoteBackend("http://stub", backoff=0.0, session=session)
+    assert be.cond_logprob("ctx", "two words").per_token == (-0.5, -0.25)
+    assert session.posts == 2
+
+
+def test_remote_transport_errors_on_every_attempt_raise_typed():
+    session = _FailingSession("{}", [TimeoutError()] * 10)
+    be = RemoteBackend("http://stub", backoff=0.0, max_retries=3, session=session)
+    with pytest.raises(RemoteBackendError, match="^TimeoutError ") as exc:
+        be.cond_logprob("ctx", "two words")
+    assert exc.value.retryable and exc.value.status is None
+    assert session.posts == be.max_retries
+
+
 def test_remote_connection_error():
     be = RemoteBackend("http://127.0.0.1:1", backoff=0.01, max_retries=2,
                        timeout=0.5)
@@ -993,12 +1026,14 @@ def test_remote_draw_tokens_are_the_words_of_its_text():
     {"max_retries": True}, {"max_in_flight": 0}, {"max_in_flight": 1.5},
     {"timeout": 0.0}, {"timeout": -1.0}, {"timeout": math.nan},
     {"backoff": -0.1}, {"backoff": math.nan},
+    {"endpoint": 5}, {"endpoint": b"http://stub"},
+    {"session": "http://stub"}, {"session": types.SimpleNamespace(post="x")},
 ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_remote_rejects_bad_constructor_arguments(kwargs):
     # checked at construction only: no request is started
     stub = StubSession("{}")
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        RemoteBackend("http://stub", session=stub, **kwargs)
+        RemoteBackend(**{"endpoint": "http://stub", "session": stub, **kwargs})
     assert stub.posts == 0
     RemoteBackend("http://stub", session=stub, max_retries=1, max_in_flight=1,
                   timeout=0.5, backoff=0.0)
