@@ -1,14 +1,13 @@
 """Description-scoring backends.
 
-Three implementations share one contract of four calls: seeded sampling
-of one context's descriptions (``sample_descriptions``), rescoring a
-draw's tokens (``score_tokens``), the conditional log-prob of a
-description given a context (``cond_logprob``) and its unconditional code
-log-prob (``code_logprob``). A prompt is passed per call; ``None`` and
-``""`` both mean no prompt. The first two also come in batched forms,
-``sample_many`` and ``score_many``, which answer a list of requests with
-the same results in the same order: :class:`Backend` answers them one
-call at a time, and ``RemoteBackend`` puts the requests in flight together.
+Three implementations share one contract of three calls: seeded sampling
+of one context's descriptions (``sample_descriptions``), its batched form
+``sample_many``, and ``score_many``, which scores a list of ``(context,
+text, terminated)`` requests in order. A context of ``None`` asks for the
+text's unconditional code log-prob, with no context and no prompt. A prompt
+is passed per call; ``None`` and ``""`` both mean no prompt. Each backend
+splits a text into tokens by the rule its draws follow, and scores them
+with its own ``score_tokens``, once per distinct request.
 
 * ``NGramBackend`` — a character n-gram model with additive smoothing;
   self-contained stand-in for a large conditional text model.
@@ -20,11 +19,11 @@ End-of-sequence handling: a draw's ``per_token_logprobs`` are its tokens'
 log-probs plus the EOS log-prob if it ``terminated`` (ended with EOS before
 ``max_tokens``); EOS is never one of its tokens. The rule has no exception:
 an immediate EOS is the draw with text ``""``, no tokens and ``terminated``
-set, whose one log-prob is the EOS event's. ``score_tokens`` and
-``code_logprob`` take the same ``terminated`` flag, so a draw rescores as
-it was sampled. ``NGramBackend`` samples and scores by walking one
-automaton of back-off contexts, and a draw records the log-probs that
-scoring reads from it, so rescoring gives them back exactly.
+set, whose one log-prob is the EOS event's. A scoring request takes the
+same ``terminated`` flag, so a draw rescores as it was sampled.
+``NGramBackend`` samples and scores by walking one automaton of back-off
+contexts, and a draw records the log-probs that scoring reads from it, so
+rescoring gives them back exactly.
 """
 
 from __future__ import annotations
@@ -103,12 +102,11 @@ class SampledDescription:
 
 
 class Backend:
-    """The batched forms of the two calls ``build_batch`` makes.
-
-    ``sample_many`` and ``score_many`` answer their requests in order, here
-    with one ``sample_descriptions`` or ``score_tokens`` call each, looked up
+    """The batched form of ``sample_descriptions``: ``sample_many`` answers
+    its requests in order, one ``sample_descriptions`` call each, looked up
     on the instance. A backend that can serve requests together overrides
-    them; the results must stay those of the single calls.
+    it; the results must stay those of the single calls. ``score_many`` has
+    no default: how a text splits into tokens is each backend's own rule.
     """
 
     __slots__ = ()
@@ -121,11 +119,28 @@ class Backend:
                                          prompt=prompt)
                 for context, seed in requests]
 
-    def score_many(self, requests, *, prompt) -> list[LogProbResult]:
-        """``score_tokens`` of each ``(context, tokens, terminated)`` in
-        ``requests``."""
-        return [self.score_tokens(context, tokens, terminated, prompt=prompt)
-                for context, tokens, terminated in requests]
+
+def _score_request(request) -> tuple:
+    """``request`` as a ``(context, text, terminated)`` tuple, else a
+    ``ValueError`` that names it."""
+    try:
+        context, text, terminated = request
+        ok = ((context is None or isinstance(context, str))
+              and isinstance(text, str) and isinstance(terminated, bool))
+    except (TypeError, ValueError):  # not 3 items
+        ok = False
+    if not ok:
+        raise ValueError(f"scoring request {request!r} is not (context, text, "
+                         "terminated): a str or None, a str and a bool")
+    return context, text, terminated
+
+
+def _score_distinct(requests, score) -> list[LogProbResult]:
+    """``score(context, text, terminated)`` of each request, in order, once
+    per distinct request; every request is checked before any is scored."""
+    checked = [_score_request(r) for r in requests]
+    answers = {r: score(*r) for r in dict.fromkeys(checked)}
+    return [answers[r] for r in checked]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +185,8 @@ class NGramModel:
     context(context(prefix) + s)``. Each context is compiled into a
     :class:`_ContextRow` the first time it is used, so ``counts`` must not
     change after construction. The vocabulary holds distinct strings, EOS
-    among them, and every counted symbol.
+    among them, and every counted symbol; every symbol but EOS is one
+    character.
     """
 
     order: int
@@ -195,6 +211,9 @@ class NGramModel:
         self._index = {sym: i for i, sym in enumerate(vocab)}
         if len(self._index) != len(vocab):
             raise ValueError("vocabulary must not repeat a symbol")
+        wide = [sym for sym in vocab if sym != EOS and len(sym) != 1]
+        if wide:  # a draw's tokens are the characters of its text
+            raise ValueError(f"vocabulary symbols {wide!r} are not single characters")
         width = self.smoothing_alpha * len(vocab)
         for ctx, table in self.counts.items():
             # a key in the index is a vocabulary symbol, so a string
@@ -368,8 +387,10 @@ class NGramBackend(Backend):
     """Backend contract on top of an :class:`NGramModel`.
 
     The conditioning prefix is ``prompt + "\\n" + context`` (just
-    ``context`` without a prompt); only the last order-1 characters matter
-    to the model but the documented layout keeps runs reproducible.
+    ``context`` without a prompt, and empty for the code score's ``None``);
+    only the last order-1 characters matter to the model but the documented
+    layout keeps runs reproducible. A scored text's tokens are its
+    characters, as a draw's are.
 
     Sampling and scoring walk one automaton of the model's back-off
     contexts rather than the growing prefix: a symbol moves a context to
@@ -385,16 +406,12 @@ class NGramBackend(Backend):
         self._states: dict[tuple[str, float], _State] = {}
 
     @staticmethod
-    def _prefix(context: str, prompt: str | None) -> str:
+    def _prefix(context: str | None, prompt: str | None) -> str:
+        if context is None:  # the code score: no context, no prompt
+            return ""
         return f"{prompt}\n{context}" if prompt else context
 
-    def score_tokens(
-        self,
-        context: str,
-        tokens: Sequence[str],
-        terminated: bool,
-        prompt: str | None = None,
-    ) -> LogProbResult:
+    def score_tokens(self, context, tokens, terminated, prompt=None) -> LogProbResult:
         model = self.model
         state = self._state(model.context(self._prefix(context, prompt)), 1.0)
         per_token = []
@@ -408,15 +425,9 @@ class NGramBackend(Backend):
                 state = state.next[idx] or self._follow(state, idx)
         return LogProbResult.from_tokens(per_token)
 
-    def cond_logprob(
-        self, context: str, description: str, prompt: str | None = None
-    ) -> LogProbResult:
-        if not description:
-            raise ValueError("description must be nonempty")
-        return self.score_tokens(context, list(description), True, prompt)
-
-    def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
-        return self.score_tokens("", list(description), terminated, prompt="")
+    def score_many(self, requests, *, prompt) -> list[LogProbResult]:
+        return _score_distinct(requests, lambda context, text, terminated: (
+            self.score_tokens(context, tuple(text), terminated, prompt)))
 
     def _state(self, context: str, temperature: float) -> _State:
         """The automaton state of ``context`` at ``temperature``, built once.
@@ -523,15 +534,18 @@ class TableBackend(Backend):
     log-probs. Every context lists at least one description. Every log-prob,
     the floor among them, is a JSON number that is finite and <= 0. A
     description id with no entry in ``descriptions`` is its own text. No two
-    descriptions may have equal texts or equal tokens, since a draw is
-    rescored by them.
+    descriptions may have equal texts or equal tokens, and no description's
+    text may be empty or another description's id, since a draw is rescored
+    by its text.
 
-    Lookup rule: a description is named by its id or by its words (so a
-    text matches whatever whitespace separates them), and ``score_tokens``
-    names it by its tokens. Its log-probs are its row's under the context,
-    or in ``code``. A description the row lacks, and tokens or a text that
-    name no description, score at the floor once per token, so
-    cross-context scoring never produces -inf.
+    Lookup rule: a scored text names a description by its id or by its
+    words (so a text matches whatever whitespace separates them), and
+    ``score_tokens`` names it by its tokens. Its log-probs are its row's
+    under the context, or in ``code`` for the context ``None``. A
+    description the row lacks, and tokens or a text that name no
+    description, score at the floor once per token, so cross-context
+    scoring never produces -inf. An empty text is refused under a context
+    and scores the floor once as a code score.
     """
 
     def __init__(self, doc: dict):
@@ -562,6 +576,11 @@ class TableBackend(Backend):
                         f"descriptions {other!r} and {did!r} have the same "
                         "tokens, so their draws cannot be told apart"
                     )
+                if text == "" or self.descriptions.get(text, text) != text:
+                    raise BackendError(
+                        f"description {did!r} has the text {text!r}, so its "
+                        "draws would not rescore as its own: a text must be "
+                        "nonempty and no other description's id")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed table-backend fixture: {exc!r}") from exc
 
@@ -573,32 +592,23 @@ class TableBackend(Backend):
         except BackendError as exc:
             raise BackendError(f"{path}: {exc}") from exc
 
-    def _lookup(self, row: dict, tokens: tuple[str, ...]) -> LogProbResult:
-        """The log-probs in ``row`` of the description ``tokens`` name, else
-        the floor once per token."""
-        did = self._by_tokens.get(tokens)
-        if did in row:
-            return LogProbResult.from_tokens(row[did])
-        return LogProbResult.from_tokens([self.floor] * len(tokens))
-
-    def _words(self, description: str) -> tuple[str, ...]:
-        """The tokens of a description named by its id or by its words."""
-        return _split(self.descriptions.get(description, description))
-
     def score_tokens(self, context, tokens, terminated=True, prompt=None) -> LogProbResult:
         if not tokens:
             raise ValueError("description must be nonempty")
-        return self._lookup(self.cond.get(context, {}), tuple(tokens))
+        row = self.code if context is None else self.cond.get(context, {})
+        did = self._by_tokens.get(tuple(tokens))
+        return LogProbResult.from_tokens(row[did] if did in row
+                                         else [self.floor] * len(tokens))
 
-    def cond_logprob(
-        self, context: str, description: str, prompt: str | None = None
-    ) -> LogProbResult:
-        if not description:
-            raise ValueError("description must be nonempty")
-        return self._lookup(self.cond.get(context, {}), self._words(description))
+    def score_many(self, requests, *, prompt) -> list[LogProbResult]:
+        def score(context, text, terminated):
+            if not text and context is not None:
+                raise ValueError("description must be nonempty")
+            # the tokens of the description the text names by id or by words
+            tokens = _split(self.descriptions.get(text, text))
+            return self.score_tokens(context, tokens, terminated, prompt)
 
-    def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
-        return self._lookup(self.code, self._words(description))
+        return _score_distinct(requests, score)
 
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None
@@ -664,15 +674,16 @@ class RemoteBackend(Backend):
     ``requests`` exception is one). Without it the backend builds a
     ``requests.Session()``; only then is ``requests`` imported.
 
-    A sampled draw's tokens are the words of its ``text`` (the text itself
-    if it has none), as in ``TableBackend``.
+    A draw's tokens, and a scored text's, are the words of its text (the
+    text itself if it has none), as in ``TableBackend``; a code score
+    (context ``None``) is posted with an empty context and no prompt.
 
     Protocol limit: ``/v1/logprob`` scores a continuation string and has
-    no end-of-sequence event. So ``score_tokens`` re-joins a draw's tokens
-    with single spaces and ignores ``terminated``; a draw whose text has
-    other whitespace, or whose sampled log-prob included an EOS event, may
-    rescore differently from how it was sampled, and an empty draw (an
-    immediate EOS) cannot be rescored at all.
+    no end-of-sequence event. So every scoring request sends its tokens
+    re-joined with single spaces and ignores ``terminated``; a text with
+    other whitespace, or a draw whose sampled log-prob included an EOS
+    event, may score differently from how it was sampled, and an empty
+    text (an immediate EOS among them) cannot be scored at all.
     """
 
     def __init__(
@@ -779,15 +790,15 @@ class RemoteBackend(Backend):
         return [answers[key] for key in keys]
 
     @staticmethod
-    def _logprob_request(context: str, description: str,
+    def _logprob_request(context: str | None, description: str,
                          prompt: str | None) -> tuple[str, dict]:
         if not description:
             raise ValueError(
                 "description must be nonempty: /v1/logprob has no end-of-sequence "
                 "event, so an empty description (a draw that ended at once) cannot "
                 f"be scored under context {context!r}")
-        payload = {"context": context, "continuation": description}
-        if prompt:
+        payload = {"context": context or "", "continuation": description}
+        if prompt and context is not None:  # a code score has no prompt
             payload["prompt"] = prompt
         return "/v1/logprob", payload
 
@@ -804,28 +815,20 @@ class RemoteBackend(Backend):
             "seed": seed,
         }
 
-    def cond_logprob(
-        self, context: str, description: str, prompt: str | None = None
-    ) -> LogProbResult:
-        doc = self._post(*self._logprob_request(context, description, prompt))
+    def score_tokens(self, context, tokens, terminated=True, prompt=None) -> LogProbResult:
+        doc = self._post(*self._logprob_request(context, " ".join(tokens), prompt))
         try:
             return LogProbResult.from_tokens(doc["per_token_logprobs"])
         except (KeyError, TypeError, ValueError) as exc:
             raise _malformed(self.endpoint + "/v1/logprob", 200, exc) from exc
 
-    def code_logprob(self, description: str, terminated: bool = True) -> LogProbResult:
-        return self.cond_logprob("", description, prompt="")
-
-    def score_tokens(self, context, tokens, terminated=True, prompt=None) -> LogProbResult:
-        return self.cond_logprob(context, " ".join(tokens), prompt=prompt)
-
     def score_many(self, requests, *, prompt) -> list[LogProbResult]:
         return self._fan_out(
-            requests,
-            lambda context, tokens, _: self._logprob_request(
-                context, " ".join(tokens), prompt),
-            lambda context, tokens, terminated: self.score_tokens(
-                context, tokens, terminated, prompt=prompt))
+            [_score_request(r) for r in requests],
+            lambda context, text, _: self._logprob_request(
+                context, " ".join(_split(text)), prompt),
+            lambda context, text, terminated: self.score_tokens(
+                context, _split(text), terminated, prompt=prompt))
 
     def sample_descriptions(
         self, context, count, max_tokens=20, temperature=1.0, seed=0, prompt=None

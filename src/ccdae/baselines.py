@@ -61,10 +61,14 @@ def trajectory_distance(batch: ScoredBatch) -> float:
 
 
 def cond_likelihood_score(x1: str, x2: str, backend) -> float:
-    """Symmetric mean conditional log-likelihood; higher = more similar."""
-    a = backend.cond_logprob(str(x1), str(x2)).total
-    b = backend.cond_logprob(str(x2), str(x1)).total
-    return 0.5 * (a + b)
+    """Symmetric mean conditional log-likelihood; higher = more similar.
+    Each input is scored as a terminated text under the other."""
+    x1, x2 = str(x1), str(x2)
+    if not (x1 and x2):
+        raise ValueError(f"cond_likelihood_score needs two nonempty texts, "
+                         f"got {x1!r} and {x2!r}")
+    a, b = backend.score_many([(x1, x2, True), (x2, x1, True)], prompt=None)
+    return 0.5 * (a.total + b.total)
 
 
 def ncd(a: bytes, b: bytes, z_xy: int | None = None) -> NcdResult:

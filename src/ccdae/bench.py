@@ -219,8 +219,8 @@ class BenchReport:
 
 
 class _Reuse:
-    """A backend whose ``sample_many``, ``score_many`` and ``code_logprob``
-    answer each distinct request once, for one run of the benchmark loops.
+    """A backend whose ``sample_many`` and ``score_many`` answer each
+    distinct request once, for one run of the benchmark loops.
 
     A draw's seed depends only on the config seed and the input's canonical
     rank, so an input paired with many others asks for the same draws and
@@ -232,17 +232,15 @@ class _Reuse:
     record is ``i``. Only results are stored: a batch that raises stores
     nothing, so the next record asks for it again. The choice loop fetches
     a record's two pairs in one call of each kind, so their batches are
-    then built from the memo. Code scores have no context, so they are kept
-    for the whole run, by ``(description, terminated)``; a call that raises
-    stores nothing. Every other call, single ones among them, is the
-    wrapped backend's, looked up at each call.
+    then built from the memo. Code scores have the context ``None``, so
+    they are kept for the whole run. Every other call, single ones among
+    them, is the wrapped backend's, looked up at each call.
     """
 
     def __init__(self, backend, last_use: dict[str, int]):
         self._backend = backend
         self._last_use = last_use
-        self._memo: dict[str, dict[tuple, object]] = {}
-        self._codes: dict[tuple[str, bool], object] = {}
+        self._memo: dict[str | None, dict[tuple, object]] = {}
 
     def __getattr__(self, name):
         return getattr(self._backend, name)
@@ -261,7 +259,7 @@ class _Reuse:
         if misses:
             for key, result in zip(misses, call(list(misses.values()))):
                 answers[key] = result
-                if key[0] in self._last_use:
+                if key[0] is None or key[0] in self._last_use:
                     self._memo.setdefault(key[0], {})[key] = result
         return [answers[key] for key in keys]
 
@@ -277,17 +275,10 @@ class _Reuse:
 
     def score_many(self, requests, *, prompt):
         return self._many(
-            [(context, "score", tuple(tokens), terminated, prompt)
-             for context, tokens, terminated in requests],
+            [(context, "score", text, terminated, prompt)
+             for context, text, terminated in requests],
             requests,
             lambda misses: self._backend.score_many(misses, prompt=prompt))
-
-    def code_logprob(self, description, terminated=True):
-        key = (description, terminated)
-        if key not in self._codes:
-            self._codes[key] = self._backend.code_logprob(description,
-                                                          terminated=terminated)
-        return self._codes[key]
 
     def done(self, index: int, inputs) -> None:
         for x in inputs:

@@ -225,8 +225,8 @@ def describe_pair(
     pool_atoms = list(pool.values())
 
     def conditionals(text: str) -> tuple[float, float]:
-        return (backend.cond_logprob(a, text).total,
-                backend.cond_logprob(b, text).total)
+        la, lb = backend.score_many([(a, text, True), (b, text, True)], prompt=None)
+        return la.total, lb.total
 
     def proxy(text: str) -> float:
         la, lb = conditionals(text)
@@ -238,7 +238,8 @@ def describe_pair(
 
     per_length = beam_compose(
         pool_atoms, proxy, beam_width=beam_width, max_atoms=max_atoms,
-        code_length_fn=lambda text: -backend.code_logprob(text).total,
+        code_length_fn=lambda text: -backend.score_many(
+            [(None, text, True)], prompt=None)[0].total,
     )
     winners = [beam[0] for beam in per_length]
     kept = [w for w in winners if math.isfinite(w.code_length)

@@ -168,12 +168,12 @@ def _fetch(pairs, backend, config: CompareConfig) -> list[tuple]:
     for draws in ([*a, *b] for a, b in zip(sides[::2], sides[1::2])):
         merged: dict[tuple, list] = {}
         for s in draws:
-            merged.setdefault((s.text, s.tokens, s.terminated), [s, 0])[1] += 1
+            merged.setdefault((s.text, s.terminated), [s, 0])[1] += 1
         if len(merged) < 2:
             raise _too_few_descriptions(len(draws), len(merged))
         fetched.append((len(draws), merged))
     totals = (r.total for r in backend.score_many(
-        [(str(x), s.tokens, s.terminated) for pair, (_, merged) in zip(pairs, fetched)
+        [(str(x), s.text, s.terminated) for pair, (_, merged) in zip(pairs, fetched)
          for x in pair for s, _ in merged.values()],
         prompt=config.prompt))
     return [(n, merged, np.fromiter(totals, float, 2 * len(merged)).reshape(2, -1))
@@ -192,10 +192,11 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     every softmax, so it is dropped with a warning and counted in
     ``dropped``; fewer than 2 distinct descriptions raise
     :class:`InvalidBatchError`. The backend traffic is :func:`_fetch`'s for
-    the one pair, and under ``lm_code`` one ``code_logprob`` call per
-    distinct description. Every draw, an empty one included, is scored from
-    its text, tokens and ``terminated`` flag alone; how a terminated draw's
-    end is scored is the backend's rule.
+    the one pair, and under ``lm_code`` one more ``score_many`` call for the
+    code scores of the distinct descriptions. Every draw, an empty one
+    included, is scored from its text and ``terminated`` flag alone; how a
+    text splits into tokens and how a terminated draw's end is scored are
+    the backend's rules.
     """
     config = config or CompareConfig()
     n_draws, merged, cond = _fetch([(x1, x2)], backend, config)[0]
@@ -204,10 +205,8 @@ def build_batch(x1, x2, backend, config: CompareConfig | None = None) -> ScoredB
     if config.pcode_mode == "proposal_mix":
         log_pcode = log_pi
     else:
-        log_pcode = np.asarray([
-            backend.code_logprob(s.text, terminated=s.terminated).total
-            for s in unique
-        ], dtype=float)
+        log_pcode = np.array([r.total for r in backend.score_many(
+            [(None, s.text, s.terminated) for s in unique], prompt=config.prompt)])
 
     keep = np.isfinite(loss).all(axis=0) & np.isfinite(log_pcode) & np.isfinite(log_pi)
     dropped = int((~keep).sum())

@@ -105,6 +105,13 @@ def cross_loss(batch, lam, source, target):
     return float(core._gibbs_point(batch, lam, source).expected[0, target, 0])
 
 
+def score_one(backend, context, text, terminated=True, prompt=None):
+    """The score of one ``(context, text, terminated)`` request, asked
+    through ``score_many``."""
+    (result,) = backend.score_many([(context, text, terminated)], prompt=prompt)
+    return result
+
+
 class StubResponse:
     def __init__(self, text, status_code=200):
         self.text = text

@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -10,9 +11,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from conftest import DATA, ServingSession, StubSession
+from conftest import DATA, ServingSession, StubSession, score_one
 
-from ccdae import backends, bench, pipeline
+from ccdae import backends, baselines, bench, pipeline
 from ccdae.backends import (
     EOS,
     BackendError,
@@ -73,6 +74,18 @@ def test_ngram_load_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"magic": "nope"}))
     with pytest.raises(BackendError):
+        backends.NGramModel.load(path)
+
+
+@pytest.mark.parametrize("symbol", ["ab", ""])
+def test_ngram_load_refuses_a_symbol_that_is_not_one_character(tmp_path, symbol):
+    # a draw of it would not be the characters of its text
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "magic": "CCDAE-NGRAM", "version": 1, "order": 1, "alpha": 0.5,
+        "vocabulary": [EOS, "a", symbol], "counts": {"": {"a": 2, EOS: 1}}}))
+    with pytest.raises(BackendError, match=f"malformed model file: .*\\[{symbol!r}\\] "
+                                           "are not single characters"):
         backends.NGramModel.load(path)
 
 
@@ -139,8 +152,12 @@ def test_sampling_refuses_a_count_that_is_not_an_integer(
 
 
 def test_cond_logprob_rejects_empty(ab_backend):
-    with pytest.raises(ValueError):
-        ab_backend.cond_logprob("a", "")
+    # the conditional likelihood refuses an empty text; as a request of its
+    # own, an empty terminated text is an empty draw: the EOS event
+    with pytest.raises(ValueError, match="needs two nonempty texts, got 'a' and ''"):
+        baselines.cond_likelihood_score("a", "", ab_backend)
+    assert score_one(ab_backend, "a", "").per_token == (
+        ab_backend.model.symbol_logprob("a", EOS),)
 
 
 def test_eos_term_included_only_when_terminated(ab_backend):
@@ -312,10 +329,10 @@ def test_sampler_reaches_zero_length_draws():
 
 def test_code_logprob_of_the_empty_description_is_the_eos_event():
     model = train_ngram("a\nb\n", order=2)
-    got = NGramBackend(model).code_logprob("")
+    got = score_one(NGramBackend(model), None, "")
     assert got.per_token == (model.symbol_logprob("", EOS),)
     # a truncated empty description has no event at all
-    assert NGramBackend(model).code_logprob("", terminated=False).per_token == ()
+    assert score_one(NGramBackend(model), None, "", False).per_token == ()
 
 
 @pytest.mark.parametrize("sizes", [(1,), (3, 7, 1, 64), (4096, 5)])
@@ -545,15 +562,15 @@ def test_every_draw_rescores_to_exactly_its_logprobs(backend):
 
 
 def test_table_lookup_verbatim(table_backend):
-    r = table_backend.cond_logprob("img_sunset", "d_sun")
+    r = score_one(table_backend, "img_sunset", "d_sun")
     assert r.per_token == (-0.4, -0.3)
     # lookup by rendered text resolves to the same row
     text = table_backend.descriptions["d_sun"]
-    assert table_backend.cond_logprob("img_sunset", text).total == r.total
+    assert score_one(table_backend, "img_sunset", text).total == r.total
 
 
 def test_table_floor_fallback(table_backend):
-    r = table_backend.cond_logprob("img_sunset", "unknown words here")
+    r = score_one(table_backend, "img_sunset", "unknown words here")
     assert r.per_token == (-20.0, -20.0, -20.0)
 
 
@@ -561,7 +578,7 @@ def test_table_floor_fallback(table_backend):
     None,
     {
         "magic": "CCDAE-TABLE",
-        "descriptions": {"u": "calm  water ", "v": "u", "w": "v"},
+        "descriptions": {"u": "calm  water ", "v": " u ", "w": "v w"},
         "cond": {
             "c1": {"u": [-0.5, -0.25], "v": [-1.5], "w": [-3.0]},
             "c2": {"u": [-2.0], "v": [-0.125, -0.5], "w": [-0.75]},
@@ -569,7 +586,8 @@ def test_table_floor_fallback(table_backend):
     },
 ], ids=["bundled", "whitespace-and-id-like-texts"])
 def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
-    """Every draw, rescored with ``score_tokens``, totals what it was sampled with.
+    """Every draw, rescored by its tokens or its text, totals what it was
+    sampled with.
 
     The n-gram half is ``test_sampled_logprobs_match_rescoring``.
     ``RemoteBackend`` is not covered: its ``/v1/logprob`` reply has no EOS
@@ -580,6 +598,7 @@ def test_table_rescoring_own_draws_gives_sampled_totals(table_backend, doc):
         for s in be.sample_descriptions(ctx, 30, seed=4):
             rescored = be.score_tokens(ctx, s.tokens, s.terminated)
             assert rescored.total == _total_logprob(s)
+            assert score_one(be, ctx, s.text, s.terminated) == rescored
 
 
 def _scalar_table_sample(be, context, count, temperature, seed):
@@ -620,8 +639,8 @@ def test_table_id_without_a_text_is_its_own_text():
     for s in draws:
         assert be.score_tokens("x", s.tokens, s.terminated).per_token == \
             s.per_token_logprobs
-    assert be.cond_logprob("y", "plain").per_token == (-0.7,)
-    assert be.code_logprob("plain").per_token == (-0.9,)
+    assert score_one(be, "y", "plain").per_token == (-0.7,)
+    assert score_one(be, None, "plain").per_token == (-0.9,)
 
 
 def test_table_refuses_an_id_whose_own_text_is_another_description():
@@ -631,6 +650,19 @@ def test_table_refuses_an_id_whose_own_text_is_another_description():
         "cond": {"c": {"a": [-0.5], "plain": [-3.0]}},
     }
     with pytest.raises(BackendError, match="'a' and 'plain'"):
+        TableBackend(doc)
+
+
+@pytest.mark.parametrize("texts, refused", [
+    ({"a": "b", "b": "c"}, "'a' has the text 'b'"),
+    ({"a": "", "b": "c"}, "'a' has the text ''"),
+], ids=["another-id", "empty"])
+def test_table_refuses_a_text_that_would_not_rescore_as_its_own(texts, refused):
+    # a draw of "a" has the text "b", and the text "b" names the row of "b";
+    # an empty text names no description under a context
+    doc = {"magic": "CCDAE-TABLE", "descriptions": texts,
+           "cond": {"c": {"a": [-0.5], "b": [-3.0]}}}
+    with pytest.raises(BackendError, match=refused):
         TableBackend(doc)
 
 
@@ -652,12 +684,13 @@ def test_table_rejects_colliding_descriptions(texts):
 def test_table_names_a_description_by_its_id_or_its_words(table_backend):
     # by id, and by its words whatever whitespace separates them
     be = table_backend
-    assert be.cond_logprob("img_sunset", "d_sun").per_token == (-0.4, -0.3)
-    spaced = be.cond_logprob("img_sunset", "a bright  sun over calm water")
+    assert score_one(be, "img_sunset", "d_sun").per_token == (-0.4, -0.3)
+    spaced = score_one(be, "img_sunset", "a bright  sun over calm water")
     assert spaced.per_token == (-0.4, -0.3)
     words = ("a", "bright", "sun", "over", "calm", "water")
     assert be.score_tokens("img_sunset", words, True).per_token == (-0.4, -0.3)
-    assert be.code_logprob(" a bright sun over calm water\n").per_token == (-1.0, -1.1)
+    assert score_one(be, None, " a bright sun over calm water\n").per_token == (
+        -1.0, -1.1)
 
 
 def test_table_tokens_that_name_no_description_score_at_the_floor(table_backend):
@@ -670,11 +703,11 @@ def test_table_tokens_that_name_no_description_score_at_the_floor(table_backend)
 
 
 def test_table_empty_descriptions(table_backend):
-    for call in (lambda: table_backend.cond_logprob("img_sunset", ""),
+    for call in (lambda: score_one(table_backend, "img_sunset", ""),
                  lambda: table_backend.score_tokens("img_sunset", (), True)):
         with pytest.raises(ValueError, match="^description must be nonempty$"):
             call()
-    assert table_backend.code_logprob("").per_token == (-20.0,)
+    assert score_one(table_backend, None, "").per_token == (-20.0,)
 
 
 @pytest.mark.parametrize("edit", [
@@ -766,7 +799,7 @@ def server():
 
 def test_remote_logprob_and_sample(server):
     be = RemoteBackend(server, backoff=0.01)
-    r = be.cond_logprob("ctx", "three word caption")
+    r = score_one(be, "ctx", "three word caption")
     assert r.per_token == (-0.1, -0.1, -0.1)
     draws = be.sample_descriptions("ctx", 5, seed=1)
     assert len(draws) == 5
@@ -777,7 +810,7 @@ def test_remote_logprob_and_sample(server):
 def test_remote_retries_transient_failure(server):
     _Handler.fail_next = 2
     be = RemoteBackend(server, backoff=0.01, max_retries=3)
-    r = be.cond_logprob("ctx", "ok")
+    r = score_one(be, "ctx", "ok")
     assert r.total == pytest.approx(-0.1)
 
 
@@ -785,7 +818,7 @@ def test_remote_exhausted_retries_raise(server):
     _Handler.fail_next = 5
     be = RemoteBackend(server, backoff=0.01, max_retries=2)
     with pytest.raises(RemoteBackendError) as exc:
-        be.cond_logprob("ctx", "ok")
+        score_one(be, "ctx", "ok")
     _Handler.fail_next = 0
     assert exc.value.status == 503
     assert exc.value.retryable
@@ -818,7 +851,7 @@ def test_remote_retries_a_transport_error_of_its_session():
     session = _FailingSession('{"per_token_logprobs": [-0.5, -0.25]}',
                               [ConnectionResetError("reset by peer")])
     be = RemoteBackend("http://stub", backoff=0.0, session=session)
-    assert be.cond_logprob("ctx", "two words").per_token == (-0.5, -0.25)
+    assert score_one(be, "ctx", "two words").per_token == (-0.5, -0.25)
     assert session.posts == 2
 
 
@@ -826,7 +859,7 @@ def test_remote_transport_errors_on_every_attempt_raise_typed():
     session = _FailingSession("{}", [TimeoutError()] * 10)
     be = RemoteBackend("http://stub", backoff=0.0, max_retries=3, session=session)
     with pytest.raises(RemoteBackendError, match="^TimeoutError ") as exc:
-        be.cond_logprob("ctx", "two words")
+        score_one(be, "ctx", "two words")
     assert exc.value.retryable and exc.value.status is None
     assert session.posts == be.max_retries
 
@@ -835,7 +868,7 @@ def test_remote_connection_error():
     be = RemoteBackend("http://127.0.0.1:1", backoff=0.01, max_retries=2,
                        timeout=0.5)
     with pytest.raises(RemoteBackendError):
-        be.cond_logprob("ctx", "ok")
+        score_one(be, "ctx", "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -845,7 +878,7 @@ _TEXTS = ["wet sky", "grey clouds", "cold", "dark rain falls", "snow", "ice on i
           "warm", "sun and sky", "blue", "soft wind", "hard metal", "clear air"]
 
 #: Twelve texts rescored under two inputs, and the first request once more.
-_SCORES = [(context, tuple(text.split()), True)
+_SCORES = [(context, text, True)
            for context in ("rain", "iron") for text in _TEXTS]
 _SCORES.append(_SCORES[0])
 
@@ -861,7 +894,7 @@ def _remote(ngram_backend, max_in_flight, status=None, latency_s=0.01):
 def one_at_a_time(ngram_backend):
     """``_SCORES`` and two samples, each from a single call."""
     remote, _ = _remote(ngram_backend, 1, latency_s=0.0)
-    return ([remote.score_tokens(*r) for r in _SCORES],
+    return ([score_one(remote, *r) for r in _SCORES],
             [remote.sample_descriptions("rain", 5, max_tokens=6, seed=1),
              remote.sample_descriptions("iron", 5, max_tokens=6, seed=2)])
 
@@ -872,9 +905,10 @@ def _hex(results):
 
 def _scoring(request):
     """The session's key of a ``score_many`` request."""
-    context, tokens, _ = request
+    context, text, _ = request
     return "/v1/logprob", json.dumps({"context": context,
-                                      "continuation": " ".join(tokens)}, sort_keys=True)
+                                      "continuation": " ".join(text.split())},
+                                     sort_keys=True)
 
 
 def _fails(request, status, attempts):
@@ -976,7 +1010,7 @@ def test_remote_batch_raises_a_request_that_fails_every_attempt(ngram_backend):
 def test_remote_batch_with_a_bad_request_sends_nothing(ngram_backend):
     remote, session = _remote(ngram_backend, 4)
     with pytest.raises(ValueError, match="description must be nonempty"):
-        remote.score_many([("rain", ("wet",), True), ("rain", (), True)], prompt=None)
+        remote.score_many([("rain", "wet", True), ("rain", "", True)], prompt=None)
     with pytest.raises(ValueError, match="count must be >= 1"):
         remote.sample_many([("rain", 1), ("iron", 2)], 0, max_tokens=6,
                            temperature=1.0, prompt=None)
@@ -1002,7 +1036,7 @@ def test_remote_malformed_reply_is_typed_and_not_retried(call, body):
     be = RemoteBackend("http://stub", backoff=0.0, session=stub)
     with pytest.raises(RemoteBackendError) as exc:
         if call == "logprob":
-            be.cond_logprob("ctx", "two words")
+            score_one(be, "ctx", "two words")
         else:
             be.sample_descriptions("ctx", 2)
     assert not exc.value.retryable
@@ -1051,3 +1085,77 @@ def test_remote_refuses_a_timeout_or_backoff_that_is_not_a_finite_real(kwargs):
                        match=f"^{name} must be {bound} and finite, got {value!r}$"):
         RemoteBackend("http://stub", session=stub, **kwargs)
     assert stub.posts == 0
+
+
+# ---------------------------------------------------------------------------
+# score_many: one request form on every backend
+
+
+def _three_backends(ngram_backend, table_backend):
+    """The n-gram and table backends, and a remote one over a session that
+    answers from the n-gram backend, with that session."""
+    session = ServingSession(ngram_backend)
+    remote = RemoteBackend("http://stub", backoff=0.0, session=session)
+    return {"ngram": ngram_backend, "table": table_backend, "remote": remote}, session
+
+
+@pytest.mark.parametrize("request_", [
+    ("rain", ("w", "e", "t"), True),  # the old form: tokens, not a text
+    ("rain", "wet"),
+    ("rain", "wet", True, None),
+    "rain",
+    None,
+    ("rain", b"wet", True),
+    (5, "wet", True),
+    ("rain", "wet", 1),
+    ("rain", "wet", None),
+], ids=["tokens", "two-items", "four-items", "a-str", "none", "bytes-text",
+        "int-context", "int-terminated", "none-terminated"])
+def test_score_many_refuses_a_malformed_request_by_name(ngram_backend, table_backend,
+                                                        request_):
+    be, session = _three_backends(ngram_backend, table_backend)
+    for name, backend in be.items():
+        context = "img_sunset" if name == "table" else "rain"
+        with pytest.raises(ValueError, match=f"^scoring request {re.escape(repr(request_))} "
+                                             "is not \\(context, text, terminated\\)"):
+            backend.score_many([(context, "wet", True), request_], prompt=None)
+    assert not session.sent  # refused before anything was sent
+
+
+@pytest.mark.parametrize("case", ["toy", "zero-length", "table", "remote"])
+def test_every_draw_is_its_backends_split_of_its_text(ngram_backend, table_backend,
+                                                      case):
+    """A draw's tokens are what its backend makes of its text, so a draw
+    rescored by its text is the draw rescored by its tokens."""
+    be, _ = _three_backends(ngram_backend, table_backend)
+    backend, contexts = be.get(case, ngram_backend), ["rain", "iron"]
+    split = {"table": lambda text: backends._split(  # the description it names
+                 table_backend.descriptions.get(text, text)),
+             "remote": backends._split,  # its words, or the text itself if none
+             }.get(case, tuple)  # an n-gram text's tokens are its characters
+    if case == "zero-length":
+        backend, contexts = NGramBackend(train_ngram("a\nb\n", order=2)), ["", "x"]
+    elif case == "table":
+        contexts = list(table_backend.cond)
+    draws = [(context, s) for seed, context in enumerate(contexts)
+             for s in backend.sample_descriptions(context, 30, max_tokens=8, seed=seed)]
+    assert case != "zero-length" or any(s.text == "" for _, s in draws)
+    for context, s in draws:
+        assert s.tokens == split(s.text)
+    if case == "remote":  # /v1/logprob cannot score an empty text
+        draws = [(context, s) for context, s in draws if s.text]
+    got = backend.score_many([(c, s.text, s.terminated) for c, s in draws],
+                             prompt=None)
+    assert got == [backend.score_tokens(c, s.tokens, s.terminated) for c, s in draws]
+
+
+def test_remote_sends_a_texts_words_rejoined_and_a_code_score_without_prompt(
+        ngram_backend):
+    session = ServingSession(ngram_backend)
+    remote = RemoteBackend("http://stub", session=session)
+    remote.score_many([("rain", " wet\tsky ", True), (None, "wet  sky", False)],
+                      prompt="describe")
+    assert sorted(payload for _, payload in session.sent) == sorted(
+        json.dumps(p, sort_keys=True) for p in (
+            {"context": "rain", "continuation": "wet sky", "prompt": "describe"},
+            {"context": "", "continuation": "wet sky"}))

@@ -2,6 +2,7 @@ import hashlib
 import math
 import re
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -314,9 +315,9 @@ class CountingBackend(Backend):
             context, count, max_tokens=max_tokens, temperature=temperature,
             seed=seed, prompt=prompt)
 
-    def score_tokens(self, context, tokens, terminated=True, prompt=None):
-        self.scores.append((context, tuple(tokens), terminated, prompt))
-        return self.backend.score_tokens(context, tokens, terminated, prompt=prompt)
+    def score_many(self, requests, *, prompt):
+        self.scores += [(*r, prompt) for r in requests]
+        return self.backend.score_many(requests, prompt=prompt)
 
 
 _TABLE_INPUTS = ("img_sunset", "cap_positive", "cap_negative")
@@ -544,7 +545,7 @@ def test_remote_choice_bench_by_conditional_likelihood_samples_nothing(
     for rec in bench.load_choices(data_dir / "choices.tsv").records:
         logged, session = _logged_remote(ngram_backend)
         bench.run_choice_bench([rec], logged, config, score="cond_lik")
-        assert logged.names() == ["cond_logprob"] * 4
+        assert logged.names() == ["score_many"] * 2
         assert {path for path, _ in session.sent} == {"/v1/logprob"}
 
 
@@ -561,7 +562,8 @@ def test_remote_choice_bench_scores_each_code_once_per_run(data_dir, ngram_backe
     for rec in bench.load_choices(data_dir / "choices.tsv").records:
         logged, _ = _logged_remote(ngram_backend)
         assert bench.run_choice_bench([rec], logged, config).failures == []
-        asked = sorted(args[0] for name, args in logged.log if name == "code_logprob")
+        asked = sorted(text for name, args in logged.log if name == "score_many"
+                       for context, text, _ in args[0] if context is None)
         remote = RemoteBackend("http://stub", session=ServingSession(ngram_backend))
         batches = [pipeline.build_batch(rec.context, x, remote, config)
                    for x in (rec.positive, rec.negative)]
@@ -596,18 +598,22 @@ def test_remote_lm_code_choice_bench_sends_each_code_score_once(data_dir, ngram_
 
 
 class _FlakyCodes(CountingBackend):
-    """Counts code scores; the first one of ``flaky`` raises ``BackendError``."""
+    """Counts code scores; the first call that asks for the code score of
+    ``flaky`` raises ``BackendError``, and ``failed`` keeps its code scores."""
 
     def __init__(self, backend, flaky):
         super().__init__(backend)
-        self.flaky, self.codes = flaky, []
+        self.flaky, self.codes, self.failed = flaky, [], set()
 
-    def code_logprob(self, description, terminated=True):
-        self.codes.append((description, terminated))
-        if description == self.flaky:
-            self.flaky = None
-            raise BackendError(f"flaky code score of {description!r}")
-        return self.backend.code_logprob(description, terminated=terminated)
+    def score_many(self, requests, *, prompt):
+        codes = [(text, terminated) for context, text, terminated in requests
+                 if context is None]
+        self.codes += codes
+        if self.flaky in (text for text, _ in codes):
+            error = BackendError(f"flaky code score of {self.flaky!r}")
+            self.flaky, self.failed = None, set(codes)
+            raise error
+        return super().score_many(requests, prompt=prompt)
 
 
 def test_failed_code_score_is_asked_again_by_next_record(data_dir, ngram_backend):
@@ -622,15 +628,19 @@ def test_failed_code_score_is_asked_again_by_next_record(data_dir, ngram_backend
 
     assert [f["id"] for f in report.failures] == users[:1]
     assert users[1] in [r["id"] for r in report.per_record]
-    # asked twice, as the failed call stored nothing; every other code once
-    assert [d for d, _ in backend.codes].count(flaky) == 2
-    assert len(backend.codes) == len(set(backend.codes)) + 1
+    # the failed call's code scores, the flaky one among them, are asked
+    # twice, as that call stored nothing; every other code once
+    asked = Counter(backend.codes)
+    assert flaky in {d for d, _ in backend.failed}
+    assert {code for code, n in asked.items() if n == 2} == backend.failed
+    assert set(asked.values()) == {1, 2}
 
 
 class _DrawsByContext(Backend):
     """Draws the texts listed for a context in turn, whatever the seed, and
     rescores each at -0.5 per word and per character of the context; a
-    (context, text) in ``unscorable`` rescores at -inf."""
+    (context, text) in ``unscorable`` rescores at -inf. A code score is -2
+    per word."""
 
     def __init__(self, texts, unscorable=()):
         self.texts, self.unscorable = texts, set(unscorable)
@@ -641,13 +651,12 @@ class _DrawsByContext(Backend):
         return [SampledDescription(t, tuple(t.split()), (-1.0,), True)
                 for t in (cycle[i % len(cycle)] for i in range(count))]
 
-    def score_tokens(self, context, tokens, terminated=True, prompt=None):
-        if (context, " ".join(tokens)) in self.unscorable:
-            return LogProbResult.from_tokens([-math.inf])
-        return LogProbResult.from_tokens([-0.5 * len(context)] * len(tokens))
-
-    def code_logprob(self, description, terminated=True):
-        return LogProbResult.from_tokens([-2.0] * len(description.split()))
+    def score_many(self, requests, *, prompt):
+        return [LogProbResult.from_tokens(
+                    [-2.0] * len(text.split()) if context is None
+                    else [-math.inf] if (context, text) in self.unscorable
+                    else [-0.5 * len(context)] * len(text.split()))
+                for context, text, _ in requests]
 
 
 def _batch_and_warnings(build):
@@ -698,10 +707,13 @@ def test_batches_built_after_one_fetch_equal_batches_built_alone(
     pipeline._fetch(pairs, reuse, config)
     # the shared input is asked for at both ranks; the last pair asks nothing new
     assert len(counted.samples) == 4
-    sent = len(counted.samples), len(counted.scores)
+    def sent():  # draws and rescores; lm_code's code scores come with the batches
+        return len(counted.samples), sum(r[0] is not None for r in counted.scores)
+
+    fetched = sent()
     got = [_batch_and_warnings(lambda: pipeline.build_batch(*pair, reuse, config))
            for pair in pairs]
-    assert (len(counted.samples), len(counted.scores)) == sent
+    assert sent() == fetched
     want = [_batch_and_warnings(lambda: pipeline.build_batch(*pair, bare, config))
             for pair in pairs]
     _assert_same_batches(got, want)

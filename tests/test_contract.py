@@ -1,10 +1,12 @@
-"""The package uses nothing of a backend beyond the four contract calls
-and the batched forms of two of them.
+"""The package uses nothing of a backend beyond the three contract calls:
+``sample_descriptions``, its batched form ``sample_many``, and
+``score_many``.
 
 Each workflow runs once on a bare backend and once through ``_Contract``,
 which exposes only those calls; the results must agree bit for bit.
 """
 
+import copy
 from collections import Counter
 
 import numpy as np
@@ -16,8 +18,7 @@ from ccdae.bench import ChoiceRecord, PairRecord
 
 
 class _Contract:
-    """Exactly the four contract calls of a backend and their two batched
-    forms, and nothing else."""
+    """Exactly the three contract calls of a backend, and nothing else."""
 
     __slots__ = ("_backend",)
 
@@ -29,15 +30,6 @@ class _Contract:
         return self._backend.sample_descriptions(
             context, count, max_tokens=max_tokens, temperature=temperature,
             seed=seed, prompt=prompt)
-
-    def score_tokens(self, context, tokens, terminated=True, prompt=None):
-        return self._backend.score_tokens(context, tokens, terminated, prompt=prompt)
-
-    def cond_logprob(self, context, description, prompt=None):
-        return self._backend.cond_logprob(context, description, prompt=prompt)
-
-    def code_logprob(self, description, terminated=True):
-        return self._backend.code_logprob(description, terminated=terminated)
 
     def sample_many(self, requests, count, *, max_tokens, temperature, prompt):
         return self._backend.sample_many(requests, count, max_tokens=max_tokens,
@@ -114,51 +106,24 @@ def test_workflows_use_only_the_four_contract_calls(request, backend_name, workf
 
 def test_contract_wrapper_exposes_only_the_four_calls(ngram_backend):
     calls = {name for name in dir(_Contract) if not name.startswith("_")}
-    assert calls == {"sample_descriptions", "score_tokens", "cond_logprob",
-                     "code_logprob", "sample_many", "score_many"}
+    assert calls == {"sample_descriptions", "sample_many", "score_many"}
     with pytest.raises(AttributeError):
         _Contract(ngram_backend).model  # noqa: B018
 
 
-class _Counting(backends.Backend, _Contract):
-    """``_Contract`` that counts its single calls and answers the batched
-    forms through them."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, backend):
-        super().__init__(backend)
-        self.calls = Counter()
-
-    def sample_descriptions(self, *args, **kwargs):
-        self.calls["sample_descriptions"] += 1
-        return super().sample_descriptions(*args, **kwargs)
-
-    def score_tokens(self, *args, **kwargs):
-        self.calls["score_tokens"] += 1
-        return super().score_tokens(*args, **kwargs)
-
-    def cond_logprob(self, *args, **kwargs):
-        self.calls["cond_logprob"] += 1
-        return super().cond_logprob(*args, **kwargs)
-
-    def code_logprob(self, *args, **kwargs):
-        self.calls["code_logprob"] += 1
-        return super().code_logprob(*args, **kwargs)
-
-
 def _count_on_instance(backend) -> Counter:
     """Count a backend's single calls where a tracer wraps them: on the
-    instance, so that its own batched forms reach the counters."""
+    instance, so that its own batched forms reach the counters. A code score
+    (context ``None``) counts as ``"code"``."""
     calls = Counter()
 
     def counted(name, call):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return call(*args, **kwargs)
+        def wrapper(context, *args, **kwargs):
+            calls["code" if context is None else name] += 1
+            return call(context, *args, **kwargs)
         return wrapper
 
-    for name in ("sample_descriptions", "score_tokens", "code_logprob"):
+    for name in ("sample_descriptions", "score_tokens"):
         setattr(backend, name, counted(name, getattr(backend, name)))
     return calls
 
@@ -177,20 +142,15 @@ def test_build_batch_backend_traffic(request, case, pcode_mode):
         texts = BACKENDS["ngram"][1]
     else:
         fixture, texts = BACKENDS[case]
-        backend = request.getfixturevalue(fixture)
-    if session is None:
-        counting = _Counting(backend)
-        calls = counting.calls
-    else:  # the remote backend's own batched forms, which put requests in flight
-        counting = backend
-        calls = _count_on_instance(backend)
+        backend = copy.copy(request.getfixturevalue(fixture))  # counted on the copy
+    calls = _count_on_instance(backend)
     config = pipeline.CompareConfig(samples_per_input=10, max_tokens=5,
                                     pcode_mode=pcode_mode)
-    batch = pipeline.build_batch(texts[0], texts[1], counting, config)
+    batch = pipeline.build_batch(texts[0], texts[1], _Contract(backend), config)
     n = batch.n_hypotheses + batch.dropped  # distinct descriptions
     want = {"sample_descriptions": 2, "score_tokens": 2 * n}
     if pcode_mode == "lm_code":  # every code score, an empty draw's too
-        want["code_logprob"] = n
+        want["code"] = n
     assert calls == want
     assert case != "zero-length" or "" in batch.texts
     if session is not None:  # exactly one request per distinct payload
@@ -199,25 +159,31 @@ def test_build_batch_backend_traffic(request, case, pcode_mode):
             "/v1/sample": 2, "/v1/logprob": sum(want.values()) - 2}
 
 
-class _FourCalls:
-    """A backend written to the four single calls alone."""
+class _Unbatched:
+    """A backend written to ``sample_descriptions`` and ``score_many`` alone."""
 
     def __init__(self, backend):
         self.sample_descriptions = backend.sample_descriptions
-        self.score_tokens = backend.score_tokens
-        self.cond_logprob = backend.cond_logprob
-        self.code_logprob = backend.code_logprob
+        self.score_many = backend.score_many
 
 
 def test_a_backend_without_the_batched_forms_fails_by_name(ngram_backend):
     config = pipeline.CompareConfig(samples_per_input=10, max_tokens=5)
     with pytest.raises(AttributeError, match="sample_many"):
-        pipeline.build_batch("rain", "iron", _FourCalls(ngram_backend), config)
+        pipeline.build_batch("rain", "iron", _Unbatched(ngram_backend), config)
 
-    # inheriting the base supplies them, answered through the four calls
-    class Upgraded(backends.Backend, _FourCalls):
+    # inheriting the base supplies sample_many, answered through
+    # sample_descriptions
+    class Upgraded(backends.Backend, _Unbatched):
         pass
 
     got = pipeline.build_batch("rain", "iron", Upgraded(ngram_backend), config)
     want = pipeline.build_batch("rain", "iron", ngram_backend, config)
     assert _bits(got) == _bits(want)
+
+    # but not score_many: how a text splits into tokens is each backend's rule
+    class Unscored(backends.Backend):
+        sample_descriptions = ngram_backend.sample_descriptions
+
+    with pytest.raises(AttributeError, match="score_many"):
+        pipeline.build_batch("rain", "iron", Unscored(), config)

@@ -230,14 +230,14 @@ def test_beam_never_asks_a_dropped_expansion_for_its_code_length():
 def test_describe_scores_code_lengths_of_kept_beam_entries_only(monkeypatch, capsys,
                                                                  data_dir):
     # the bundled model at the CLI's defaults: 10 lengths of at most 8 entries
-    calls = []
-    code_logprob = backends.NGramBackend.code_logprob
+    calls = []  # the code scores asked for
+    score_many = backends.NGramBackend.score_many
 
-    def counting(self, description, terminated=True):
-        calls.append(description)
-        return code_logprob(self, description, terminated)
+    def counting(self, requests, *, prompt):
+        calls.extend(text for context, text, _ in requests if context is None)
+        return score_many(self, requests, prompt=prompt)
 
-    monkeypatch.setattr(backends.NGramBackend, "code_logprob", counting)
+    monkeypatch.setattr(backends.NGramBackend, "score_many", counting)
     with pytest.warns(UserWarning, match="dropping 9 descriptions"):
         code = cli.main(["--model", str(data_dir / "toy_ngram.json"),
                          "describe", "rain", "iron"])
@@ -350,13 +350,13 @@ def test_describe_pair_drops_winners_with_non_finite_scores(ngram_backend):
 
 
 class _UnscorableBackend(_StubBackend):
-    """Every text has zero probability under both inputs."""
+    """Every text has zero probability under both inputs, and a code score
+    of -1."""
 
-    def cond_logprob(self, context, text, prompt=None):
-        return backends.LogProbResult.from_tokens([-math.inf])
-
-    def code_logprob(self, text, terminated=True):
-        return backends.LogProbResult.from_tokens([-1.0])
+    def score_many(self, requests, *, prompt):
+        return [backends.LogProbResult.from_tokens(
+                    [-1.0 if context is None else -math.inf])
+                for context, _, _ in requests]
 
 
 def test_describe_pair_with_no_finite_winner_raises_and_cli_exits_1(

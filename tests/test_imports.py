@@ -102,8 +102,8 @@ class Session:
 _CALLS = """\
 remote.sample_many([("rain", 0), ("iron", 1)], 1, max_tokens=5,
                    temperature=1.0, prompt=None)
-remote.score_many([("rain", ("wet", "sky"), True)], prompt=None)
-assert remote.cond_logprob("iron", "wet sky").total == -0.75
+remote.score_many([("rain", "wet sky", True)], prompt=None)
+assert remote.score_many([("iron", "wet sky", True)], prompt=None)[0].total == -0.75
 """
 
 

@@ -11,7 +11,7 @@ from ccdae import backends, baselines, bench, core, descgen, oracle, pipeline
 from ccdae.core import InvalidBatchError, ScoredBatch
 from ccdae.pipeline import CompareConfig
 
-from conftest import make_uniform_batch
+from conftest import make_uniform_batch, score_one
 
 LN2 = math.log(2.0)
 
@@ -244,11 +244,8 @@ def _reference_batch(x1, x2, backend, config):
         log_pi = float(np.logaddexp(la, lb)) - math.log(2.0)
         if config.pcode_mode == "proposal_mix":
             log_pcode = log_pi
-        elif s.text:
-            log_pcode = backend.code_logprob(s.text, terminated=s.terminated).total
         else:
-            log_pcode = backend.score_tokens("", s.tokens, s.terminated,
-                                             prompt="").total
+            log_pcode = score_one(backend, None, s.text, s.terminated).total
         texts.append(s.text)
         log_pcodes.append(log_pcode)
         log_pis.append(log_pi)
@@ -457,9 +454,10 @@ class _WideBackend(backends.Backend):
         return [backends.SampledDescription(t, tuple(t), (-1.0,) * len(t), True)
                 for t in (self.texts[i % len(self.texts)] for i in range(n))]
 
-    def score_tokens(self, context, tokens, terminated, prompt=None):
-        per_token = -1.0 if context == "x1" else -1.0 - int("".join(tokens)) % 5 / 10
-        return backends.LogProbResult.from_tokens([per_token] * len(tokens))
+    def score_many(self, requests, *, prompt):
+        return [backends.LogProbResult.from_tokens(
+                    [-1.0 if context == "x1" else -1.0 - int(text) % 5 / 10] * len(text))
+                for context, text, _ in requests]
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
@@ -522,11 +520,11 @@ class _FixedDrawsBackend(backends.Backend):
         return [backends.SampledDescription(t, tuple(t), (-1.0,) * len(t), True)
                 for t in texts]
 
-    def score_tokens(self, context, tokens, terminated, prompt=None):
-        text = "".join(tokens)
-        if context == "x1" and text in self.unscorable:
-            return backends.LogProbResult.from_tokens([-math.inf])
-        return backends.LogProbResult.from_tokens([-1.0] * len(tokens))
+    def score_many(self, requests, *, prompt):
+        return [backends.LogProbResult.from_tokens(
+                    [-math.inf] if context == "x1" and text in self.unscorable
+                    else [-1.0] * len(text))
+                for context, text, _ in requests]
 
 
 def test_build_batch_drops_unscorable_hypotheses():
@@ -553,7 +551,7 @@ def test_build_batch_names_the_unscorable_when_fewer_than_2_are_left():
 
 
 class _NoRescoring(_FixedDrawsBackend):
-    def score_tokens(self, *args, **kwargs):
+    def score_many(self, *args, **kwargs):
         raise AssertionError("collapsed draws must fail before any rescoring")
 
 
